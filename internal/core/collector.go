@@ -133,23 +133,21 @@ func (a *LabelAllocator) Next() string {
 // NewSuiteLabel derives a short suite label from a test-suite counter.
 func NewSuiteLabel(n int) string { return fmt.Sprintf("s%02d", n) }
 
-// DeterministicLabels returns a per-probe label stream: the n-th call
-// yields the label for (seed, probe index, n), derived through a seeded
-// 40-bit Feistel permutation so labels are globally unique within a
-// campaign by construction yet look random. Unlike LabelAllocator.Next,
+// LabelSource hands out probe transaction labels. *LabelAllocator and
+// *LabelStream both satisfy it.
+type LabelSource interface {
+	Next() string
+}
+
+// LabelStream is a per-probe label source: after Reset(index), the n-th
+// call to Next yields the label for (seed, probe index, n), derived through
+// a seeded 40-bit Feistel permutation so labels are globally unique within
+// a campaign by construction yet look random. Unlike LabelAllocator.Next,
 // the stream does not depend on how probe shards interleave their draws
 // from a shared source — the property traced campaigns need for
 // byte-identical same-seed output. fallback serves the (practically
 // unreachable) case of a probe running more than 256 transactions.
-func DeterministicLabels(seed int64, index uint64, fallback *LabelAllocator) func() string {
-	s := NewLabelStream(seed, fallback)
-	s.Reset(index)
-	return s.Next
-}
-
-// LabelStream is the reusable form of DeterministicLabels: one stream per
-// worker, Reset to a probe index before each probe. Streams are not safe
-// for concurrent use; campaigns keep one per shard.
+// Streams are not safe for concurrent use; campaigns keep one per shard.
 type LabelStream struct {
 	seed     int64
 	index    uint64

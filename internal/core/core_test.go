@@ -255,18 +255,25 @@ func TestClassifierTaxonomy(t *testing.T) {
 	}
 }
 
-// TestDeterministicLabelsUniqueAndStable checks the campaign label stream:
-// labels must be unique across (index, ordinal) pairs by construction,
-// identical across two streams with the same inputs, and different under a
+// streamAt returns a fresh label stream positioned at probe index.
+func streamAt(seed int64, index uint64, fallback *LabelAllocator) *LabelStream {
+	s := NewLabelStream(seed, fallback)
+	s.Reset(index)
+	return s
+}
+
+// TestLabelStreamUniqueAndStable checks the campaign label stream: labels
+// must be unique across (index, ordinal) pairs by construction, identical
+// across two streams with the same inputs, and different under a
 // different seed.
-func TestDeterministicLabelsUniqueAndStable(t *testing.T) {
+func TestLabelStreamUniqueAndStable(t *testing.T) {
 	seen := make(map[string]bool)
 	for index := uint64(0); index < 500; index++ {
-		next := DeterministicLabels(7, index, nil)
-		again := DeterministicLabels(7, index, nil)
+		next := streamAt(7, index, nil)
+		again := streamAt(7, index, nil)
 		for ord := 0; ord < 8; ord++ {
-			l := next()
-			if l != again() {
+			l := next.Next()
+			if l != again.Next() {
 				t.Fatalf("stream for index %d diverged at ordinal %d", index, ord)
 			}
 			if seen[l] {
@@ -278,7 +285,7 @@ func TestDeterministicLabelsUniqueAndStable(t *testing.T) {
 			}
 		}
 	}
-	if a, b := DeterministicLabels(1, 42, nil)(), DeterministicLabels(2, 42, nil)(); a == b {
+	if a, b := streamAt(1, 42, nil).Next(), streamAt(2, 42, nil).Next(); a == b {
 		t.Fatalf("seeds 1 and 2 produced the same label %q", a)
 	}
 }

@@ -99,10 +99,10 @@ func TestTransactionResultResetScrubsAllState(t *testing.T) {
 	}
 }
 
-// LabelStream.Reset must reproduce exactly the stream DeterministicLabels
+// LabelStream.Reset must reproduce exactly the stream a fresh LabelStream
 // hands out for the same (seed, index), regardless of what the stream
 // emitted before the reset.
-func TestLabelStreamResetMatchesDeterministicLabels(t *testing.T) {
+func TestLabelStreamResetMatchesFreshStream(t *testing.T) {
 	fallback := NewLabelAllocator(1)
 	stream := NewLabelStream(99, fallback)
 
@@ -113,9 +113,9 @@ func TestLabelStreamResetMatchesDeterministicLabels(t *testing.T) {
 	}
 
 	stream.Reset(3)
-	fresh := DeterministicLabels(99, 3, NewLabelAllocator(1))
+	fresh := streamAt(99, 3, NewLabelAllocator(1))
 	for i := 0; i < 10; i++ {
-		if got, want := stream.Next(), fresh(); got != want {
+		if got, want := stream.Next(), fresh.Next(); got != want {
 			t.Fatalf("draw %d: reused stream = %q, fresh stream = %q", i, got, want)
 		}
 	}

@@ -141,8 +141,12 @@ type Prober struct {
 	IOClock clock.Clock
 	// Zone describes the measurement DNS zone (for label → domain
 	// construction); Collector receives its query stream.
-	Zone       *dnsserver.SPFTestZone
-	Labels     *LabelAllocator
+	Zone *dnsserver.SPFTestZone
+	// Labels supplies transaction labels. Campaigns install a per-shard
+	// LabelStream, reset to each probe's index, so label assignment is
+	// independent of shard scheduling — drawing from a shared allocator
+	// would make same-seed traced runs diverge.
+	Labels     LabelSource
 	Collector  *Collector
 	Classifier *Classifier
 	// Suite tags all of this prober's labels.
@@ -169,25 +173,12 @@ type Prober struct {
 	// the probe latency histogram (see docs/telemetry.md). Latency is
 	// measured on Clock, so virtual campaigns report virtual durations.
 	Metrics *telemetry.Registry
-	// NextLabel, when non-nil, supplies transaction labels instead of
-	// Labels. Campaigns install a per-probe DeterministicLabels stream so
-	// label assignment is independent of shard scheduling — drawing from
-	// the shared allocator would make same-seed traced runs diverge.
-	NextLabel func() string
 
 	// Scratch state reused across probes. A Prober runs one probe at a
 	// time (campaigns keep one prober per shard), so plain fields suffice.
 	cli       *smtp.Client
 	txScratch transactionResult
 	evScratch []dnsserver.QueryEvent
-}
-
-// nextLabel returns the next transaction label for this prober.
-func (p *Prober) nextLabel() string {
-	if p.NextLabel != nil {
-		return p.NextLabel()
-	}
-	return p.Labels.Next()
 }
 
 func (p *Prober) usernames() []string {
@@ -435,7 +426,7 @@ func (p *Prober) runTransaction(ctx context.Context, addr, rcptDomain string, me
 	res := &p.txScratch
 	res.reset()
 	for attempt := 0; attempt < 2; attempt++ {
-		id := p.nextLabel()
+		id := p.Labels.Next()
 		res.ids = append(res.ids, id)
 		p.Metrics.Counter("probe.transactions").Inc()
 		txCtx, tsp := trace.StartSpan(ctx, "smtp.transaction")

@@ -61,13 +61,9 @@ func queryAll(ctx context.Context, q Querier, qs []BatchQuestion) []BatchResult 
 // into batches for a BatchQuerier upstream — natural batching, with no
 // artificial delay: a lone query dispatches immediately as a batch of one,
 // and whatever queued up behind an in-flight dispatch forms the next batch.
-// It slots between the wire Client and SingleFlight:
-//
-//	&Client{...}                          // wire
-//	&Pipeline{Upstream: client}           // + query pipelining
-//	&SingleFlight{Upstream: pipeline}     // + in-flight dedup
-//	NewCachingClient(flight, clk)         // + TTL cache
-//	NewResolver(cache)                    // + typed lookups
+// It slots directly above the wire Client. No resolver stack in use
+// includes it: the only multi-question batches are explicit dual-family
+// lookups, which Client.QueryBatch already sends over one socket.
 type Pipeline struct {
 	// Upstream executes the batches; required.
 	Upstream BatchQuerier

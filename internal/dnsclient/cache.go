@@ -21,17 +21,11 @@ import (
 // cache and must arrive at the measurement's authoritative server
 // (paper §5.1).
 type CachingClient struct {
-	// Upstream performs transactions on cache misses; required. Layer a
-	// SingleFlight here to also coalesce concurrent misses for one name.
+	// Upstream performs transactions on cache misses; required.
 	Upstream Querier
 	// Clock supplies cache timestamps (use the simulation clock so TTLs
 	// interact correctly with virtual time).
 	Clock clock.Clock
-	// MaxTTL caps cache lifetimes; 0 means 1 hour.
-	MaxTTL time.Duration
-	// NegativeTTL is used for negative answers without a SOA; 0 means
-	// 60 seconds.
-	NegativeTTL time.Duration
 	// Metrics receives the dns.cache.hits / dns.cache.misses counters and
 	// backs Stats. NewCachingClient installs a private registry when the
 	// caller does not supply one.
@@ -40,6 +34,13 @@ type CachingClient struct {
 	mu      sync.Mutex
 	entries map[cacheKey]cacheEntry
 }
+
+// Cache lifetimes: every entry is capped at maxTTL, and negative answers
+// without a SOA minimum live for negativeTTL.
+const (
+	maxTTL      = time.Hour
+	negativeTTL = time.Minute
+)
 
 type cacheKey struct {
 	name string
@@ -62,20 +63,6 @@ func NewCachingClient(q Querier, clk clock.Clock) *CachingClient {
 		Metrics:  telemetry.New(),
 		entries:  make(map[cacheKey]cacheEntry),
 	}
-}
-
-func (cc *CachingClient) maxTTL() time.Duration {
-	if cc.MaxTTL > 0 {
-		return cc.MaxTTL
-	}
-	return time.Hour
-}
-
-func (cc *CachingClient) negTTL() time.Duration {
-	if cc.NegativeTTL > 0 {
-		return cc.NegativeTTL
-	}
-	return time.Minute
 }
 
 // Query implements Querier: it serves from cache when possible, forwarding
@@ -103,7 +90,7 @@ func (cc *CachingClient) Query(ctx context.Context, name dnsmsg.Name, typ dnsmsg
 	if err != nil {
 		return nil, err
 	}
-	ttl := cc.ttlFor(msg)
+	ttl := ttlFor(msg)
 	if ttl > 0 {
 		cc.mu.Lock()
 		cc.entries[key] = cacheEntry{msg: msg, expires: now.Add(ttl)}
@@ -169,7 +156,7 @@ func (cc *CachingClient) QueryBatch(ctx context.Context, qs []BatchQuestion) []B
 		if res[j].Err != nil {
 			continue
 		}
-		if ttl := cc.ttlFor(res[j].Msg); ttl > 0 {
+		if ttl := ttlFor(res[j].Msg); ttl > 0 {
 			cc.entries[keys[i]] = cacheEntry{msg: res[j].Msg, expires: now.Add(ttl)}
 		}
 	}
@@ -178,7 +165,7 @@ func (cc *CachingClient) QueryBatch(ctx context.Context, qs []BatchQuestion) []B
 }
 
 // ttlFor derives the cache lifetime from a response.
-func (cc *CachingClient) ttlFor(msg *dnsmsg.Message) time.Duration {
+func ttlFor(msg *dnsmsg.Message) time.Duration {
 	if msg.Header.RCode != dnsmsg.RCodeNoError && msg.Header.RCode != dnsmsg.RCodeNXDomain {
 		return 0 // do not cache server failures
 	}
@@ -187,15 +174,15 @@ func (cc *CachingClient) ttlFor(msg *dnsmsg.Message) time.Duration {
 		for _, rr := range msg.Authority {
 			if soa, ok := rr.Data.(dnsmsg.SOA); ok {
 				ttl := time.Duration(soa.Minimum) * time.Second
-				if ttl > cc.maxTTL() {
-					ttl = cc.maxTTL()
+				if ttl > maxTTL {
+					ttl = maxTTL
 				}
 				if ttl > 0 {
 					return ttl
 				}
 			}
 		}
-		return cc.negTTL()
+		return negativeTTL
 	}
 	min := uint32(1<<31 - 1)
 	for _, rr := range msg.Answers {
@@ -204,8 +191,8 @@ func (cc *CachingClient) ttlFor(msg *dnsmsg.Message) time.Duration {
 		}
 	}
 	ttl := time.Duration(min) * time.Second
-	if ttl > cc.maxTTL() {
-		ttl = cc.maxTTL()
+	if ttl > maxTTL {
+		ttl = maxTTL
 	}
 	return ttl
 }

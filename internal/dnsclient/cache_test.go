@@ -158,18 +158,17 @@ func TestCacheFlush(t *testing.T) {
 }
 
 func TestCacheTTLCap(t *testing.T) {
-	cc := &CachingClient{MaxTTL: 10 * time.Second, Clock: clock.Real{}}
 	msg := &dnsmsg.Message{Header: dnsmsg.Header{Response: true}}
 	msg.Answers = append(msg.Answers, dnsmsg.Record{
 		Name: dnsmsg.MustParseName("x.example"), Class: dnsmsg.ClassIN,
 		TTL: 86400, Data: dnsmsg.TXT{Strings: []string{"v"}},
 	})
-	if ttl := cc.ttlFor(msg); ttl != 10*time.Second {
-		t.Fatalf("capped ttl = %v", ttl)
+	if ttl := ttlFor(msg); ttl != time.Hour {
+		t.Fatalf("capped ttl = %v, want 1h", ttl)
 	}
 	// SERVFAIL is never cached.
 	bad := &dnsmsg.Message{Header: dnsmsg.Header{Response: true, RCode: dnsmsg.RCodeServFail}}
-	if ttl := cc.ttlFor(bad); ttl != 0 {
+	if ttl := ttlFor(bad); ttl != 0 {
 		t.Fatalf("servfail ttl = %v", ttl)
 	}
 }

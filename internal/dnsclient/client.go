@@ -41,11 +41,8 @@ type Client struct {
 	Server string
 	// Timeout bounds each transaction attempt. Defaults to 2s.
 	Timeout time.Duration
-	// Retries is the number of additional UDP attempts. Defaults to 1.
-	// Ignored when Retry is enabled.
-	Retries int
-	// Retry, when enabled (MaxAttempts > 1), replaces the legacy
-	// immediate-retransmit loop: attempts are bounded by the policy and
+	// Retry, when enabled (MaxAttempts > 1), replaces the default of one
+	// immediate retransmit: attempts are bounded by the policy and
 	// separated by its jittered backoff slept on Clk. Leave zero on
 	// resolvers driven by goroutines not accounted to a simulated clock
 	// (e.g. MTA hosts): their sleeps would corrupt the clock's
@@ -135,10 +132,7 @@ func (c *Client) query(ctx context.Context, conn net.Conn, name dnsmsg.Name, typ
 		qsp.SetAttrs(trace.String("name", name.String()), trace.String("type", typ.String()))
 	}
 	q := dnsmsg.NewQuery(c.id(), name, typ)
-	attempts := 1 + c.Retries
-	if c.Retries == 0 {
-		attempts = 2
-	}
+	attempts := 2
 	if c.Retry.Enabled() {
 		attempts = c.Retry.MaxAttempts
 	}
@@ -275,7 +269,7 @@ func (c *Client) matches(q, r *dnsmsg.Message) bool {
 }
 
 // Resolver provides typed lookups with the RFC 7208 error taxonomy on top
-// of any Querier — a bare Client, a SingleFlight, or a CachingClient stack.
+// of any Querier — a bare Client or a CachingClient stack.
 type Resolver struct {
 	// Querier performs transactions; required.
 	Querier Querier

@@ -167,7 +167,6 @@ func TestExchangeRetriesAfterLoss(t *testing.T) {
 		Net:     fabric.Host("10.0.1.2"),
 		Server:  "10.0.1.53:53",
 		Timeout: 100 * time.Millisecond,
-		Retries: 2,
 	})
 	txts, err := r.LookupTXT(context.Background(), "example.com")
 	if err != nil {

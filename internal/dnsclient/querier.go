@@ -10,14 +10,16 @@ import (
 )
 
 // Querier is the unified query path: one transaction, validated response.
-// Client implements it over the wire; CachingClient and SingleFlight
-// implement it by composition, so the SPF engine, the MTA path, and the
-// prober all stack layers without duplicated Lookup* plumbing:
+// Client implements it over the wire and CachingClient by composition, so
+// the SPF engine, the MTA path, and the prober all stack layers without
+// duplicated Lookup* plumbing. The two stacks in use:
 //
-//	&Client{...}                          // wire
-//	&SingleFlight{Upstream: client}       // + in-flight dedup
-//	NewCachingClient(flight, clk)         // + TTL cache
-//	NewResolver(cache)                    // + typed lookups / RFC 7208 taxonomy
+//	NewResolver(&Client{...})                       // probe side (measure.Rig)
+//	NewResolver(NewCachingClient(&Client{...}, clk)) // each simulated MTA
+//
+// SingleFlight and Pipeline implement Querier too, but neither stack uses
+// them: every probe's names are fresh (paper §5.1), so there is never an
+// identical query in flight to coalesce.
 type Querier interface {
 	Query(ctx context.Context, name dnsmsg.Name, typ dnsmsg.Type) (*dnsmsg.Message, error)
 }

@@ -124,7 +124,7 @@ func (c *Campaign) allocator() *core.LabelAllocator {
 	return c.labels
 }
 
-func (c *Campaign) newProber() *core.Prober {
+func (c *Campaign) newProber(labels core.LabelSource) *core.Prober {
 	cfg := c.cfg
 	return &core.Prober{
 		Net:           c.Rig.Fabric.Host(c.Rig.ProbeIP),
@@ -132,7 +132,7 @@ func (c *Campaign) newProber() *core.Prober {
 		Clock:         c.Rig.Clock,
 		IOClock:       c.Rig.Clock,
 		Zone:          c.Rig.Zone,
-		Labels:        c.allocator(),
+		Labels:        labels,
 		Collector:     c.Rig.Collector,
 		Classifier:    c.Rig.Classifier,
 		Suite:         cfg.Suite,
@@ -292,9 +292,8 @@ func (c *Campaign) probeBatch(ctx context.Context, batch []netip.Addr, asOf time
 			// One prober and one label stream serve the whole shard: probe
 			// scratch (SMTP client, transaction buffers) is reused across
 			// the shard's probes instead of reallocated per probe.
-			p := c.newProber()
 			stream := core.NewLabelStream(labelSeed, c.allocator())
-			p.NextLabel = stream.Next
+			p := c.newProber(stream)
 			for seq := s; seq < len(batch); seq += shards {
 				a := batch[seq]
 				dom := rcptDomain[a]

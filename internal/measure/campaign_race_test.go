@@ -9,10 +9,11 @@ import (
 )
 
 // Two campaigns running concurrently in one process exercise every shared
-// pool under contention — the pipelined Querier's queue, the SMTP session
-// buffer pools, the SPF evaluation sessions on the simulated MTAs, and the
-// probers' scratch state. Each campaign must still report every address
-// exactly once with an independent outcome. Run with -race (CI does).
+// pool under contention — the DNS client's datagram buffers, the SMTP
+// session buffer pools, the SPF evaluation sessions on the simulated MTAs,
+// and the probers' scratch state. Each campaign must still report every
+// address exactly once with an independent outcome. Run with -race (CI
+// does).
 func TestConcurrentCampaignsThroughPipelinedQuerier(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full campaigns")

@@ -177,17 +177,16 @@ func (r *Rig) Close() {
 // rig's DNS retry policy. Callers on a simulated clock must drive it from
 // an accounted goroutine (the policy's backoff sleeps on the rig clock).
 func (r *Rig) Resolver() *dnsclient.Resolver {
-	wire := &dnsclient.Client{
+	// ResolveTargets' dual-family lookups reach Client.QueryBatch directly,
+	// so each exchanger's A+AAAA pair shares one socket.
+	return dnsclient.NewResolver(&dnsclient.Client{
 		Net:     r.Fabric.Host(r.ProbeIP),
 		Server:  r.DNSAddr,
 		Timeout: time.Second,
 		Clk:     r.Clock,
 		Retry:   r.dnsRetry,
 		Metrics: r.Metrics,
-	}
-	// The pipeline lets ResolveTargets' dual-family lookups travel as one
-	// batch per exchanger instead of two dials.
-	return dnsclient.NewResolver(&dnsclient.Pipeline{Upstream: wire, Metrics: r.Metrics})
+	})
 }
 
 // Target is one (domain, addresses) measurement unit discovered via DNS.

@@ -148,20 +148,16 @@ func New(cfg Config) *Host {
 	if cfg.FlakyRate > 0 {
 		h.flaky = rand.New(rand.NewSource(cfg.FlakySeed))
 	}
-	// Client → Pipeline → SingleFlight → CachingClient → Resolver: the wire
-	// client under query pipelining, in-flight dedup, and the MTA's local
-	// TTL cache, composed via the shared Querier interface. The pipeline
-	// lets a validation's dual-family (A+AAAA) lookups ride one socket as a
-	// single virtual round-trip.
+	// Client → CachingClient → Resolver: the wire client under the MTA's
+	// local TTL cache. Dual-family (A+AAAA) lookups pass through the cache
+	// as one batch and ride one socket via Client.QueryBatch.
 	wire := &dnsclient.Client{
 		Net:     cfg.Net,
 		Server:  cfg.DNSServer,
 		Timeout: cfg.DNSTimeout,
 		Clk:     cfg.Clock,
 	}
-	pipe := &dnsclient.Pipeline{Upstream: wire}
-	flight := &dnsclient.SingleFlight{Upstream: pipe}
-	cached := dnsclient.NewCachingClient(flight, cfg.Clock)
+	cached := dnsclient.NewCachingClient(wire, cfg.Clock)
 	h.res = ResolverAdapter{R: dnsclient.NewResolver(cached)}
 	listen := cfg.ListenAddr
 	if listen == "" {

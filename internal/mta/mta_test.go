@@ -239,6 +239,37 @@ func TestMultipleBehaviorsEmitMultiplePatterns(t *testing.T) {
 	}
 }
 
+// The host's TTL cache is the one DNS layer above the wire: when two
+// behaviors validate the same sender, the second reads the probe policy
+// from the cache, so the authoritative server sees its TXT query once.
+func TestHostCacheServesSecondBehavior(t *testing.T) {
+	sim := clock.NewSim(time.Date(2021, 10, 11, 0, 0, 0, 0, time.UTC))
+	defer sim.Close()
+	w := newWorldClock(t, sim)
+	h := w.newHost(t, "203.0.113.23", Config{
+		Clock:      sim,
+		Behaviors:  []spfimpl.Behavior{spfimpl.BehaviorVulnLibSPF2, spfimpl.BehaviorCompliant},
+		ValidateAt: ValidateAtMailFrom,
+	})
+	mailDomain := "uv55.t01.spf-test.dns-lab.org"
+	if err := w.probe(t, "203.0.113.23", mailDomain, false); err != nil {
+		t.Fatalf("probe: %v", err)
+	}
+	if n := len(h.Validations()); n != 2 {
+		t.Fatalf("validations = %d, want one per behavior", n)
+	}
+	policy := dnsmsg.MustParseName(mailDomain)
+	txt := 0
+	for _, ev := range w.log.Snapshot() {
+		if ev.Type == dnsmsg.TypeTXT && ev.Name.Equal(policy) {
+			txt++
+		}
+	}
+	if txt != 1 {
+		t.Fatalf("server saw the policy TXT query %d times, want 1", txt)
+	}
+}
+
 func TestRefuseSMTPHost(t *testing.T) {
 	w := newWorld(t)
 	w.newHost(t, "203.0.113.15", Config{RefuseSMTP: true})

@@ -28,7 +28,7 @@ func appendRecord(dst []byte, traceID string, sp *Span) []byte {
 	dst = append(dst, `,"start":`...)
 	dst = appendTime(dst, sp.start)
 	dst = append(dst, `,"end":`...)
-	//spfail:allow lockguard span is frozen: FlushBuffer set closed under b.mu, so every gen-checked writer now no-ops
+	//spfail:allow lockguard span is frozen: FlushBuffer set closed under b.mu, so every later writer no-ops
 	dst = appendTime(dst, sp.end)
 	//spfail:allow lockguard span is frozen once the buffer is closed (see end above)
 	if len(sp.attrs) > 0 {

@@ -153,15 +153,8 @@ func (t *Tracer) ProbeBuffer(clk clock.Clock, scope string, index uint64) *Buffe
 	return t.NewBuffer(clk, scope, index)
 }
 
-// bufferPool recycles Buffers across probes. A recycled Buffer bumps its
-// generation counter, so spans handed out in a previous life fail the
-// generation check and degrade to no-ops — the same contract a closed
-// buffer gives late writers today.
-var bufferPool = sync.Pool{New: func() any { return new(Buffer) }}
-
 // NewBuffer creates an unsampled (always-on) span buffer, used for
-// campaign- and batch-level spans. Buffers are pooled: FlushBuffer recycles
-// them, so a flushed buffer must not be flushed again.
+// campaign- and batch-level spans.
 func (t *Tracer) NewBuffer(clk clock.Clock, scope string, index uint64) *Buffer {
 	if t == nil {
 		return nil
@@ -169,37 +162,27 @@ func (t *Tracer) NewBuffer(clk clock.Clock, scope string, index uint64) *Buffer 
 	if clk == nil {
 		clk = clock.Real{}
 	}
-	b := bufferPool.Get().(*Buffer)
-	// Late writers from the buffer's previous life may still be calling
-	// span methods, so reinitialization happens under the buffer lock.
-	b.mu.Lock()
-	b.gen++
-	b.t = t
-	b.clk = clk
-	b.id = fmt.Sprintf("%s-%06d-%016x", scope, index, traceHash(t.opts.Seed, scope, index))
-	b.next = 0
-	b.closed = false
-	b.mu.Unlock()
-	return b
+	return &Buffer{
+		t:   t,
+		clk: clk,
+		id:  fmt.Sprintf("%s-%06d-%016x", scope, index, traceHash(t.opts.Seed, scope, index)),
+	}
 }
 
-// FlushBuffer serializes every span of b as JSONL, closes the buffer, and
-// recycles it; later operations on its spans become no-ops, and the buffer
-// itself must not be used again. Campaigns call this in merged input
-// order, which is what makes traced runs byte-deterministic.
+// FlushBuffer serializes every span of b as JSONL and closes the buffer;
+// later operations on its spans, and a second flush, are no-ops.
+// Campaigns call this in merged input order, which is what makes traced
+// runs byte-deterministic.
 func (t *Tracer) FlushBuffer(b *Buffer) {
 	if t == nil || b == nil {
 		return
 	}
 	b.mu.Lock()
 	if b.closed {
-		// Double flush: the buffer may already live a new life; touching
-		// it again would corrupt the pool.
 		b.mu.Unlock()
 		return
 	}
 	b.closed = true
-	id := b.id
 	spans := b.spans
 	for _, sp := range spans {
 		if !sp.ended {
@@ -213,7 +196,7 @@ func (t *Tracer) FlushBuffer(b *Buffer) {
 	t.mu.Lock()
 	if t.err == nil {
 		for _, sp := range spans {
-			t.scratch = appendRecord(t.scratch[:0], id, sp)
+			t.scratch = appendRecord(t.scratch[:0], b.id, sp)
 			if _, err := t.w.Write(t.scratch); err != nil {
 				t.err = err
 				break
@@ -224,9 +207,6 @@ func (t *Tracer) FlushBuffer(b *Buffer) {
 		}
 	}
 	t.mu.Unlock()
-
-	b.scrub()
-	bufferPool.Put(b)
 }
 
 // HostSpan returns the span currently adopted for host, or nil. The host
@@ -270,41 +250,21 @@ func traceHash(seed int64, scope string, index uint64) uint64 {
 // are naturally sequential: the prober blocks on the SMTP reply while the
 // MTA validates, so MTA-side spans interleave deterministically.
 type Buffer struct {
-	t   *Tracer     // guarded by mu (rewritten on every recycle)
-	clk clock.Clock // guarded by mu (rewritten on every recycle)
-	id  string      // guarded by mu (rewritten on every recycle)
+	// t, clk and id are fixed at creation and never written again, so
+	// they are read without the lock.
+	t   *Tracer
+	clk clock.Clock
+	id  string
 
 	mu     sync.Mutex
-	gen    uint64  // guarded by mu
 	next   uint32  // guarded by mu
 	spans  []*Span // guarded by mu
 	closed bool    // guarded by mu
-	// slab and attrSlab are the buffer's per-generation arenas: spans and
-	// their initial attributes are carved out of chunked arrays, so a probe
-	// with N spans costs a handful of chunk allocations instead of ~2N.
-	// Handed-out memory is never reclaimed for the next generation (late
-	// writers may still hold it); the chunks are simply dropped at flush.
+	// slab and attrSlab are the buffer's arenas: spans and their initial
+	// attributes are carved out of chunked arrays, so a probe with N spans
+	// costs a handful of chunk allocations instead of ~2N.
 	slab     []Span // guarded by mu
 	attrSlab []Attr // guarded by mu
-}
-
-// scrub readies the buffer for recycling. The span pointer slice is
-// reused; span structs and their attrs are NOT (late writers may still
-// hold them — the generation bump is what neutralizes those), so the
-// slabs are dropped whole. The tracer and clock are dropped too: a span
-// that outlived its buffer must not be able to reach a stale tracer.
-func (b *Buffer) scrub() {
-	b.mu.Lock()
-	for i := range b.spans {
-		b.spans[i] = nil
-	}
-	b.spans = b.spans[:0]
-	b.slab = nil
-	b.attrSlab = nil
-	b.t = nil
-	b.clk = nil
-	b.gen++
-	b.mu.Unlock()
 }
 
 // TraceID returns the buffer's deterministic trace identifier.
@@ -312,8 +272,6 @@ func (b *Buffer) TraceID() string {
 	if b == nil {
 		return ""
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return b.id
 }
 
@@ -364,16 +322,14 @@ func (b *Buffer) start(parent *Span, name string, instant bool, attrs []Attr) *S
 		return nil
 	}
 	b.mu.Lock()
-	if b.closed || (parent != nil && parent.gen != b.gen) {
+	if b.closed {
 		b.mu.Unlock()
 		return nil
 	}
-	// b.clk is rewritten on every recycle, so it may only be read under
-	// the lock, after the generation check.
 	now := b.clk.Now()
 	b.next++
 	sp := b.allocSpan()
-	*sp = Span{b: b, gen: b.gen, id: b.next, name: name, start: now}
+	*sp = Span{b: b, id: b.next, name: name, start: now}
 	if parent != nil {
 		sp.parent = parent.id
 	}
@@ -391,12 +347,10 @@ func (b *Buffer) start(parent *Span, name string, instant bool, attrs []Attr) *S
 }
 
 // Span is one timed operation in a trace. All methods are safe on nil
-// receivers and after the owning buffer has been flushed or recycled: a
-// span carries the buffer generation it was created under, and every
-// operation re-checks it under the buffer lock.
+// receivers and after the owning buffer has been flushed: every operation
+// checks the buffer's closed flag under the buffer lock.
 type Span struct {
 	b      *Buffer
-	gen    uint64
 	id     uint32
 	parent uint32
 	name   string
@@ -428,7 +382,7 @@ func (sp *Span) SetAttrs(attrs ...Attr) {
 		return
 	}
 	sp.b.mu.Lock()
-	if !sp.b.closed && sp.gen == sp.b.gen {
+	if !sp.b.closed {
 		sp.attrs = append(sp.attrs, attrs...)
 	}
 	sp.b.mu.Unlock()
@@ -440,7 +394,7 @@ func (sp *Span) End() {
 		return
 	}
 	sp.b.mu.Lock()
-	if !sp.b.closed && sp.gen == sp.b.gen && !sp.ended {
+	if !sp.b.closed && !sp.ended {
 		sp.end, sp.ended = sp.b.clk.Now(), true
 	}
 	sp.b.mu.Unlock()
@@ -451,20 +405,10 @@ func (sp *Span) End() {
 // previous route on release, so a transaction span can temporarily shadow
 // the probe root.
 func (sp *Span) Adopt(host string) (release func()) {
-	if sp == nil || sp.b == nil {
+	if sp == nil {
 		return func() {}
 	}
-	// Snapshot the tracer under the buffer lock: recycling rewrites b.t,
-	// so the previous unlocked read here raced NewBuffer on a recycled
-	// buffer (found by the lockguard pass). A span that outlived its
-	// buffer sees nil and degrades to a no-op, matching the generation
-	// contract everywhere else.
-	sp.b.mu.Lock()
 	t := sp.b.t
-	sp.b.mu.Unlock()
-	if t == nil {
-		return func() {}
-	}
 	t.routeMu.Lock()
 	prev := t.routes[host]
 	t.routes[host] = sp

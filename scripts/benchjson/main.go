@@ -2,12 +2,12 @@
 // JSON report, used by CI to archive benchmark results as artifacts so the
 // perf trajectory of the repository is measurable across PRs.
 //
-//	go test -run='^$' -bench=. -benchtime=1x -benchmem | benchjson -o BENCH_ci.json
+//	go test -run='^$' -bench=. -benchmem ./internal/dnsmsg | benchjson -o out.json
 //
 // With -baseline and -gate it additionally compares selected metrics against
 // a committed baseline report and exits nonzero on regression:
 //
-//	... | benchjson -o BENCH_pr4.json -baseline BENCH_pr4.json \
+//	... | benchjson -o BENCH_pr10.json -baseline BENCH_pr10.json \
 //	        -gate 'BenchmarkDecode:allocs/op,BenchmarkEncode:allocs/op'
 //
 // -ns-tolerance adds an opt-in time gate on top of the alloc gate: every
