@@ -8,6 +8,11 @@
 // The design follows the substitution rule from DESIGN.md: protocol code
 // (SMTP, DNS) is identical whether it runs on real sockets or on the fabric;
 // only the dial/listen plumbing differs.
+//
+// A fabric UDP endpoint queues at most inboxLimit (64) unread datagrams and
+// drops the rest, as a full socket buffer does. The queue grows with the
+// traffic it actually holds, so a DNS dial that receives one reply pays for
+// one datagram, not for the bound.
 package netsim
 
 import (
@@ -123,13 +128,13 @@ func (a Addr) Network() string { return a.Net }
 // String implements net.Addr.
 func (a Addr) String() string { return net.JoinHostPort(a.Host, strconv.Itoa(a.Port)) }
 
-// Fabric is an in-memory Internet: a switchboard of stream listeners and
-// datagram endpoints keyed by "ip:port". The zero value is not usable; call
-// NewFabric.
+// Fabric is an in-memory Internet: a switchboard of stream listeners keyed
+// by "ip:port" and datagram endpoints keyed by their Addr. The zero value is
+// not usable; call NewFabric.
 type Fabric struct {
 	mu        sync.Mutex
 	listeners map[string]*fabricListener
-	packet    map[string]*fabricPacketConn
+	packet    map[Addr]*fabricPacketConn
 	nextPort  int
 
 	// DropUDP, when non-nil, is consulted for every datagram; returning
@@ -160,7 +165,7 @@ func (f *Fabric) clock() clock.Clock {
 func NewFabric() *Fabric {
 	return &Fabric{
 		listeners: make(map[string]*fabricListener),
-		packet:    make(map[string]*fabricPacketConn),
+		packet:    make(map[Addr]*fabricPacketConn),
 		nextPort:  40000,
 	}
 }
@@ -336,14 +341,11 @@ func (f *Fabric) dialUDP(srcIP, address string) (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	f.mu.Lock()
-	laddr := Addr{Net: "udp", Host: srcIP, Port: f.allocPortLocked()}
-	f.mu.Unlock()
-	pc, err := f.listenPacket("udp", laddr.String())
+	pc, err := f.bindPacket(Addr{Net: "udp", Host: srcIP})
 	if err != nil {
 		return nil, err
 	}
-	return &connectedPacketConn{pc: pc.(*fabricPacketConn), remote: raddr}, nil
+	return &connectedPacketConn{pc: pc, remote: raddr}, nil
 }
 
 func (f *Fabric) listen(network, address string) (net.Listener, error) {
@@ -381,28 +383,37 @@ func (f *Fabric) listenPacket(network, address string) (net.PacketConn, error) {
 	if err != nil {
 		return nil, err
 	}
+	pc, err := f.bindPacket(addr)
+	if err != nil {
+		return nil, err // not a typed nil inside the interface
+	}
+	return pc, nil
+}
+
+// bindPacket registers a datagram endpoint at addr, allocating an ephemeral
+// port when addr.Port is 0.
+func (f *Fabric) bindPacket(addr Addr) (*fabricPacketConn, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if addr.Port == 0 {
 		addr.Port = f.allocPortLocked()
 	}
-	key := addr.String()
-	if _, ok := f.packet[key]; ok {
+	if _, ok := f.packet[addr]; ok {
 		return nil, &net.OpError{Op: "listen", Net: "udp", Addr: addr, Err: ErrAddrInUse}
 	}
 	pc := &fabricPacketConn{
-		f:    f,
-		addr: addr,
-		ch:   make(chan datagram, 64),
-		done: make(chan struct{}),
+		f:     f,
+		addr:  addr,
+		ready: make(chan struct{}, 1),
+		done:  make(chan struct{}),
 	}
-	f.packet[key] = pc
+	f.packet[addr] = pc
 	return pc, nil
 }
 
 // deliver routes a datagram to its destination endpoint, if any. Datagrams
 // to absent endpoints or overflowing inboxes are dropped, as on a real
-// network.
+// network. d.to.Net must be "udp", the network every endpoint is keyed on.
 func (f *Fabric) deliver(d datagram) {
 	if f.DropUDP != nil && f.DropUDP(d.from, d.to) {
 		return
@@ -421,15 +432,10 @@ func (f *Fabric) deliver(d datagram) {
 		}
 	}
 	f.mu.Lock()
-	pc := f.packet[d.to.String()]
+	pc := f.packet[d.to]
 	f.mu.Unlock()
-	if pc == nil {
-		return
-	}
-	select {
-	case pc.ch <- d:
-	case <-pc.done:
-	default: // inbox full: drop
+	if pc != nil {
+		pc.enqueue(d)
 	}
 }
 
@@ -513,47 +519,101 @@ type datagram struct {
 	data     []byte
 }
 
+// inboxLimit is how many unread datagrams an endpoint holds before deliver
+// drops new ones, like a socket receive buffer.
+const inboxLimit = 64
+
 // fabricPacketConn implements net.PacketConn on the fabric.
 type fabricPacketConn struct {
 	f    *Fabric
 	addr Addr
-	ch   chan datagram
-	done chan struct{}
+	// ready holds a wake-up token once a datagram has been queued since a
+	// reader last looked; readers re-check the inbox after taking it.
+	ready chan struct{}
+	done  chan struct{}
 
 	mu       sync.Mutex
-	closed   bool
-	deadline time.Time
+	closed   bool       // guarded by mu
+	deadline time.Time  // guarded by mu
+	inbox    []datagram // guarded by mu
 }
 
-// ReadFrom implements net.PacketConn. The deadline is interpreted on the
-// fabric clock's timeline: the remaining budget is measured against the
-// fabric clock, then waited out in wall time. Fabric datagrams are
-// delivered in real microseconds regardless of virtual time, so waiting on
-// the virtual clock instead would turn every virtual-time jump (politeness
-// sleeps, window gaps) into a scheduling race against in-flight reads.
+// enqueue appends d to the inbox, or drops it when the endpoint is closed
+// or already holds inboxLimit datagrams.
+func (p *fabricPacketConn) enqueue(d datagram) {
+	p.mu.Lock()
+	if p.closed || len(p.inbox) >= inboxLimit {
+		p.mu.Unlock()
+		return
+	}
+	p.inbox = append(p.inbox, d)
+	p.mu.Unlock()
+	p.wake()
+}
+
+// wake leaves a token in ready unless one is already waiting.
+func (p *fabricPacketConn) wake() {
+	select {
+	case p.ready <- struct{}{}:
+	default:
+	}
+}
+
+// ReadFrom implements net.PacketConn.
 func (p *fabricPacketConn) ReadFrom(b []byte) (int, net.Addr, error) {
-	var timeout <-chan time.Time
-	clk := p.f.clock()
+	n, from, err := p.read(b)
+	if err != nil {
+		return 0, nil, err
+	}
+	return n, from, nil
+}
+
+// read returns the oldest queued datagram, waiting for one while the inbox
+// is empty. The deadline is interpreted on the fabric clock's timeline: the
+// remaining budget is measured against the fabric clock once, then waited
+// out in wall time. Fabric datagrams are delivered in real microseconds
+// regardless of virtual time, so waiting on the virtual clock instead would
+// turn every virtual-time jump (politeness sleeps, window gaps) into a
+// scheduling race against in-flight reads.
+func (p *fabricPacketConn) read(b []byte) (int, Addr, error) {
+	var budget time.Duration
 	p.mu.Lock()
 	if !p.deadline.IsZero() {
-		d := p.deadline.Sub(clk.Now())
-		if d <= 0 {
+		if budget = p.deadline.Sub(p.f.clock().Now()); budget <= 0 {
 			p.mu.Unlock()
-			return 0, nil, timeoutError{}
+			return 0, Addr{}, timeoutError{}
 		}
-		t := time.NewTimer(d) //spfail:allow wallclock virtual budget waited out in wall time; see comment above
-		defer t.Stop()
-		timeout = t.C
 	}
-	p.mu.Unlock()
-	select {
-	case d := <-p.ch:
-		n := copy(b, d.data)
-		return n, d.from, nil
-	case <-p.done:
-		return 0, nil, &net.OpError{Op: "read", Net: "udp", Addr: p.addr, Err: ErrClosed}
-	case <-timeout:
-		return 0, nil, timeoutError{}
+	var timeout <-chan time.Time
+	for {
+		if p.closed {
+			p.mu.Unlock()
+			return 0, Addr{}, &net.OpError{Op: "read", Net: "udp", Addr: p.addr, Err: ErrClosed}
+		}
+		if len(p.inbox) > 0 {
+			d := p.inbox[0]
+			rest := copy(p.inbox, p.inbox[1:])
+			p.inbox[rest] = datagram{}
+			p.inbox = p.inbox[:rest]
+			p.mu.Unlock()
+			if rest > 0 {
+				p.wake() // the token this reader may have taken covered more than d
+			}
+			return copy(b, d.data), d.from, nil
+		}
+		p.mu.Unlock()
+		if timeout == nil && budget > 0 {
+			t := time.NewTimer(budget) //spfail:allow wallclock virtual budget waited out in wall time; see comment above
+			defer t.Stop()
+			timeout = t.C
+		}
+		select {
+		case <-p.ready:
+		case <-p.done:
+		case <-timeout:
+			return 0, Addr{}, timeoutError{}
+		}
+		p.mu.Lock()
 	}
 }
 
@@ -565,10 +625,14 @@ func (p *fabricPacketConn) WriteTo(b []byte, addr net.Addr) (int, error) {
 	if closed {
 		return 0, &net.OpError{Op: "write", Net: "udp", Addr: p.addr, Err: ErrClosed}
 	}
-	to, err := splitAddr("udp", addr.String())
-	if err != nil {
-		return 0, err
+	to, ok := addr.(Addr)
+	if !ok {
+		var err error
+		if to, err = splitAddr("udp", addr.String()); err != nil {
+			return 0, err
+		}
 	}
+	to.Net = "udp"
 	p.f.deliver(datagram{from: p.addr, to: to, data: append([]byte(nil), b...)})
 	return len(b), nil
 }
@@ -581,8 +645,9 @@ func (p *fabricPacketConn) Close() error {
 		return nil
 	}
 	p.closed = true
+	p.inbox = nil
 	p.f.mu.Lock()
-	delete(p.f.packet, p.addr.String())
+	delete(p.f.packet, p.addr)
 	p.f.mu.Unlock()
 	close(p.done)
 	return nil
@@ -615,11 +680,11 @@ type connectedPacketConn struct {
 // Read implements net.Conn, discarding datagrams from other sources.
 func (c *connectedPacketConn) Read(b []byte) (int, error) {
 	for {
-		n, from, err := c.pc.ReadFrom(b)
+		n, from, err := c.pc.read(b)
 		if err != nil {
 			return 0, err
 		}
-		if from.String() == c.remote.String() {
+		if from.Host == c.remote.Host && from.Port == c.remote.Port {
 			return n, nil
 		}
 	}
