@@ -4,6 +4,8 @@ package netsim
 
 import (
 	"context"
+	"io"
+	"net"
 	"runtime"
 	"testing"
 	"time"
@@ -60,5 +62,127 @@ func TestUDPExchangeAllocBytes(t *testing.T) {
 	t.Logf("%d B, %.1f allocs per exchange", per, float64(after.Mallocs-before.Mallocs)/runs)
 	if per >= 1024 {
 		t.Fatalf("one UDP dial+write+read+close allocates %d B, want < 1 KiB", per)
+	}
+}
+
+// TestTCPSessionAllocBytes gates what one SMTP-shaped session costs the
+// fabric: dial, accept, five exchanges in which each side sets a deadline
+// before every read and write, then close both ends. Every probe
+// transaction, notification and tracker fetch pays this, so a deadline
+// that allocates per call shows here. Skipped under -race, which
+// instruments allocation.
+func TestTCPSessionAllocBytes(t *testing.T) {
+	f := NewFabric()
+	l, err := f.Host("192.0.2.25").Listen("tcp", ":25")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	const exchanges = 5
+	served := make(chan struct{})
+	go func() {
+		buf := make([]byte, 64)
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			for i := 0; i < exchanges; i++ {
+				c.SetReadDeadline(time.Now().Add(time.Minute))
+				n, err := c.Read(buf)
+				if err != nil {
+					t.Error(err)
+					break
+				}
+				c.SetWriteDeadline(time.Now().Add(time.Minute))
+				if _, err := c.Write(buf[:n]); err != nil {
+					t.Error(err)
+					break
+				}
+			}
+			c.Close()
+			served <- struct{}{}
+		}
+	}()
+	cli := f.Host("198.51.100.1")
+	msg := []byte("MAIL FROM:<probe@example.org>\r\n")
+	buf := make([]byte, len(msg))
+	session := func() {
+		c, err := cli.DialContext(context.Background(), "tcp", "192.0.2.25:25")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < exchanges; i++ {
+			c.SetWriteDeadline(time.Now().Add(time.Minute))
+			if _, err := c.Write(msg); err != nil {
+				t.Fatal(err)
+			}
+			c.SetReadDeadline(time.Now().Add(time.Minute))
+			if _, err := io.ReadFull(c, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Close()
+		<-served
+	}
+	for i := 0; i < 100; i++ {
+		session()
+	}
+	const runs = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		session()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d B, %.1f allocs per session", per, float64(after.Mallocs-before.Mallocs)/runs)
+	if per >= 2560 {
+		t.Fatalf("one TCP session of %d exchanges allocates %d B, want < 2.5 KiB", exchanges, per)
+	}
+}
+
+// TestClosedTCPConnsRetainNothing dials, sets hour-long deadlines on and
+// closes 5,000 connections, then measures the live heap. A deadline timer
+// left armed past Close would keep its connection reachable until it
+// fires, and a study closes tens of thousands of connections per round.
+// Skipped under -race, which instruments allocation.
+func TestClosedTCPConnsRetainNothing(t *testing.T) {
+	f := NewFabric()
+	l, err := f.Host("192.0.2.25").Listen("tcp", ":25")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	cli := f.Host("198.51.100.1")
+	cycle := func() {
+		c, s := tcpPair(t, cli, l)
+		for _, conn := range []net.Conn{c, s} {
+			if err := conn.SetReadDeadline(time.Now().Add(time.Hour)); err != nil {
+				t.Fatal(err)
+			}
+			if err := conn.SetDeadline(time.Now().Add(2 * time.Hour)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Close()
+		s.Close()
+	}
+	for i := 0; i < 100; i++ {
+		cycle()
+	}
+	const conns = 5000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < conns; i++ {
+		cycle()
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / conns
+	t.Logf("live heap grew %d B per closed connection", per)
+	if per >= 64 {
+		t.Fatalf("each closed connection keeps %d B live, want < 64 B", per)
 	}
 }

@@ -13,6 +13,13 @@
 // drops the rest, as a full socket buffer does. The queue grows with the
 // traffic it actually holds, so a DNS dial that receives one reply pays for
 // one datagram, not for the bound.
+//
+// A fabric TCP connection is a pair of stream ends with net.Pipe's
+// synchronous semantics and error values. Each end keeps one deadline timer
+// per direction for its whole life: a deadline that moves later leaves the
+// armed timer alone (it re-arms for the remainder when it fires), one that
+// moves earlier re-arms it, and Close stops it. A closed connection
+// therefore holds no timer, and its memory goes with its session.
 package netsim
 
 import (
@@ -255,22 +262,22 @@ func (f *Fabric) dialTCP(ctx context.Context, srcIP, address string) (net.Conn, 
 	laddr := Addr{Net: "tcp", Host: srcIP, Port: f.allocPortLocked()}
 	f.mu.Unlock()
 	if fault.Blackhole {
-		// The dial "succeeds", but the server end of the pipe is discarded:
-		// reads and writes hang until the connection deadline expires.
-		cli, _ := net.Pipe()
-		return &fabricConn{Conn: cli, clk: f.clock(), local: laddr, remote: raddr}, nil
+		// The dial "succeeds", but the server end of the stream is
+		// discarded: reads and writes hang until the connection deadline
+		// expires.
+		cli, _ := newStream(f.clock(), laddr, raddr)
+		return cli, nil
 	}
 	if l == nil {
 		return nil, &net.OpError{Op: "dial", Net: "tcp", Addr: raddr, Err: ErrRefused}
 	}
-	cli, srv := net.Pipe()
-	var clientConn net.Conn = &fabricConn{Conn: cli, clk: f.clock(), local: laddr, remote: raddr}
-	serverConn := &fabricConn{Conn: srv, clk: f.clock(), local: raddr, remote: laddr}
+	cli, srv := newStream(f.clock(), laddr, raddr)
+	var clientConn net.Conn = cli
 	if fault.ResetAfter > 0 {
-		clientConn = &resetConn{Conn: clientConn, remaining: fault.ResetAfter, raddr: raddr}
+		clientConn = &resetConn{Conn: cli, remaining: fault.ResetAfter, raddr: raddr}
 	}
 	select {
-	case l.ch <- serverConn:
+	case l.ch <- srv:
 		return clientConn, nil
 	case <-l.done:
 		_ = cli.Close()
@@ -285,7 +292,7 @@ func (f *Fabric) dialTCP(ctx context.Context, srcIP, address string) (net.Conn, 
 
 // resetConn simulates a peer reset: after the dialer has read its byte
 // budget, every further read or write fails with ErrReset and the
-// underlying pipe is closed so the server side unblocks.
+// underlying stream is closed so the server side unblocks.
 type resetConn struct {
 	net.Conn
 	raddr Addr
@@ -437,43 +444,6 @@ func (f *Fabric) deliver(d datagram) {
 	if pc != nil {
 		pc.enqueue(d)
 	}
-}
-
-// fabricConn wraps a net.Pipe end with fabric addresses. Deadlines arrive
-// on the fabric clock's timeline and are translated to the wall-clock
-// timeline net.Pipe enforces internally; under the real clock the
-// translation is the identity.
-type fabricConn struct {
-	net.Conn
-	clk           clock.Clock
-	local, remote Addr
-}
-
-func (c *fabricConn) LocalAddr() net.Addr  { return c.local }
-func (c *fabricConn) RemoteAddr() net.Addr { return c.remote }
-
-// toWall converts a deadline expressed on the fabric clock to the wall
-// clock net.Pipe compares against. The remaining budget (t minus virtual
-// now) is preserved; a virtual clock that later jumps forward cannot
-// retroactively shorten it, which is acceptable for the simulator's
-// politeness bounds.
-func (c *fabricConn) toWall(t time.Time) time.Time {
-	if t.IsZero() {
-		return t
-	}
-	//spfail:allow wallclock translating a virtual deadline onto net.Pipe's wall-clock timeline
-	return time.Now().Add(t.Sub(c.clk.Now()))
-}
-
-// SetDeadline implements net.Conn on the fabric clock's timeline.
-func (c *fabricConn) SetDeadline(t time.Time) error { return c.Conn.SetDeadline(c.toWall(t)) }
-
-// SetReadDeadline implements net.Conn on the fabric clock's timeline.
-func (c *fabricConn) SetReadDeadline(t time.Time) error { return c.Conn.SetReadDeadline(c.toWall(t)) }
-
-// SetWriteDeadline implements net.Conn on the fabric clock's timeline.
-func (c *fabricConn) SetWriteDeadline(t time.Time) error {
-	return c.Conn.SetWriteDeadline(c.toWall(t))
 }
 
 // fabricListener implements net.Listener on the fabric.

@@ -50,14 +50,39 @@ func (c *Client) ioTimeout() time.Duration {
 }
 
 // Session buffer pools: probe campaigns open and tear down one short SMTP
-// session per transaction, so the 4 KiB bufio buffers are recycled instead
-// of reallocated per dial. Buffers return to the pool on Close/Quit (or a
-// failed Dial); release resets them against nil first so a pooled buffer
-// can never reach a connection it no longer owns.
+// session per transaction on each side, so the 4 KiB bufio buffers are
+// recycled instead of reallocated per session. Client and server sessions
+// share the pools: both take their buffers through getBuffers and return
+// them through putBuffers when the session ends (Close/Quit or a failed
+// Dial on the client, the end of serveConn on the server). putBuffers
+// resets them against nil first so a pooled buffer can never reach a
+// connection it no longer owns.
 var (
 	brPool = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
 	bwPool = sync.Pool{New: func() any { return bufio.NewWriter(nil) }}
 )
+
+// getBuffers takes a reader and a writer for nc from the session pools.
+func getBuffers(nc net.Conn) (*bufio.Reader, *bufio.Writer) {
+	br := brPool.Get().(*bufio.Reader)
+	br.Reset(nc)
+	bw := bwPool.Get().(*bufio.Writer)
+	bw.Reset(nc)
+	return br, bw
+}
+
+// putBuffers returns a session's reader and writer to their pools,
+// dropping any unread or unflushed bytes. Either may be nil.
+func putBuffers(br *bufio.Reader, bw *bufio.Writer) {
+	if br != nil {
+		br.Reset(nil)
+		brPool.Put(br)
+	}
+	if bw != nil {
+		bw.Reset(nil)
+		bwPool.Put(bw)
+	}
+}
 
 // Conn is an established SMTP session.
 type Conn struct {
@@ -102,10 +127,7 @@ func (c *Client) Dial(ctx context.Context, addr string) (*Conn, error) {
 	if sp != nil {
 		sp.Event("smtp.dial", trace.String("addr", addr))
 	}
-	br := brPool.Get().(*bufio.Reader)
-	br.Reset(nc)
-	bw := bwPool.Get().(*bufio.Writer)
-	bw.Reset(nc)
+	br, bw := getBuffers(nc)
 	conn := &Conn{c: c, conn: nc, br: br, bw: bw, sp: sp}
 	r, err := conn.readReply()
 	conn.event("banner", r, err)
@@ -129,16 +151,8 @@ func (c *Client) Dial(ctx context.Context, addr string) (*Conn, error) {
 // prober's defer Close after an explicit Close/Quit stays harmless. The
 // session is unusable afterwards.
 func (co *Conn) release() {
-	if co.br != nil {
-		co.br.Reset(nil)
-		brPool.Put(co.br)
-		co.br = nil
-	}
-	if co.bw != nil {
-		co.bw.Reset(nil)
-		bwPool.Put(co.bw)
-		co.bw = nil
-	}
+	putBuffers(co.br, co.bw)
+	co.br, co.bw = nil, nil
 }
 
 // Close terminates the underlying connection without QUIT — the NoMsg

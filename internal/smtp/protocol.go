@@ -84,9 +84,13 @@ func (e *ReplyError) Error() string {
 
 // ParsePath extracts the mailbox from a MAIL FROM / RCPT TO argument:
 // "<user@example.com>" (angle brackets optional, ESMTP parameters after the
-// path are ignored). An empty path "<>" is allowed for MAIL FROM.
+// path are ignored). An empty path "<>" is allowed for MAIL FROM. A mailbox
+// holds no space, control character or angle bracket, contains an "@" and
+// does not start with one, so parsing a returned mailbox again gives it
+// back unchanged. Bytes above ASCII pass through (the paper's
+// CVE-2021-33912 path needs a high-byte local part).
 func ParsePath(arg string) (string, error) {
-	arg = strings.TrimSpace(arg)
+	arg = strings.Trim(arg, " \t")
 	if i := strings.IndexByte(arg, ' '); i >= 0 {
 		arg = arg[:i] // strip ESMTP parameters (SIZE=..., BODY=...)
 	}
@@ -107,6 +111,14 @@ func ParsePath(arg string) (string, error) {
 	}
 	if !strings.Contains(arg, "@") {
 		return "", fmt.Errorf("smtp: path %q has no domain", arg)
+	}
+	if arg[0] == '@' {
+		return "", fmt.Errorf("smtp: path %q has no local part", arg)
+	}
+	for i := 0; i < len(arg); i++ {
+		if c := arg[i]; c <= ' ' || c == 0x7f || c == '<' || c == '>' {
+			return "", fmt.Errorf("smtp: invalid character in path %q", arg)
+		}
 	}
 	return arg, nil
 }

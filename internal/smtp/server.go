@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -169,15 +170,17 @@ const (
 func (s *Server) serveConn(c net.Conn) {
 	defer c.Close()
 	s.Metrics.Counter("smtp.server.sessions").Inc()
+	br, bw := getBuffers(c)
 	sess := &serverSession{
 		srv:    s,
 		conn:   c,
-		br:     bufio.NewReader(c),
-		bw:     bufio.NewWriter(c),
+		br:     br,
+		bw:     bw,
 		remote: c.RemoteAddr(),
 		state:  StateGreeting,
 	}
 	sess.run()
+	putBuffers(br, bw)
 }
 
 type serverSession struct {
@@ -202,10 +205,33 @@ func (ss *serverSession) send(r *Reply) error {
 	if err := ss.conn.SetWriteDeadline(ss.srv.clock().Now().Add(ss.srv.ioTimeout())); err != nil {
 		return err
 	}
-	if _, err := ss.bw.WriteString(r.String() + "\r\n"); err != nil {
+	if err := writeReply(ss.bw, r); err != nil {
 		return err
 	}
 	return ss.bw.Flush()
+}
+
+// writeReply writes r's wire form, r.String() plus the final CRLF, into w.
+// The reply is assembled in w's free space, so it costs no allocation
+// unless it is longer than that space.
+func writeReply(w *bufio.Writer, r *Reply) error {
+	b := w.AvailableBuffer()
+	if len(r.Lines) == 0 {
+		b = strconv.AppendInt(b, int64(r.Code), 10)
+		b = append(b, "\r\n"...)
+	}
+	for i, line := range r.Lines {
+		b = strconv.AppendInt(b, int64(r.Code), 10)
+		if i < len(r.Lines)-1 {
+			b = append(b, '-')
+		} else {
+			b = append(b, ' ')
+		}
+		b = append(b, line...)
+		b = append(b, "\r\n"...)
+	}
+	_, err := w.Write(b)
+	return err
 }
 
 func (ss *serverSession) readLine() (string, error) {
@@ -225,15 +251,10 @@ func (ss *serverSession) abortIfMidTransaction(err error) {
 	}
 	// EOF or reset mid-session: report the state we were in so MTA
 	// simulations can distinguish NoMsg-style terminations.
-	if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) || isClosedPipe(err) {
+	if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) || errors.Is(err, io.ErrClosedPipe) {
 		ss.srv.Metrics.Counter("smtp.server.aborts." + ss.state).Inc()
 		ss.srv.Handler.OnAbort(ss.state)
 	}
-}
-
-// isClosedPipe detects net.Pipe's "io: read/write on closed pipe".
-func isClosedPipe(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "closed pipe")
 }
 
 func (ss *serverSession) run() {

@@ -1,6 +1,8 @@
 package smtp
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"net"
 	"strings"
@@ -337,11 +339,27 @@ func TestParsePath(t *testing.T) {
 		{"<@relay.example:user@example.com>", "user@example.com", false},
 		{"<unbalanced@example.com", "", true},
 		{"nodomain", "", true},
+		{"<caf\xe9-user@example.com>", "caf\xe9-user@example.com", false},
+		// Each used to return a mailbox that ParsePath itself rejects,
+		// which FuzzServerSession checks for.
+		{"<<user@example.com>", "", true},
+		{"<@a:@b:user>", "", true},
+		{"<@relay.example>", "", true},
+		{"<us\ter@example.com>", "", true},
+		// Returned whole, so that parsing it again does not strip the
+		// no-break space and then the "@a:" route.
+		{"<\u00a0@a:user>", "\u00a0@a:user", false},
 	}
 	for _, c := range cases {
 		got, err := ParsePath(c.in)
 		if (err != nil) != c.err || got != c.want {
 			t.Errorf("ParsePath(%q) = %q, %v; want %q, err=%v", c.in, got, err, c.want, c.err)
+		}
+		if err != nil {
+			continue
+		}
+		if again, err := ParsePath(got); err != nil || again != got {
+			t.Errorf("ParsePath(%q) = %q, %v; want its own result back", got, again, err)
 		}
 	}
 }
@@ -364,6 +382,34 @@ func TestReplyStringMultiline(t *testing.T) {
 	want := "250-mx.example.com\r\n250-8BITMIME\r\n250 OK"
 	if got != want {
 		t.Errorf("multiline = %q, want %q", got, want)
+	}
+}
+
+// TestWriteReplyMatchesString checks the server's reply writer against
+// Reply.String: the wire bytes are the string plus the final CRLF, also
+// when a line does not fit in what is left of the writer's buffer.
+func TestWriteReplyMatchesString(t *testing.T) {
+	replies := []*Reply{
+		{Code: 421},
+		NewReply(250, "OK"),
+		NewReply(550, ""),
+		{Code: 250, Lines: []string{"mx.example.com", "8BITMIME", "SIZE 10485760", "PIPELINING"}},
+		{Code: 451, Lines: []string{strings.Repeat("x", 40), "", "end"}},
+	}
+	for _, size := range []int{4096, 16} {
+		for _, r := range replies {
+			var wire bytes.Buffer
+			w := bufio.NewWriterSize(&wire, size)
+			if err := writeReply(w, r); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := wire.String(), r.String()+"\r\n"; got != want {
+				t.Errorf("buffer %d: writeReply(%+v) wrote %q, want %q", size, *r, got, want)
+			}
+		}
 	}
 }
 
