@@ -1,0 +1,54 @@
+//go:build !race
+
+package dnsclient
+
+import (
+	"context"
+	"runtime"
+	"testing"
+	"time"
+
+	"spfail/internal/dnsserver"
+	"spfail/internal/netsim"
+)
+
+// discardSink drops query events, as a sink that keeps nothing would.
+type discardSink struct{}
+
+func (discardSink) Observe(dnsserver.QueryEvent) {}
+
+// TestLookupTXTAllocBytes gates what one SPF record fetch costs both ends
+// of the wire: a bare Client's Resolver.LookupTXT against a started Server
+// that wraps its zones the way the measurement rig does (LoggingHandler
+// over a Mux over a ZoneSet), so the server's decode, dispatch and encode
+// count too. Skipped under -race, which instruments allocation.
+func TestLookupTXTAllocBytes(t *testing.T) {
+	fabric := netsim.NewFabric()
+	zone := dnsserver.NewZoneSet()
+	zone.AddTXT(name("example.com"), "v=spf1 mx -all")
+	h := &dnsserver.LoggingHandler{Inner: dnsserver.NewMux(zone), Sink: discardSink{}, Now: time.Now}
+	startServer(t, fabric, "192.0.2.53", h)
+	r := stubResolver(fabric.Host("198.51.100.1"), "192.0.2.53:53", 2*time.Second)
+	ctx := context.Background()
+	lookup := func() {
+		txts, err := r.LookupTXT(ctx, "example.com")
+		if err != nil || len(txts) != 1 {
+			t.Fatalf("LookupTXT = %q, %v", txts, err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		lookup() // warm the pools, the server's decoder and its inbox
+	}
+	const runs = 2000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		lookup()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d B, %.1f allocs per lookup", per, float64(after.Mallocs-before.Mallocs)/runs)
+	if per >= 2048 {
+		t.Fatalf("one LookupTXT exchange allocates %d B, want < 2 KiB", per)
+	}
+}

@@ -87,6 +87,15 @@ var udpBufPool = sync.Pool{New: func() any {
 	return &b
 }}
 
+// queryBufPool recycles the buffers a lookup packs its query into, once:
+// the TCP frame, whose bytes after the two-byte length prefix are the UDP
+// datagram, serves every attempt on either transport. A query is at most
+// 12 + 255 + 4 bytes, so a buffer never grows.
+var queryBufPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, 2+dnsserver.MaxUDPPayload)
+	return &b
+}}
+
 // Query sends one query and returns the validated response, implementing
 // Querier over the wire (UDP with TCP fallback on truncation).
 func (c *Client) Query(ctx context.Context, name dnsmsg.Name, typ dnsmsg.Type) (*dnsmsg.Message, error) {
@@ -136,7 +145,13 @@ func (c *Client) query(ctx context.Context, conn net.Conn, name dnsmsg.Name, typ
 	if c.Retry.Enabled() {
 		attempts = c.Retry.MaxAttempts
 	}
-	var lastErr error
+	bufp := queryBufPool.Get().(*[]byte)
+	defer queryBufPool.Put(bufp)
+	// A query that cannot be encoded fails without an attempt.
+	frame, lastErr := dnsserver.AppendTCPMessage((*bufp)[:0], q)
+	if lastErr != nil {
+		attempts = 0
+	}
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
 			c.Metrics.Counter("dns.client.retries").Inc()
@@ -152,7 +167,7 @@ func (c *Client) query(ctx context.Context, conn net.Conn, name dnsmsg.Name, typ
 				}
 			}
 		}
-		resp, err := c.exchangeUDP(ctx, conn, q)
+		resp, err := c.exchangeUDP(ctx, conn, q, frame[2:])
 		if err != nil {
 			lastErr = err
 			continue
@@ -162,7 +177,7 @@ func (c *Client) query(ctx context.Context, conn net.Conn, name dnsmsg.Name, typ
 			if qsp != nil {
 				qsp.Event("dns.client.tcp_fallback")
 			}
-			resp, err = c.exchangeTCP(ctx, q)
+			resp, err = c.exchangeTCP(ctx, q, frame)
 			if err != nil {
 				lastErr = err
 				continue
@@ -188,7 +203,8 @@ func (c *Client) query(ctx context.Context, conn net.Conn, name dnsmsg.Name, typ
 	return nil, fmt.Errorf("%w: %v", ErrTemporary, lastErr)
 }
 
-func (c *Client) exchangeUDP(ctx context.Context, conn net.Conn, q *dnsmsg.Message) (*dnsmsg.Message, error) {
+// exchangeUDP sends pkt, the packed q, and waits for the matching response.
+func (c *Client) exchangeUDP(ctx context.Context, conn net.Conn, q *dnsmsg.Message, pkt []byte) (*dnsmsg.Message, error) {
 	if conn == nil {
 		cn, err := c.Net.DialContext(ctx, "udp", c.Server)
 		if err != nil {
@@ -196,10 +212,6 @@ func (c *Client) exchangeUDP(ctx context.Context, conn net.Conn, q *dnsmsg.Messa
 		}
 		defer cn.Close()
 		conn = cn
-	}
-	pkt, err := q.Pack()
-	if err != nil {
-		return nil, err
 	}
 	deadline := c.clock().Now().Add(c.timeout())
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
@@ -229,7 +241,9 @@ func (c *Client) exchangeUDP(ctx context.Context, conn net.Conn, q *dnsmsg.Messa
 	}
 }
 
-func (c *Client) exchangeTCP(ctx context.Context, q *dnsmsg.Message) (*dnsmsg.Message, error) {
+// exchangeTCP sends frame, q behind its length prefix, over a fresh
+// connection and reads the response.
+func (c *Client) exchangeTCP(ctx context.Context, q *dnsmsg.Message, frame []byte) (*dnsmsg.Message, error) {
 	conn, err := c.Net.DialContext(ctx, "tcp", c.Server)
 	if err != nil {
 		return nil, err
@@ -242,10 +256,12 @@ func (c *Client) exchangeTCP(ctx context.Context, q *dnsmsg.Message) (*dnsmsg.Me
 	if err := conn.SetDeadline(deadline); err != nil {
 		return nil, err
 	}
-	if err := dnsserver.WriteTCPMessage(conn, q); err != nil {
+	if _, err := conn.Write(frame); err != nil {
 		return nil, err
 	}
-	raw, err := dnsserver.ReadTCPMessage(conn)
+	bufp := udpBufPool.Get().(*[]byte)
+	defer udpBufPool.Put(bufp)
+	raw, err := dnsserver.ReadTCPMessage(conn, *bufp)
 	if err != nil {
 		return nil, err
 	}

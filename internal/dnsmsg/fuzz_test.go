@@ -48,6 +48,51 @@ func FuzzUnpack(f *testing.F) {
 	})
 }
 
+// FuzzDecoderReuse decodes a and then b on one Decoder, the way a server's
+// read loop reuses its Decoder for every datagram it receives. Whatever a
+// left in the Decoder's slots, interning table and RData caches, b must
+// decode exactly as Unpack decodes it: the same error-ness and, when b
+// decodes, the same bytes from Pack, or a Pack error on both sides.
+func FuzzDecoderReuse(f *testing.F) {
+	q := NewQuery(0x1234, MustParseName("x7k2.s01.spf-test.dns-lab.org"), TypeTXT)
+	qb, _ := q.Pack()
+	resp := q.Reply()
+	resp.Answers = append(resp.Answers,
+		Record{Name: MustParseName("x7k2.s01.spf-test.dns-lab.org"), Class: ClassIN, TTL: 1,
+			Data: SplitTXT("v=spf1 a:%{d1r}.x7k2.s01.spf-test.dns-lab.org -all")},
+		Record{Name: MustParseName("mail.x7k2.s01.spf-test.dns-lab.org"), Class: ClassIN, TTL: 1,
+			Data: MX{Preference: 10, Host: MustParseName("mx.dns-lab.org")}})
+	rb, _ := resp.Pack()
+	q2 := NewQuery(7, MustParseName("a.b.c.d.e.example.org"), TypeA)
+	q2b, _ := q2.Pack()
+	f.Add(qb, q2b)
+	f.Add(rb, qb)
+	f.Add(q2b, rb)
+	f.Add(rb[:len(rb)-3], rb)
+	f.Add([]byte{0xC0, 0x00}, qb)
+
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		d := NewDecoder()
+		_, _ = d.Decode(a)
+		got, gotErr := d.Decode(b)
+		want, wantErr := Unpack(b)
+		if (gotErr != nil) != (wantErr != nil) {
+			t.Fatalf("reused Decoder error = %v, Unpack error = %v", gotErr, wantErr)
+		}
+		if wantErr != nil {
+			return
+		}
+		gotPkt, gotErr := got.Pack()
+		wantPkt, wantErr := want.Pack()
+		if (gotErr != nil) != (wantErr != nil) {
+			t.Fatalf("Pack after reused Decoder error = %v, after Unpack error = %v", gotErr, wantErr)
+		}
+		if !bytes.Equal(gotPkt, wantPkt) {
+			t.Fatalf("reused Decoder packs %x, Unpack packs %x", gotPkt, wantPkt)
+		}
+	})
+}
+
 // FuzzParseName checks the name parser and its wire round trip.
 func FuzzParseName(f *testing.F) {
 	for _, s := range []string{

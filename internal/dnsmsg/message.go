@@ -55,18 +55,26 @@ func NewQuery(id uint16, name Name, typ Type) *Message {
 	}
 }
 
+// reply is a Message allocated together with room for one question.
+type reply struct {
+	msg Message
+	q   [1]Question
+}
+
 // Reply builds a response header echoing the query's ID, opcode, question,
-// and RD bit.
+// and RD bit. A reply to the usual one-question query is one allocation.
 func (m *Message) Reply() *Message {
-	r := &Message{
-		Header: Header{
-			ID:               m.Header.ID,
-			Response:         true,
-			OpCode:           m.Header.OpCode,
-			RecursionDesired: m.Header.RecursionDesired,
-		},
+	rb := new(reply)
+	r := &rb.msg
+	r.Header = Header{
+		ID:               m.Header.ID,
+		Response:         true,
+		OpCode:           m.Header.OpCode,
+		RecursionDesired: m.Header.RecursionDesired,
 	}
-	r.Questions = append(r.Questions, m.Questions...)
+	if len(m.Questions) > 0 {
+		r.Questions = append(rb.q[:0], m.Questions...)
+	}
 	return r
 }
 

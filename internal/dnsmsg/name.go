@@ -95,6 +95,11 @@ func (n Name) IsRoot() bool { return len(n.labels) == 0 }
 // Labels returns a copy of the name's labels, left to right.
 func (n Name) Labels() []string { return append([]string(nil), n.labels...) }
 
+// Clone returns n with a label slice of its own. A name decoded by a
+// reused Decoder sits in the Decoder's slots, which its next Decode
+// overwrites, so a caller that keeps such a name must keep a clone.
+func (n Name) Clone() Name { return Name{labels: append([]string(nil), n.labels...)} }
+
 // NumLabels returns the number of labels in the name.
 func (n Name) NumLabels() int { return len(n.labels) }
 
@@ -106,7 +111,17 @@ func (n Name) String() string {
 	if n.IsRoot() {
 		return "."
 	}
-	return strings.Join(n.labels, ".") + "."
+	size := 0
+	for _, l := range n.labels {
+		size += len(l) + 1
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for _, l := range n.labels {
+		b.WriteString(l)
+		b.WriteByte('.')
+	}
+	return b.String()
 }
 
 // CanonicalKey returns a case-folded comparison key for map lookups.

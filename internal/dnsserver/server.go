@@ -9,8 +9,10 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -30,6 +32,11 @@ type Handler interface {
 	// ServeDNS produces a response for the query. from identifies the
 	// client (used for query logging and attribution). A nil return is
 	// answered with SERVFAIL.
+	//
+	// The server decodes q into a reused dnsmsg.Decoder and encodes the
+	// response before it decodes the next query, so the response may
+	// share q's memory, but nothing may keep q or any part of it (a
+	// question's Name, say) once ServeDNS returns; clone what you keep.
 	ServeDNS(q *dnsmsg.Message, from net.Addr) *dnsmsg.Message
 }
 
@@ -104,8 +111,12 @@ func (s *Server) Stop() {
 	s.wg.Wait()
 }
 
+// serveUDP answers every datagram inline on the read loop, which owns one
+// Decoder and one response buffer: while a query is served the next ones
+// wait in the endpoint's receive queue.
 func (s *Server) serveUDP(pc net.PacketConn) {
 	defer s.wg.Done()
+	d := dnsmsg.NewDecoder()
 	buf := make([]byte, 64<<10)
 	out := make([]byte, 0, MaxUDPPayload)
 	for {
@@ -113,39 +124,44 @@ func (s *Server) serveUDP(pc net.PacketConn) {
 		if err != nil {
 			return
 		}
-		// Template fast path: answer inline from precompiled wire bytes,
-		// with no packet copy, no goroutine, and no decode/encode.
-		var hit bool
-		if out, hit = s.ServeQuery(out[:0], buf[:n], from); hit {
-			_, _ = pc.WriteTo(out, from)
-			continue
+		// Template fast path: answer from precompiled wire bytes, with no
+		// decode/encode.
+		var ok bool
+		if out, ok = s.ServeQuery(out[:0], buf[:n], from); !ok {
+			if out, ok = s.appendUDPResponse(out[:0], d, buf[:n], from); !ok {
+				continue
+			}
 		}
-		pkt := append([]byte(nil), buf[:n]...)
-		s.wg.Add(1)
-		go func(pkt []byte, from net.Addr) {
-			defer s.wg.Done()
-			resp := s.respond(pkt, from)
-			if resp == nil {
-				return
-			}
-			out, err := resp.Pack()
-			if err != nil {
-				return
-			}
-			if len(out) > MaxUDPPayload {
-				// Truncate to header + question and signal TC.
-				s.Metrics.Counter("dns.server.truncated").Inc()
-				tr := &dnsmsg.Message{Header: resp.Header, Questions: resp.Questions}
-				tr.Header.Truncated = true
-				if out, err = tr.Pack(); err != nil {
-					return
-				}
-			}
-			pc.WriteTo(out, from)
-		}(pkt, from)
+		_, _ = pc.WriteTo(out, from)
 	}
 }
 
+// appendUDPResponse answers pkt and appends the response to dst. A
+// response over MaxUDPPayload is re-encoded as its header and question
+// with TC set, telling the client to retry over TCP. ok is false when
+// there is nothing to send.
+func (s *Server) appendUDPResponse(dst []byte, d *dnsmsg.Decoder, pkt []byte, from net.Addr) (out []byte, ok bool) {
+	resp := s.respond(d, pkt, from)
+	if resp == nil {
+		return dst, false
+	}
+	out, err := resp.Append(dst)
+	if err != nil {
+		return dst, false
+	}
+	if len(out) > MaxUDPPayload {
+		s.Metrics.Counter("dns.server.truncated").Inc()
+		tr := dnsmsg.Message{Header: resp.Header, Questions: resp.Questions}
+		tr.Header.Truncated = true
+		if out, err = tr.Append(out[:0]); err != nil {
+			return dst, false
+		}
+	}
+	return out, true
+}
+
+// serveTCP serves each connection on its own goroutine, which decodes
+// with one pooled Decoder and frames every reply in one buffer.
 func (s *Server) serveTCP(l net.Listener) {
 	defer s.wg.Done()
 	for {
@@ -157,16 +173,22 @@ func (s *Server) serveTCP(l net.Listener) {
 		go func(c net.Conn) {
 			defer s.wg.Done()
 			defer c.Close()
+			d := dnsmsg.GetDecoder()
+			defer dnsmsg.PutDecoder(d)
+			var in, out []byte
 			for {
-				pkt, err := ReadTCPMessage(c)
-				if err != nil {
+				var err error
+				if in, err = ReadTCPMessage(c, in); err != nil {
 					return
 				}
-				resp := s.respond(pkt, c.RemoteAddr())
+				resp := s.respond(d, in, c.RemoteAddr())
 				if resp == nil {
 					return
 				}
-				if err := WriteTCPMessage(c, resp); err != nil {
+				if out, err = AppendTCPMessage(out[:0], resp); err != nil {
+					return
+				}
+				if _, err := c.Write(out); err != nil {
 					return
 				}
 			}
@@ -174,9 +196,10 @@ func (s *Server) serveTCP(l net.Listener) {
 	}
 }
 
-// respond decodes, dispatches, and encodes one transaction.
-func (s *Server) respond(pkt []byte, from net.Addr) *dnsmsg.Message {
-	q, err := dnsmsg.Unpack(pkt)
+// respond decodes pkt with d and dispatches it. The response may share the
+// decoded query's memory, so it must be encoded before d decodes again.
+func (s *Server) respond(d *dnsmsg.Decoder, pkt []byte, from net.Addr) *dnsmsg.Message {
+	q, err := d.Decode(pkt)
 	if err != nil || q.Header.Response || len(q.Questions) == 0 {
 		s.Metrics.Counter("dns.server.decode_errors").Inc()
 		return nil
@@ -187,7 +210,8 @@ func (s *Server) respond(pkt []byte, from net.Addr) *dnsmsg.Message {
 		return r
 	}
 	s.Metrics.Counter("dns.server.queries").Inc()
-	s.Metrics.Counter("dns.server.qtype." + q.Questions[0].Type.String()).Inc()
+	//spfail:allow metricnames qtypeCounterName mints only constants from the documented dns.server.qtype.<TYPE> family
+	s.Metrics.Counter(qtypeCounterName(q.Questions[0].Type)).Inc()
 	resp := s.Handler.ServeDNS(q, from)
 	if resp == nil {
 		resp = q.Reply()
@@ -218,34 +242,44 @@ func clientHost(from net.Addr) string {
 	return host
 }
 
-// ReadTCPMessage reads one length-prefixed DNS message (RFC 1035 §4.2.2).
-func ReadTCPMessage(c net.Conn) ([]byte, error) {
-	var lb [2]byte
-	if _, err := io.ReadFull(c, lb[:]); err != nil {
+// ReadTCPMessage reads one length-prefixed DNS message (RFC 1035 §4.2.2)
+// into buf's backing array, growing it when the message does not fit, and
+// returns the message.
+func ReadTCPMessage(r io.Reader, buf []byte) ([]byte, error) {
+	buf = slices.Grow(buf[:0], 2)[:2]
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
-	n := int(binary.BigEndian.Uint16(lb[:]))
+	n := int(binary.BigEndian.Uint16(buf))
 	if n == 0 {
 		return nil, errors.New("dnsserver: zero-length TCP message")
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(c, buf); err != nil {
+	buf = slices.Grow(buf[:0], n)[:n]
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
 	return buf, nil
 }
 
-// WriteTCPMessage writes one length-prefixed DNS message.
-func WriteTCPMessage(c net.Conn, m *dnsmsg.Message) error {
-	body, err := m.Pack()
+// AppendTCPMessage appends m to dst behind its two-byte length prefix
+// (RFC 1035 §4.2.2). The message is encoded as a slice of its own, so name
+// compression works as in a datagram, and the result minus its first two
+// bytes is the same message ready for UDP.
+func AppendTCPMessage(dst []byte, m *dnsmsg.Message) ([]byte, error) {
+	at := len(dst)
+	dst = append(dst, 0, 0)
+	body, err := m.Append(dst[len(dst):])
 	if err != nil {
-		return err
+		return nil, err
 	}
-	out := make([]byte, 2+len(body))
-	binary.BigEndian.PutUint16(out, uint16(len(body)))
-	copy(out[2:], body)
-	_, err = c.Write(out)
-	return err
+	if len(body) > 0xFFFF {
+		return nil, fmt.Errorf("dnsserver: message of %d bytes exceeds the TCP length prefix", len(body))
+	}
+	// When Append had room, body already sits in place and this copies
+	// it onto itself.
+	dst = append(dst, body...)
+	binary.BigEndian.PutUint16(dst[at:], uint16(len(body)))
+	return dst, nil
 }
 
 // QueryEvent is one observed query, the raw material of SPFail detection.
@@ -256,7 +290,8 @@ type QueryEvent struct {
 	Type dnsmsg.Type
 }
 
-// Sink receives query events as they arrive.
+// Sink receives query events as they arrive. An event's Name is the
+// sink's to keep: LoggingHandler clones it from the decoded query.
 type Sink interface {
 	Observe(ev QueryEvent)
 }

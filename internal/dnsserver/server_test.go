@@ -1,6 +1,7 @@
 package dnsserver
 
 import (
+	"bytes"
 	"context"
 	"net"
 	"net/netip"
@@ -127,23 +128,63 @@ func TestServerTCPEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	q := dnsmsg.NewQuery(7, name("mail.example.com"), dnsmsg.TypeA)
-	if err := WriteTCPMessage(conn, q); err != nil {
-		t.Fatal(err)
+	// Two queries on one connection: the second is decoded into the
+	// connection's reused Decoder slots and framed in its reused buffer.
+	var frame, raw []byte
+	for i, tc := range []struct {
+		qname string
+		typ   dnsmsg.Type
+		want  string
+	}{
+		{"mail.example.com", dnsmsg.TypeA, "192.0.2.1"},
+		{"example.com", dnsmsg.TypeMX, "10 mail.example.com."},
+	} {
+		q := dnsmsg.NewQuery(uint16(7+i), name(tc.qname), tc.typ)
+		if frame, err = AppendTCPMessage(frame[:0], q); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		if raw, err = ReadTCPMessage(conn, raw); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := dnsmsg.Unpack(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Header.ID != q.Header.ID || len(resp.Answers) != 1 {
+			t.Fatalf("query %d: id %d, answers %v", i, resp.Header.ID, resp.Answers)
+		}
+		if got := resp.Answers[0].Data.String(); got != tc.want {
+			t.Errorf("query %d: %s %s = %s, want %s", i, tc.qname, tc.typ, got, tc.want)
+		}
 	}
-	raw, err := ReadTCPMessage(conn)
+}
+
+// TestAppendTCPMessageFramesThePackedMessage checks that a framed message
+// is its length and then exactly Pack's bytes, compression included,
+// whether or not the destination has room for it.
+func TestAppendTCPMessageFramesThePackedMessage(t *testing.T) {
+	z := newTestZone()
+	resp := z.ServeDNS(dnsmsg.NewQuery(3, name("example.com"), dnsmsg.TypeMX), nil)
+	packed, err := resp.Pack()
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := dnsmsg.Unpack(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Answers) != 1 {
-		t.Fatalf("answers = %v", resp.Answers)
-	}
-	if got := resp.Answers[0].Data.(dnsmsg.A).Addr.String(); got != "192.0.2.1" {
-		t.Errorf("A = %s", got)
+	for _, dst := range [][]byte{nil, make([]byte, 0, 4), make([]byte, 0, 1024), []byte("xy")} {
+		prefix := string(dst)
+		frame, err := AppendTCPMessage(dst, resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(frame[:len(prefix)]) != prefix {
+			t.Fatalf("cap %d: prefix clobbered: %q", cap(dst), frame[:len(prefix)])
+		}
+		frame = frame[len(prefix):]
+		if n := int(frame[0])<<8 | int(frame[1]); n != len(packed) || !bytes.Equal(frame[2:], packed) {
+			t.Fatalf("cap %d: frame = %x, want length %d and %x", cap(dst), frame, len(packed), packed)
+		}
 	}
 }
 
@@ -246,6 +287,52 @@ func TestQueryLogAndSink(t *testing.T) {
 type sinkFunc func(QueryEvent)
 
 func (f sinkFunc) Observe(ev QueryEvent) { f(ev) }
+
+// TestLoggedQnameOutlivesTheNextDecode serves two different queries through
+// a LoggingHandler whose sink keeps every event, as core.Collector does.
+// The server decodes the second query into the Decoder slots that held the
+// first, so the first event's qname must be the sink's own copy.
+func TestLoggedQnameOutlivesTheNextDecode(t *testing.T) {
+	fabric := netsim.NewFabric()
+	var log QueryLog
+	srv := &Server{Net: fabric.Host("192.0.2.53"), Addr: ":53",
+		Handler: &LoggingHandler{Inner: newTestZone(), Sink: &log}}
+	if err := srv.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Stop()
+	conn, err := fabric.Host("198.51.100.1").DialContext(context.Background(), "udp", "192.0.2.53:53")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The second name has more labels than the first, so decoding it
+	// writes over every label slot the first one used.
+	qnames := []string{"mail.example.com.", "a.b.c.example.org."}
+	buf := make([]byte, 512)
+	for i, qn := range qnames {
+		pkt, err := dnsmsg.NewQuery(uint16(i+1), name(qn), dnsmsg.TypeA).Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(2 * time.Second))
+		if _, err := conn.Write(pkt); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Read(buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	evs := log.Snapshot()
+	if len(evs) != len(qnames) {
+		t.Fatalf("logged %d events, want %d", len(evs), len(qnames))
+	}
+	for i, qn := range qnames {
+		if got := evs[i].Name.String(); got != qn {
+			t.Errorf("event %d qname = %q, want %q", i, got, qn)
+		}
+	}
+}
 
 func TestSPFTestZonePolicy(t *testing.T) {
 	z := &SPFTestZone{

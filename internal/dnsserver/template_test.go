@@ -52,7 +52,7 @@ func TestServeQueryMatchesSlowPath(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s %s: fast response does not decode: %v", tc.qname, tc.typ, err)
 		}
-		want := srv.respond(pkt, nil)
+		want := srv.respond(dnsmsg.NewDecoder(), pkt, nil)
 		if got.Header != want.Header {
 			t.Errorf("%s %s: header = %+v, want %+v", tc.qname, tc.typ, got.Header, want.Header)
 		}

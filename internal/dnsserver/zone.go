@@ -141,7 +141,8 @@ func (z *ZoneSet) negativeAuthority(name dnsmsg.Name) []dnsmsg.Record {
 }
 
 // LoggingHandler wraps a Handler, publishing every query to a Sink before
-// dispatch. Now supplies event timestamps (typically clock.Clock.Now).
+// dispatch. Now supplies event timestamps (typically clock.Clock.Now). The
+// event carries a clone of the qname, so sinks may keep it.
 type LoggingHandler struct {
 	Inner Handler
 	Sink  Sink
@@ -159,7 +160,7 @@ func (h *LoggingHandler) ServeDNS(q *dnsmsg.Message, from net.Addr) *dnsmsg.Mess
 	if from != nil {
 		fromStr = from.String()
 	}
-	h.Sink.Observe(QueryEvent{Time: at, From: fromStr, Name: qq.Name, Type: qq.Type})
+	h.Sink.Observe(QueryEvent{Time: at, From: fromStr, Name: qq.Name.Clone(), Type: qq.Type})
 	return h.Inner.ServeDNS(q, from)
 }
 

@@ -50,6 +50,45 @@ func TestUDPInboxKeepsOrderAndDropsBeyondBound(t *testing.T) {
 	}
 }
 
+// TestUDPInboxHoldsAStudyBurst writes one datagram from each of 250
+// senders, the paper's probe concurrency, to an endpoint nobody reads yet,
+// as a burst of probes' MTAs query a DNS server that is still busy
+// answering. Every datagram must be queued and read back in arrival order.
+func TestUDPInboxHoldsAStudyBurst(t *testing.T) {
+	const senders = 250
+	f := NewFabric()
+	srv, err := f.Host("10.7.5.1").ListenPacket("udp", ":53")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	to := Addr{Net: "udp", Host: "10.7.5.1", Port: 53}
+	for i := 0; i < senders; i++ {
+		pc, err := f.Host("10.7.6."+strconv.Itoa(i)).ListenPacket("udp", ":0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pc.WriteTo([]byte(strconv.Itoa(i)), to); err != nil {
+			t.Fatal(err)
+		}
+		pc.Close()
+	}
+	srv.SetReadDeadline(time.Now().Add(2 * time.Second))
+	buf := make([]byte, 16)
+	for i := 0; i < senders; i++ {
+		n, from, err := srv.ReadFrom(buf)
+		if err != nil {
+			t.Fatalf("datagram %d of %d: %v", i, senders, err)
+		}
+		if got := string(buf[:n]); got != strconv.Itoa(i) {
+			t.Fatalf("datagram %d = %q, want %d (out of order)", i, got, i)
+		}
+		if host := from.(Addr).Host; host != "10.7.6."+strconv.Itoa(i) {
+			t.Fatalf("datagram %d from %s, want sender 10.7.6.%d", i, host, i)
+		}
+	}
+}
+
 func TestUDPWriteToForeignAddrType(t *testing.T) {
 	f := NewFabric()
 	srv, err := f.Host("10.7.4.1").ListenPacket("udp", ":53")
@@ -103,7 +142,7 @@ func TestUDPCloseWakesReaderAndDropsLateDatagrams(t *testing.T) {
 	p := pc.(*fabricPacketConn)
 	p.enqueue(datagram{from: Addr{Net: "udp", Host: "10.7.1.2", Port: 40001}, to: p.addr, data: []byte("late")})
 	p.mu.Lock()
-	queued := len(p.inbox)
+	queued := p.queued
 	p.mu.Unlock()
 	if queued != 0 {
 		t.Fatalf("closed endpoint queued %d datagrams, want 0", queued)

@@ -9,10 +9,11 @@
 // (SMTP, DNS) is identical whether it runs on real sockets or on the fabric;
 // only the dial/listen plumbing differs.
 //
-// A fabric UDP endpoint queues at most inboxLimit (64) unread datagrams and
-// drops the rest, as a full socket buffer does. The queue grows with the
-// traffic it actually holds, so a DNS dial that receives one reply pays for
-// one datagram, not for the bound.
+// A fabric UDP endpoint queues at most inboxLimit (1024) unread datagrams
+// and drops the rest, as a full socket buffer does. The queue is a ring that
+// doubles with the traffic it actually holds, so a DNS dial that receives
+// one reply pays for one datagram, not for the bound, and a busy server
+// pops its oldest datagram in constant time.
 //
 // A fabric TCP connection is a pair of stream ends with net.Pipe's
 // synchronous semantics and error values. Each end keeps one deadline timer
@@ -490,8 +491,12 @@ type datagram struct {
 }
 
 // inboxLimit is how many unread datagrams an endpoint holds before deliver
-// drops new ones, like a socket receive buffer.
-const inboxLimit = 64
+// drops new ones, like a socket receive buffer. It is sized for the busiest
+// endpoint, the authoritative DNS server, which answers every query on its
+// one read loop, so a burst of concurrent probes' queries waits here; peaks
+// measured up to 133 at the paper's 250 probes and 188 at 1000 (see
+// docs/performance.md). It must be a power of two: the ring masks with it.
+const inboxLimit = 1024
 
 // fabricPacketConn implements net.PacketConn on the fabric.
 type fabricPacketConn struct {
@@ -503,22 +508,54 @@ type fabricPacketConn struct {
 	done  chan struct{}
 
 	mu       sync.Mutex
-	closed   bool       // guarded by mu
-	deadline time.Time  // guarded by mu
-	inbox    []datagram // guarded by mu
+	closed   bool      // guarded by mu
+	deadline time.Time // guarded by mu
+	// inbox is a ring of unread datagrams, oldest at inbox[head], queued
+	// of them in all. Its length is zero or a power of two no larger than
+	// inboxLimit.
+	inbox  []datagram // guarded by mu
+	head   int        // guarded by mu
+	queued int        // guarded by mu
 }
 
 // enqueue appends d to the inbox, or drops it when the endpoint is closed
 // or already holds inboxLimit datagrams.
 func (p *fabricPacketConn) enqueue(d datagram) {
 	p.mu.Lock()
-	if p.closed || len(p.inbox) >= inboxLimit {
+	if p.closed || p.queued >= inboxLimit {
 		p.mu.Unlock()
 		return
 	}
-	p.inbox = append(p.inbox, d)
+	if p.queued == len(p.inbox) {
+		p.grow()
+	}
+	p.inbox[(p.head+p.queued)&(len(p.inbox)-1)] = d
+	p.queued++
 	p.mu.Unlock()
 	p.wake()
+}
+
+// grow doubles the full inbox ring, unrolling it so the oldest datagram
+// lands at index 0.
+//
+//spfail:locked p.mu
+func (p *fabricPacketConn) grow() {
+	next := make([]datagram, max(1, 2*len(p.inbox)))
+	n := copy(next, p.inbox[p.head:])
+	copy(next[n:], p.inbox[:p.head])
+	p.inbox, p.head = next, 0
+}
+
+// pop removes and returns the oldest queued datagram; the inbox must not
+// be empty.
+//
+//spfail:locked p.mu
+func (p *fabricPacketConn) pop() datagram {
+	d := p.inbox[p.head]
+	p.inbox[p.head] = datagram{}
+	p.head = (p.head + 1) & (len(p.inbox) - 1)
+	p.queued--
+	return d
 }
 
 // wake leaves a token in ready unless one is already waiting.
@@ -560,11 +597,9 @@ func (p *fabricPacketConn) read(b []byte) (int, Addr, error) {
 			p.mu.Unlock()
 			return 0, Addr{}, &net.OpError{Op: "read", Net: "udp", Addr: p.addr, Err: ErrClosed}
 		}
-		if len(p.inbox) > 0 {
-			d := p.inbox[0]
-			rest := copy(p.inbox, p.inbox[1:])
-			p.inbox[rest] = datagram{}
-			p.inbox = p.inbox[:rest]
+		if p.queued > 0 {
+			d := p.pop()
+			rest := p.queued
 			p.mu.Unlock()
 			if rest > 0 {
 				p.wake() // the token this reader may have taken covered more than d
@@ -615,7 +650,7 @@ func (p *fabricPacketConn) Close() error {
 		return nil
 	}
 	p.closed = true
-	p.inbox = nil
+	p.inbox, p.head, p.queued = nil, 0, 0
 	p.f.mu.Lock()
 	delete(p.f.packet, p.addr)
 	p.f.mu.Unlock()

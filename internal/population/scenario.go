@@ -262,12 +262,36 @@ func (g *generator) applyPack(p ScenarioPack, d *Domain) {
 	m := &Mutation{
 		Domain: d,
 		World:  g.w,
-		Rand:   rand.New(rand.NewSource(int64(scenarioHash(g.spec.Seed, p.Name+"|"+d.Name)))),
+		Rand:   rand.New(&lazySource{seed: int64(scenarioHash(g.spec.Seed, p.Name+"|"+d.Name))}),
 	}
 	for _, mut := range p.Mutators {
 		mut(m)
 	}
 }
+
+// lazySource is rand.NewSource(seed), seeded on its first draw. Seeding
+// fills a 4.9 KB table, and most mutators never draw, so a world with
+// thousands of scenario domains seeds only the sources that are used.
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+func (s *lazySource) source() rand.Source64 {
+	if s.src == nil {
+		s.src = rand.NewSource(s.seed).(rand.Source64)
+	}
+	return s.src
+}
+
+// Int63 implements rand.Source.
+func (s *lazySource) Int63() int64 { return s.source().Int63() }
+
+// Uint64 implements rand.Source64.
+func (s *lazySource) Uint64() uint64 { return s.source().Uint64() }
+
+// Seed implements rand.Source.
+func (s *lazySource) Seed(seed int64) { s.seed, s.src = seed, nil }
 
 // ---- built-in packs ----
 

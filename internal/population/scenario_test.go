@@ -1,6 +1,7 @@
 package population
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -276,5 +277,62 @@ func TestPackRegistryInventory(t *testing.T) {
 	byName := PacksByName()
 	if len(byName) != len(names) {
 		t.Errorf("PacksByName has %d entries, PackNames %d", len(byName), len(names))
+	}
+}
+
+// TestLazySourceMatchesEagerSource draws an interleaved sequence through
+// every rand.Rand method family from a lazily seeded source and from
+// rand.NewSource with the same seed; the streams must be identical,
+// including across a re-seed.
+func TestLazySourceMatchesEagerSource(t *testing.T) {
+	const seed = -6149025430093457215
+	src := &lazySource{seed: seed}
+	lazy := rand.New(src)
+	if src.src != nil {
+		t.Fatal("rand.New seeded the source before its first draw")
+	}
+	eager := rand.New(rand.NewSource(seed))
+	draw := func(r *rand.Rand, i int) float64 {
+		switch i % 6 {
+		case 0:
+			return float64(r.Int63())
+		case 1:
+			return float64(r.Uint64())
+		case 2:
+			return float64(r.Intn(1000))
+		case 3:
+			return r.Float64()
+		case 4:
+			return float64(r.Int63n(1 << 40))
+		default:
+			return float64(r.Perm(5)[i%5])
+		}
+	}
+	for i := 0; i < 600; i++ {
+		if i == 300 {
+			lazy.Seed(seed + 1)
+			eager.Seed(seed + 1)
+		}
+		if l, e := draw(lazy, i), draw(eager, i); l != e {
+			t.Fatalf("draw %d: lazy %v, eager %v", i, l, e)
+		}
+	}
+}
+
+// TestMutationRandIsTheScenarioStream checks that applyPack hands each
+// mutator the stream rand.NewSource(scenarioHash(seed, pack|domain)) has
+// always produced.
+func TestMutationRandIsTheScenarioStream(t *testing.T) {
+	g := &generator{spec: Spec{Seed: 42}, w: &World{}}
+	var got []int64
+	drawing := ScenarioPack{Name: "drawing", Mutators: []Mutator{func(m *Mutation) {
+		got = append(got, m.Rand.Int63(), int64(m.Rand.Intn(97)), m.Rand.Int63())
+	}}}
+	g.applyPack(drawing, &Domain{Name: "victim.example"})
+	want := rand.New(rand.NewSource(int64(scenarioHash(42, "drawing|victim.example"))))
+	for i, w := range []int64{want.Int63(), int64(want.Intn(97)), want.Int63()} {
+		if got[i] != w {
+			t.Fatalf("draw %d = %d, want %d", i, got[i], w)
+		}
 	}
 }
