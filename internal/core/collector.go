@@ -18,14 +18,7 @@ type Collector struct {
 	mu    sync.Mutex
 	byID  map[string][]dnsserver.QueryEvent
 	total int
-	// free recycles the per-id event slices released by Forget, bounding
-	// steady-state allocation to the campaign's peak in-flight probe count.
-	free [][]dnsserver.QueryEvent
 }
-
-// maxFreeEventSlices bounds the Forget freelist; beyond it, slices are left
-// to the garbage collector.
-const maxFreeEventSlices = 512
 
 // NewCollector builds a collector for the given zone.
 func NewCollector(zone *dnsserver.SPFTestZone) *Collector {
@@ -39,12 +32,7 @@ func (c *Collector) Observe(ev dnsserver.QueryEvent) {
 		return
 	}
 	c.mu.Lock()
-	evs, ok := c.byID[id]
-	if !ok && len(c.free) > 0 {
-		evs = c.free[len(c.free)-1]
-		c.free = c.free[:len(c.free)-1]
-	}
-	c.byID[id] = append(evs, ev)
+	c.byID[id] = append(c.byID[id], ev)
 	c.total++
 	c.mu.Unlock()
 }
@@ -75,14 +63,7 @@ func (c *Collector) Total() int {
 // thousands of probes).
 func (c *Collector) Forget(id string) {
 	c.mu.Lock()
-	if evs, ok := c.byID[id]; ok {
-		delete(c.byID, id)
-		// Recycle the backing array. Safe because QueriesFor and
-		// AppendQueriesFor hand out copies, never the stored slice.
-		if cap(evs) > 0 && len(c.free) < maxFreeEventSlices {
-			c.free = append(c.free, evs[:0])
-		}
-	}
+	delete(c.byID, id)
 	c.mu.Unlock()
 }
 

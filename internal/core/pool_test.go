@@ -8,10 +8,9 @@ import (
 	"spfail/internal/dnsserver"
 )
 
-// Poison-then-reuse hygiene for the collector's recycled event slices: a
-// probe's evidence, once forgotten, must never resurface under another
-// probe's id even though the backing array is reused.
-func TestCollectorRecycledSlicesDoNotLeakAcrossProbes(t *testing.T) {
+// A probe's evidence, once forgotten, must never resurface: not under its
+// own id, and not under the id of the next probe the collector sees.
+func TestCollectorForgottenEvidenceDoesNotResurface(t *testing.T) {
 	zone := &dnsserver.SPFTestZone{Base: dnsmsg.MustParseName("spf-test.dns-lab.org")}
 	c := NewCollector(zone)
 
@@ -26,8 +25,8 @@ func TestCollectorRecycledSlicesDoNotLeakAcrossProbes(t *testing.T) {
 	}
 	c.Forget("aaaa")
 
-	// The next probe id gets the recycled backing array; it must see only
-	// its own single event, and the forgotten id must stay empty.
+	// The next probe id must see only its own single event, and the
+	// forgotten id must stay empty.
 	c.Observe(dnsserver.QueryEvent{
 		Name: dnsmsg.MustParseName("fresh.bbbb.s01.spf-test.dns-lab.org"),
 		Type: dnsmsg.TypeA,
@@ -37,7 +36,7 @@ func TestCollectorRecycledSlicesDoNotLeakAcrossProbes(t *testing.T) {
 		t.Fatalf("QueriesFor(bbbb) = %d events, want 1", len(got))
 	}
 	if got[0].Name.String() != "fresh.bbbb.s01.spf-test.dns-lab.org." {
-		t.Fatalf("recycled slice leaked a poisoned event: %s", got[0].Name)
+		t.Fatalf("forgotten evidence resurfaced under another id: %s", got[0].Name)
 	}
 	if leak := c.QueriesFor("aaaa"); len(leak) != 0 {
 		t.Fatalf("forgotten id still has %d events", len(leak))

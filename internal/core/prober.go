@@ -71,10 +71,11 @@ const (
 	StageMessage = "message"
 )
 
-// DefaultUsernames is the curated recipient list of paper §6.3, in trial
+// usernames is the curated recipient list of paper §6.3, in trial
 // order: a random mailbox and no-reply variants first to minimize the
 // chance of a probe reaching a human inbox, then administrative accounts.
-var DefaultUsernames = []string{
+// The first one is also the local part of every probe's MAIL FROM.
+var usernames = []string{
 	"mmj7yzdm0tbk",
 	"noreply",
 	"donotreply",
@@ -151,8 +152,6 @@ type Prober struct {
 	Classifier *Classifier
 	// Suite tags all of this prober's labels.
 	Suite string
-	// Usernames overrides DefaultUsernames when non-nil.
-	Usernames []string
 	// GreylistWait is the pause before retrying a 450 (paper: 8 min).
 	GreylistWait time.Duration
 	// ReconnectWait is the minimum pause between connections to the same
@@ -179,13 +178,6 @@ type Prober struct {
 	cli       *smtp.Client
 	txScratch transactionResult
 	evScratch []dnsserver.QueryEvent
-}
-
-func (p *Prober) usernames() []string {
-	if p.Usernames != nil {
-		return p.Usernames
-	}
-	return DefaultUsernames
 }
 
 func (p *Prober) greylistWait() time.Duration {
@@ -310,7 +302,7 @@ func (p *Prober) testIP(ctx context.Context, addr, rcptDomain string) Outcome {
 	noMsg := p.runTransaction(ctx, addr, rcptDomain, MethodNoMsg)
 	out.NoMsgRan = true
 	out.IDs = append(out.IDs, noMsg.ids...)
-	p.mergeObservation(&out, noMsg)
+	mergeObs(&out.Observation, noMsg.obs)
 	if out.Observation.Conclusive() {
 		out.Status = StatusSPFMeasured
 		out.Method = MethodNoMsg
@@ -342,7 +334,7 @@ func (p *Prober) testIP(ctx context.Context, addr, rcptDomain string) Outcome {
 	blank := p.runTransaction(ctx, addr, rcptDomain, MethodBlankMsg)
 	out.BlankMsgRan = true
 	out.IDs = append(out.IDs, blank.ids...)
-	p.mergeObservation(&out, blank)
+	mergeObs(&out.Observation, blank.obs)
 	if out.Observation.Conclusive() {
 		out.Status = StatusSPFMeasured
 		out.Method = MethodBlankMsg
@@ -357,27 +349,6 @@ func (p *Prober) testIP(ctx context.Context, addr, rcptDomain string) Outcome {
 	}
 	out.Status = StatusSPFNotMeasured
 	return out
-}
-
-// mergeObservation folds a transaction's classified evidence into the
-// outcome, keeping the union of observed patterns.
-func (p *Prober) mergeObservation(out *Outcome, tr *transactionResult) {
-	o := &out.Observation
-	o.PolicyFetched = o.PolicyFetched || tr.obs.PolicyFetched
-	o.LivenessSeen = o.LivenessSeen || tr.obs.LivenessSeen
-	for i, pat := range tr.obs.Patterns {
-		dup := false
-		for _, existing := range o.Patterns {
-			if existing == pat {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			o.Patterns = append(o.Patterns, pat)
-			o.Classes = append(o.Classes, tr.obs.Classes[i])
-		}
-	}
 }
 
 type transactionResult struct {
@@ -469,6 +440,8 @@ func (p *Prober) runTransaction(ctx context.Context, addr, rcptDomain string, me
 	return res
 }
 
+// mergeObs folds src's classified evidence into dst, keeping the union of
+// observed patterns.
 func mergeObs(dst *Observation, src Observation) {
 	dst.PolicyFetched = dst.PolicyFetched || src.PolicyFetched
 	dst.LivenessSeen = dst.LivenessSeen || src.LivenessSeen
@@ -497,7 +470,7 @@ func (p *Prober) attempt(ctx context.Context, tr *transactionResult, id, addr, r
 		tr.err, tr.stage = err, StageDial
 		return false
 	}
-	from := p.usernames()[0] + "@" + strings.TrimSuffix(mailDomain.String(), ".")
+	from := usernames[0] + "@" + strings.TrimSuffix(mailDomain.String(), ".")
 
 	conn, err := p.client().Dial(ctx, addr)
 	if err != nil {
@@ -522,7 +495,7 @@ func (p *Prober) attempt(ctx context.Context, tr *transactionResult, id, addr, r
 	// Try recipient usernames in order until one is accepted.
 	var accepted bool
 	var lastErr error
-	for _, u := range p.usernames() {
+	for _, u := range usernames {
 		err := conn.Rcpt(u + "@" + rcptDomain)
 		if err == nil {
 			accepted = true

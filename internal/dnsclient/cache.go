@@ -26,9 +26,8 @@ type CachingClient struct {
 	// Clock supplies cache timestamps (use the simulation clock so TTLs
 	// interact correctly with virtual time).
 	Clock clock.Clock
-	// Metrics receives the dns.cache.hits / dns.cache.misses counters and
-	// backs Stats. NewCachingClient installs a private registry when the
-	// caller does not supply one.
+	// Metrics, when non-nil, receives the dns.cache.hits /
+	// dns.cache.misses counters.
 	Metrics *telemetry.Registry
 
 	mu      sync.Mutex
@@ -60,7 +59,6 @@ func NewCachingClient(q Querier, clk clock.Clock) *CachingClient {
 	return &CachingClient{
 		Upstream: q,
 		Clock:    clk,
-		Metrics:  telemetry.New(),
 		entries:  make(map[cacheKey]cacheEntry),
 	}
 }
@@ -195,15 +193,6 @@ func ttlFor(msg *dnsmsg.Message) time.Duration {
 		ttl = maxTTL
 	}
 	return ttl
-}
-
-// Stats returns the cache hit/miss counters, read from the telemetry
-// registry (metric names dns.cache.hits / dns.cache.misses, PR 1 naming).
-// When the registry is shared, the counts cover every cache publishing to
-// it.
-func (cc *CachingClient) Stats() (hits, misses int) {
-	return int(cc.Metrics.Counter("dns.cache.hits").Value()),
-		int(cc.Metrics.Counter("dns.cache.misses").Value())
 }
 
 // Flush empties the cache.

@@ -9,6 +9,7 @@ import (
 	"spfail/internal/dnsmsg"
 	"spfail/internal/dnsserver"
 	"spfail/internal/netsim"
+	"spfail/internal/telemetry"
 )
 
 // countingSink counts queries reaching the authoritative server.
@@ -28,7 +29,14 @@ func newCachedSetup(t *testing.T, clk clock.Clock) (*Resolver, *CachingClient, *
 	t.Cleanup(srv.Stop)
 	wire := &Client{Net: fabric.Host("198.51.100.1"), Server: "192.0.2.53:53", Timeout: time.Second}
 	cache := NewCachingClient(wire, clk)
+	cache.Metrics = telemetry.New()
 	return NewResolver(cache), cache, sink
+}
+
+// cacheStats reads the hit/miss counters the cache published.
+func cacheStats(cache *CachingClient) (hits, misses int64) {
+	return cache.Metrics.Counter("dns.cache.hits").Value(),
+		cache.Metrics.Counter("dns.cache.misses").Value()
 }
 
 func TestCacheServesRepeatsLocally(t *testing.T) {
@@ -45,7 +53,7 @@ func TestCacheServesRepeatsLocally(t *testing.T) {
 	if sink.n != 1 {
 		t.Fatalf("authoritative server saw %d queries, want 1", sink.n)
 	}
-	hits, misses := cache.Stats()
+	hits, misses := cacheStats(cache)
 	if hits != 4 || misses != 1 {
 		t.Fatalf("cache stats = %d hits / %d misses", hits, misses)
 	}
@@ -88,7 +96,7 @@ func TestCacheNegativeAnswers(t *testing.T) {
 	if sink.n != 1 {
 		t.Fatalf("negative lookups reached server %d times", sink.n)
 	}
-	if hits, _ := cache.Stats(); hits != 2 {
+	if hits, _ := cacheStats(cache); hits != 2 {
 		t.Fatalf("hits = %d", hits)
 	}
 }
@@ -105,7 +113,7 @@ func TestCacheDistinctNamesMiss(t *testing.T) {
 	if sink.n != len(names) {
 		t.Fatalf("server saw %d queries for %d distinct names", sink.n, len(names))
 	}
-	if hits, _ := cache.Stats(); hits != 0 {
+	if hits, _ := cacheStats(cache); hits != 0 {
 		t.Fatalf("distinct names produced %d cache hits", hits)
 	}
 }

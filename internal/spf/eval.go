@@ -14,14 +14,14 @@ import (
 
 // Evaluation limits from RFC 7208 §4.6.4.
 const (
-	// DefaultMaxLookups is the budget of DNS-querying terms per check.
-	DefaultMaxLookups = 10
-	// DefaultMaxVoidLookups is the budget of lookups returning no data.
-	DefaultMaxVoidLookups = 2
-	// DefaultMaxMXAddrs caps the MX hosts resolved per mx mechanism.
-	DefaultMaxMXAddrs = 10
-	// DefaultMaxPTRNames caps the PTR targets validated per ptr/%{p}.
-	DefaultMaxPTRNames = 10
+	// maxLookups is the budget of DNS-querying terms per check.
+	maxLookups = 10
+	// maxVoidLookups is the budget of lookups returning no data.
+	maxVoidLookups = 2
+	// maxMXAddrs caps the MX hosts resolved per mx mechanism.
+	maxMXAddrs = 10
+	// maxPTRNames caps the PTR targets validated per ptr/%{p}.
+	maxPTRNames = 10
 	// maxDomainLen is the presentation-format limit for expanded targets.
 	maxDomainLen = 253
 )
@@ -56,18 +56,10 @@ type Checker struct {
 	// Expander. The SPFail vulnerability study swaps this for the buggy
 	// implementations in internal/spfimpl.
 	Expander MacroExpander
-	// MaxLookups, MaxVoidLookups, MaxMXAddrs, MaxPTRNames override the
-	// RFC limits when positive.
-	MaxLookups     int
-	MaxVoidLookups int
-	MaxMXAddrs     int
-	MaxPTRNames    int
 	// Receiver is this host's domain, used in %{r} explanation text.
 	Receiver string
 	// Now supplies %{t}; nil means time.Now.
 	Now func() time.Time
-	// DisableExp skips fetching explanation strings on fail.
-	DisableExp bool
 	// SkipMacroMechanisms makes mechanisms whose domain-spec contains a
 	// macro never match and consume no lookup — modeling the partial
 	// implementations §7.9 observed that resolve only macro-free terms.
@@ -103,19 +95,6 @@ func (c *Checker) expander() MacroExpander {
 	return Expander{}
 }
 
-func (c *Checker) limit(v, def int) int {
-	if v > 0 {
-		return v
-	}
-	return def
-}
-
-// sessionPool recycles per-evaluation state across CheckHost calls: the
-// session struct itself plus the macro scratch hanging off it. Sessions are
-// reset on release (poison-proof; see pool_test.go), following the pooled
-// codec pattern in internal/dnsmsg.
-var sessionPool = sync.Pool{New: func() any { return new(session) }}
-
 // CheckHost implements check_host() (RFC 7208 §4): it evaluates the policy
 // of domain for a message from sender arriving from ip, with helo as the
 // SMTP HELO/EHLO identity.
@@ -132,13 +111,8 @@ func (c *Checker) CheckHost(ctx context.Context, ip netip.Addr, domain, sender, 
 			c.ptrFn = c.Resolver.LookupPTR
 		}
 	})
-	s := sessionPool.Get().(*session)
-	s.c = c
-	s.ctx = ctx
-	s.maxLookups = c.limit(c.MaxLookups, DefaultMaxLookups)
-	s.maxVoid = c.limit(c.MaxVoidLookups, DefaultMaxVoidLookups)
-	s.maxMX = c.limit(c.MaxMXAddrs, DefaultMaxMXAddrs)
-	s.maxPTR = c.limit(c.MaxPTRNames, DefaultMaxPTRNames)
+	s := &session{}
+	s.c, s.ctx = c, ctx
 	s.env = MacroEnv{
 		Sender:    sender,
 		IP:        ip,
@@ -147,31 +121,19 @@ func (c *Checker) CheckHost(ctx context.Context, ip netip.Addr, domain, sender, 
 		Now:       c.Now,
 		LookupPTR: c.ptrFn,
 	}
-	out := s.check(domain)
-	s.release()
-	return out
+	return s.check(domain)
 }
 
 // session carries per-check state shared across include/redirect recursion.
-// Sessions are pooled; release zeroes every field so recycled sessions can
-// never leak a previous evaluation's sender, IP, or lookup budget.
+// It never outlives its CheckHost call, so escape analysis keeps it on the
+// stack.
 type session struct {
-	c          *Checker
-	ctx        context.Context
-	lookups    int
-	voids      int
-	maxLookups int
-	maxVoid    int
-	maxMX      int
-	maxPTR     int
-	depth      int // include/redirect recursion depth, for tracing
-	env        MacroEnv
-}
-
-// release resets the session and returns it to the pool.
-func (s *session) release() {
-	*s = session{}
-	sessionPool.Put(s)
+	c       *Checker
+	ctx     context.Context
+	lookups int
+	voids   int
+	depth   int // include/redirect recursion depth, for tracing
+	env     MacroEnv
 }
 
 // errBudget marks lookup-limit exhaustion (maps to permerror).
@@ -179,7 +141,7 @@ var errBudget = errors.New("spf: DNS lookup limit exceeded")
 
 func (s *session) countLookup() error {
 	s.lookups++
-	if s.lookups > s.maxLookups {
+	if s.lookups > maxLookups {
 		return errBudget
 	}
 	return nil
@@ -188,7 +150,7 @@ func (s *session) countLookup() error {
 // countVoid records a returned-no-data lookup.
 func (s *session) countVoid() error {
 	s.voids++
-	if s.voids > s.maxVoid {
+	if s.voids > maxVoidLookups {
 		return fmt.Errorf("%w: void lookup limit exceeded", errBudget)
 	}
 	return nil
@@ -251,7 +213,7 @@ func (s *session) checkInner(domain string) CheckResult {
 		}
 		if matched {
 			out := CheckResult{Result: m.Qualifier.Result(), Mechanism: m.String()}
-			if out.Result == ResultFail && rec.Exp != "" && !s.c.DisableExp {
+			if out.Result == ResultFail && rec.Exp != "" {
 				out.Explanation = s.explanation(rec.Exp, domain)
 			}
 			return out
@@ -440,8 +402,8 @@ func (s *session) matchMX(m *Mechanism, domain string) (bool, error) {
 		}
 		return false, fmt.Errorf("%w: MX %q: %v", ErrTemporary, target, err)
 	}
-	if len(mxs) > s.maxMX {
-		return false, fmt.Errorf("spf: more than %d MX records for %q", s.maxMX, target)
+	if len(mxs) > maxMXAddrs {
+		return false, fmt.Errorf("spf: more than %d MX records for %q", maxMXAddrs, target)
 	}
 	for _, mx := range mxs {
 		addrs, err := s.lookupIPNoVoid(strings.TrimSuffix(mx.Host, "."))
@@ -499,8 +461,8 @@ func (s *session) matchPTR(m *Mechanism, domain string) (bool, error) {
 		// Any PTR failure means no match, not an error (RFC 7208 §5.5).
 		return false, nil
 	}
-	if len(names) > s.maxPTR {
-		names = names[:s.maxPTR]
+	if len(names) > maxPTRNames {
+		names = names[:maxPTRNames]
 	}
 	for _, n := range names {
 		host := strings.TrimSuffix(n, ".")

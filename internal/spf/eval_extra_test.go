@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
+	"strings"
 	"testing"
 )
 
@@ -137,34 +138,43 @@ func TestCheckHostExplanationFailuresAreSilent(t *testing.T) {
 	}
 }
 
-func TestCheckHostDisableExp(t *testing.T) {
-	f := newFakeResolver()
-	f.txt["example.com"] = []string{"v=spf1 -all exp=why.example.com"}
-	f.txt["why.example.com"] = []string{"denied"}
-	c := &Checker{Resolver: f, DisableExp: true}
-	res := c.CheckHost(context.Background(), ip1, "example.com", "u@example.com", "h")
-	if res.Explanation != "" {
-		t.Errorf("DisableExp leaked explanation %q", res.Explanation)
-	}
-	if f.calls != 1 {
-		t.Errorf("exp target should not be fetched; %d calls", f.calls)
-	}
-}
-
+// TestCheckHostCustomLimits pins the RFC 7208 §4.6.4 limits at their
+// boundaries: each pair of policies sits one term either side of a limit,
+// so the verdict must flip from neutral to permerror exactly there.
 func TestCheckHostCustomLimits(t *testing.T) {
-	f := newFakeResolver()
-	f.txt["d0.example"] = []string{"v=spf1 include:d1.example -all"}
-	f.txt["d1.example"] = []string{"v=spf1 include:d2.example -all"}
-	f.txt["d2.example"] = []string{"v=spf1 +all"}
-	c := &Checker{Resolver: f, MaxLookups: 1}
-	res := c.CheckHost(context.Background(), ip1, "d0.example", "u@d0.example", "h")
-	if res.Result != ResultPermError {
-		t.Fatalf("MaxLookups=1 over 2-deep include = %s", res.Result)
+	terms := func(n int, format string) string {
+		var b strings.Builder
+		b.WriteString("v=spf1")
+		for i := 1; i <= n; i++ {
+			fmt.Fprintf(&b, " "+format, i)
+		}
+		return b.String() + " ?all"
 	}
-	c = &Checker{Resolver: f, MaxLookups: 5}
-	res = c.CheckHost(context.Background(), ip1, "d0.example", "u@d0.example", "h")
-	if res.Result != ResultPass {
-		t.Fatalf("MaxLookups=5 = %s (%v)", res.Result, res.Err)
+	for _, tc := range []struct {
+		name   string
+		policy string
+		mxs    int
+		want   Result
+	}{
+		{"10 include terms", terms(10, "include:i%d.example"), 0, ResultNeutral},
+		{"11 include terms", terms(11, "include:i%d.example"), 0, ResultPermError},
+		{"2 void lookups", terms(2, "a:v%d.example"), 0, ResultNeutral},
+		{"3 void lookups", terms(3, "a:v%d.example"), 0, ResultPermError},
+		{"10 MX names", "v=spf1 mx ?all", 10, ResultNeutral},
+		{"11 MX names", "v=spf1 mx ?all", 11, ResultPermError},
+	} {
+		f := newFakeResolver()
+		f.txt["example.com"] = []string{tc.policy}
+		for i := 1; i <= 11; i++ {
+			f.txt[fmt.Sprintf("i%d.example", i)] = []string{"v=spf1 -all"}
+		}
+		for i := 0; i < tc.mxs; i++ {
+			f.mx["example.com"] = append(f.mx["example.com"],
+				MX{Preference: uint16(i), Host: fmt.Sprintf("mx%d.example.com", i)})
+		}
+		if res := check(t, f, ip1, "example.com"); res.Result != tc.want {
+			t.Errorf("%s: %s (%v), want %s", tc.name, res.Result, res.Err, tc.want)
+		}
 	}
 }
 

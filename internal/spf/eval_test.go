@@ -409,3 +409,22 @@ func TestCheckResultErrSurfacesForPermError(t *testing.T) {
 		t.Fatal("permerror should carry an explanatory error")
 	}
 }
+
+// One Checker serves many evaluations and memoizes parsed policies, so
+// back-to-back checks of different policies on a shared Checker must each
+// get their own verdict, every time.
+func TestCheckHostSharedCheckerAcrossPolicies(t *testing.T) {
+	f := newFakeResolver()
+	f.txt["pass.example"] = []string{"v=spf1 ip4:192.0.2.0/24 -all"}
+	f.txt["fail.example"] = []string{"v=spf1 -all"}
+	c := &Checker{Resolver: f}
+
+	for i := 0; i < 8; i++ {
+		if r := c.CheckHost(context.Background(), ip1, "pass.example", "a@pass.example", "h1"); r.Result != ResultPass {
+			t.Fatalf("iteration %d: pass.example = %s (%v)", i, r.Result, r.Err)
+		}
+		if r := c.CheckHost(context.Background(), ip1, "fail.example", "b@fail.example", "h2"); r.Result != ResultFail {
+			t.Fatalf("iteration %d: fail.example = %s (%v)", i, r.Result, r.Err)
+		}
+	}
+}

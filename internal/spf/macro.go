@@ -194,23 +194,21 @@ type MacroExpander interface {
 type Expander struct{}
 
 // Expand implements MacroExpander. Macro-free specs are returned as-is;
-// everything else expands through a pooled arena, so the only allocation on
-// the hot path is the result string itself.
+// everything else expands into scratch arrays on Expand's stack, so the only
+// allocation on the hot path is the result string itself.
 func (Expander) Expand(ctx context.Context, macroStr string, env *MacroEnv, forExp bool) (string, error) {
 	if !strings.Contains(macroStr, "%") {
 		return macroStr, nil
 	}
-	sc := macroScratchPool.Get().(*macroScratch)
-	//spfail:allow poolhygiene arena is scrubbed on Put, so the checked-out buf is already truncated; this reuses its capacity
-	b, err := appendMacroString(sc.buf[:0], sc, ctx, macroStr, env, forExp)
-	var out string
-	if err == nil {
-		out = string(b)
+	// buf holds a full-length domain name and parts a 16-label value;
+	// anything longer still expands, with append moving it to the heap.
+	var buf [256]byte
+	var parts [16]string
+	b, err := appendMacroString(buf[:0], parts[:0], ctx, macroStr, env, forExp)
+	if err != nil {
+		return "", err
 	}
-	sc.buf = b // recapture the possibly-grown backing array before scrubbing
-	sc.scrub()
-	macroScratchPool.Put(sc)
-	return out, err
+	return string(b), nil
 }
 
 // MacroValue returns the raw (untransformed) value of a macro letter.

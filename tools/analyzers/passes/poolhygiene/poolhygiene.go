@@ -41,8 +41,8 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // scrubNames are the accepted reset-method spellings, mirroring the
-// repository's conventions (bufio's Reset, the codec's reset, the SPF
-// session's release).
+// repository's conventions (bufio's Reset, the codec's reset, the SMTP
+// connection's release).
 var scrubNames = map[string]bool{
 	"Reset": true, "reset": true,
 	"Scrub": true, "scrub": true,
