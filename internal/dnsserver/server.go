@@ -61,11 +61,12 @@ type Server struct {
 	// Set before Start.
 	Trace *trace.Tracer
 
-	mu  sync.Mutex
-	pc  net.PacketConn
-	l   net.Listener
-	wg  sync.WaitGroup
-	run bool
+	mu      sync.Mutex
+	pc      net.PacketConn
+	l       net.Listener
+	wg      sync.WaitGroup
+	run     bool
+	unwatch func() bool // guarded by mu; deregisters Start's context.AfterFunc
 }
 
 // Start begins serving on both transports. It returns once listeners are
@@ -80,23 +81,23 @@ func (s *Server) Start(ctx context.Context) error {
 		_ = pc.Close()
 		return err
 	}
+	// Add before the lock: a Stop fired by an already-cancelled ctx waits
+	// only after Start releases mu.
+	s.wg.Add(2)
 	s.mu.Lock()
 	s.pc, s.l, s.run = pc, l, true
+	if ctx != nil {
+		s.unwatch = context.AfterFunc(ctx, s.Stop)
+	}
 	s.mu.Unlock()
-
-	s.wg.Add(2)
 	go s.serveUDP(pc)
 	go s.serveTCP(l)
-	if ctx != nil {
-		go func() {
-			<-ctx.Done()
-			s.Stop()
-		}()
-	}
 	return nil
 }
 
-// Stop closes the listeners and waits for in-flight handlers.
+// Stop closes the listeners and waits for in-flight handlers. It also
+// deregisters Start's ctx watcher, so a stopped server holds no goroutine
+// and ctx keeps no reference to it.
 func (s *Server) Stop() {
 	s.mu.Lock()
 	if !s.run {
@@ -104,8 +105,12 @@ func (s *Server) Stop() {
 		return
 	}
 	s.run = false
-	pc, l := s.pc, s.l
+	pc, l, unwatch := s.pc, s.l, s.unwatch
+	s.unwatch = nil
 	s.mu.Unlock()
+	if unwatch != nil {
+		unwatch()
+	}
 	_ = pc.Close()
 	_ = l.Close()
 	s.wg.Wait()

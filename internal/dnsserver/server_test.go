@@ -3,8 +3,11 @@ package dnsserver
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"net"
 	"net/netip"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -419,5 +422,51 @@ func TestSPFTestZoneDMARCReject(t *testing.T) {
 	resp = z.ServeDNS(dnsmsg.NewQuery(1, name("_dmarc.spf-test.dns-lab.org"), dnsmsg.TypeTXT), nil)
 	if len(resp.Answers) != 0 {
 		t.Errorf("base _dmarc answers = %v", resp.Answers)
+	}
+}
+
+// TestStoppedServersLeaveNoGoroutine starts and stops a few hundred servers
+// under one live context: a stopped server must hold no goroutine, its
+// watch on ctx included. Cancelling ctx must still stop a running one.
+func TestStoppedServersLeaveNoGoroutine(t *testing.T) {
+	fabric := netsim.NewFabric()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	baseline := runtime.NumGoroutine()
+	const servers = 300
+	for i := 0; i < servers; i++ {
+		srv := &Server{Net: fabric.Host(fmt.Sprintf("10.2.%d.%d", i>>8, i&0xff)), Addr: ":53", Handler: newTestZone()}
+		if err := srv.Start(ctx); err != nil {
+			t.Fatal(err)
+		}
+		srv.Stop()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for n := runtime.NumGoroutine(); n > baseline; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after stopping %d servers, %d before starting them", n, servers, baseline)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	srv := &Server{Net: fabric.Host("192.0.2.53"), Addr: ":53", Handler: newTestZone()}
+	if err := srv.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	client := fabric.Host("198.51.100.1")
+	for {
+		c, err := client.DialContext(context.Background(), "tcp", "192.0.2.53:53")
+		if errors.Is(err, netsim.ErrRefused) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		c.Close()
+		if time.Now().After(deadline) {
+			t.Fatal("server still accepting after its context was cancelled")
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -2,10 +2,11 @@ package smtp
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -301,6 +302,16 @@ func (co *Conn) cmd(format string, args ...interface{}) (*Reply, error) {
 	return r, err
 }
 
+// Reply bounds. RFC 5321 §4.5.3.1.5 caps a reply line at 512 octets,
+// CRLF included. The RFC sets no bound on the lines of one reply, so
+// maxReplyLines is ours, far above the dozen an EHLO reply carries. Every
+// line re-arms the read deadline, so together they also cap how long a
+// hostile server can keep one reply open: maxReplyLines × IOTimeout.
+const (
+	maxReplyLine  = 512
+	maxReplyLines = 100
+)
+
 // readReply parses a (possibly multi-line) SMTP reply.
 func (co *Conn) readReply() (*Reply, error) {
 	var reply Reply
@@ -308,16 +319,19 @@ func (co *Conn) readReply() (*Reply, error) {
 		if err := co.conn.SetReadDeadline(co.c.clock().Now().Add(co.c.ioTimeout())); err != nil {
 			return nil, err
 		}
-		line, err := co.br.ReadString('\n')
-		if err != nil {
+		line, err := co.br.ReadSlice('\n')
+		if err != nil && !errors.Is(err, bufio.ErrBufferFull) {
 			return nil, err
 		}
-		line = strings.TrimRight(line, "\r\n")
+		line = bytes.TrimRight(line, "\r\n")
+		if err != nil || len(line)+len("\r\n") > maxReplyLine {
+			return nil, fmt.Errorf("smtp: reply line longer than %d octets", maxReplyLine)
+		}
 		if len(line) < 3 {
 			return nil, fmt.Errorf("smtp: short reply line %q", line)
 		}
-		code, err := strconv.Atoi(line[:3])
-		if err != nil {
+		code, ok := parseReplyCode(line)
+		if !ok {
 			return nil, fmt.Errorf("smtp: bad reply code in %q", line)
 		}
 		if reply.Code == 0 {
@@ -328,13 +342,25 @@ func (co *Conn) readReply() (*Reply, error) {
 		cont := len(line) > 3 && line[3] == '-'
 		text := ""
 		if len(line) > 4 {
-			text = line[4:]
+			text = string(line[4:])
 		}
 		reply.Lines = append(reply.Lines, text)
 		if !cont {
 			return &reply, nil
 		}
+		if len(reply.Lines) == maxReplyLines {
+			return nil, fmt.Errorf("smtp: reply longer than %d lines", maxReplyLines)
+		}
 	}
+}
+
+// parseReplyCode reads the three-digit reply code that starts line. The
+// first digit is 1 to 5, the only ones RFC 5321 §4.2.1 defines.
+func parseReplyCode(line []byte) (int, bool) {
+	if line[0] < '1' || line[0] > '5' || line[1] < '0' || line[1] > '9' || line[2] < '0' || line[2] > '9' {
+		return 0, false
+	}
+	return int(line[0]-'0')*100 + int(line[1]-'0')*10 + int(line[2]-'0'), true
 }
 
 // ReplyCode extracts the SMTP code from a *ReplyError, or 0.

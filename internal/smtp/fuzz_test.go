@@ -1,8 +1,12 @@
 package smtp
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"io"
+	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -86,6 +90,76 @@ func FuzzServerSession(f *testing.F) {
 			if _, err := ParsePath(p); err != nil {
 				t.Fatalf("a hook received %q, which ParsePath rejects: %v", p, err)
 			}
+		}
+	})
+}
+
+// inputConn is a net.Conn whose reads come from a fixed input and whose
+// read deadline is a no-op: all readReply needs. Its other methods are
+// the nil embedded Conn's and panic.
+type inputConn struct {
+	net.Conn
+	r io.Reader
+}
+
+func (c *inputConn) Read(p []byte) (int, error)      { return c.r.Read(p) }
+func (c *inputConn) SetReadDeadline(time.Time) error { return nil }
+
+// readReplyFrom parses one reply from input as a client session would.
+func readReplyFrom(input io.Reader) (*Reply, error) {
+	nc := &inputConn{r: input}
+	co := &Conn{c: &Client{}, conn: nc, br: bufio.NewReader(nc)}
+	return co.readReply()
+}
+
+// FuzzReadReply feeds arbitrary server output to the client's reply
+// parser. It must not panic, must keep an accepted reply within the
+// RFC 5321 line bound and maxReplyLines, and must accept exactly the
+// reply it parsed when the server re-sends it in its own wire form.
+func FuzzReadReply(f *testing.F) {
+	for _, seed := range []string{
+		"220 mx.example.com ESMTP ready\r\n",
+		"250-mx.example.com\r\n250-SIZE 1000\r\n250 OK\r\n",
+		"250\r\n",
+		"250-\r\n250\n",
+		"250-a\r\n251 b\r\n",
+		"25\r\n",
+		"-12 x\r\n",
+		"000 zero\r\n",
+		"250-no end",
+		"550 " + string(bytes.Repeat([]byte("x"), maxReplyLine)) + "\r\n",
+		string(bytes.Repeat([]byte("250-x\r\n"), maxReplyLines+1)),
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, input []byte) {
+		r, err := readReplyFrom(bytes.NewReader(input))
+		if err != nil {
+			return
+		}
+		if r.Code < 100 || r.Code > 599 {
+			t.Fatalf("accepted reply code %d", r.Code)
+		}
+		if len(r.Lines) == 0 || len(r.Lines) > maxReplyLines {
+			t.Fatalf("accepted a reply of %d lines", len(r.Lines))
+		}
+		for _, l := range r.Lines {
+			if len(l)+len("250 \r\n") > maxReplyLine {
+				t.Fatalf("accepted a %d-octet reply line", len(l)+len("250 \r\n"))
+			}
+		}
+		var wire bytes.Buffer
+		bw := bufio.NewWriter(&wire)
+		if err := writeReply(bw, r); err != nil {
+			t.Fatal(err)
+		}
+		bw.Flush()
+		again, err := readReplyFrom(&wire)
+		if err != nil {
+			t.Fatalf("re-sent reply %q rejected: %v", wire.Bytes(), err)
+		}
+		if !reflect.DeepEqual(again, r) {
+			t.Fatalf("re-sent reply parsed as %+v, want %+v", again, r)
 		}
 	})
 }

@@ -81,10 +81,11 @@ type Server struct {
 	// Clk supplies time for I/O deadlines. Defaults to the real clock.
 	Clk clock.Clock
 
-	mu  sync.Mutex
-	l   net.Listener
-	wg  sync.WaitGroup
-	run bool
+	mu      sync.Mutex
+	l       net.Listener
+	wg      sync.WaitGroup
+	run     bool
+	unwatch func() bool // guarded by mu; deregisters Start's context.AfterFunc
 }
 
 func (s *Server) maxMsg() int {
@@ -114,22 +115,23 @@ func (s *Server) Start(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
+	// Add before the lock: a Stop fired by an already-cancelled ctx waits
+	// only after Start releases mu.
+	s.wg.Add(1)
 	s.mu.Lock()
 	s.l = l
 	s.run = true
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.acceptLoop(l)
 	if ctx != nil {
-		go func() {
-			<-ctx.Done()
-			s.Stop()
-		}()
+		s.unwatch = context.AfterFunc(ctx, s.Stop)
 	}
+	s.mu.Unlock()
+	go s.acceptLoop(l)
 	return nil
 }
 
-// Stop closes the listener and waits for sessions to finish.
+// Stop closes the listener and waits for sessions to finish. It also
+// deregisters Start's ctx watcher, so a stopped server holds no goroutine
+// and ctx keeps no reference to it.
 func (s *Server) Stop() {
 	s.mu.Lock()
 	if !s.run {
@@ -137,8 +139,12 @@ func (s *Server) Stop() {
 		return
 	}
 	s.run = false
-	l := s.l
+	l, unwatch := s.l, s.unwatch
+	s.unwatch = nil
 	s.mu.Unlock()
+	if unwatch != nil {
+		unwatch()
+	}
 	_ = l.Close()
 	s.wg.Wait()
 }

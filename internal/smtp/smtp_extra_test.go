@@ -2,8 +2,11 @@ package smtp
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"spfail/internal/netsim"
 )
@@ -207,5 +210,109 @@ func TestReplyErrorMessage(t *testing.T) {
 	}
 	if ReplyCode(context.Canceled) != 0 {
 		t.Error("ReplyCode of non-reply error should be 0")
+	}
+}
+
+func TestReadReplyBounds(t *testing.T) {
+	text := func(n int) string { return strings.Repeat("x", n) }
+	for _, tc := range []struct {
+		name, input string
+		ok          bool
+	}{
+		{"512-octet line", "250 " + text(maxReplyLine-6) + "\r\n", true},
+		{"513-octet line", "250 " + text(maxReplyLine-5) + "\r\n", false},
+		{"511 octets and a bare LF", "250 " + text(maxReplyLine-5) + "\n", false},
+		{"line past the read buffer", "250 " + text(8192) + "\r\n", false},
+		{"max lines", strings.Repeat("250-x\r\n", maxReplyLines-1) + "250 x\r\n", true},
+		{"one line too many", strings.Repeat("250-x\r\n", maxReplyLines) + "250 x\r\n", false},
+		{"signed code", "-25 x\r\n", false},
+		{"code 000", "000 x\r\n", false},
+	} {
+		r, err := readReplyFrom(strings.NewReader(tc.input))
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: reply %v, err %v; want ok=%v", tc.name, r, err, tc.ok)
+		}
+	}
+}
+
+// TestClientRejectsEndlessReply: a server that never ends its banner must
+// cost the client an error, not unbounded memory.
+func TestClientRejectsEndlessReply(t *testing.T) {
+	fabric := netsim.NewFabric()
+	l, err := fabric.Host("192.0.2.31").Listen("tcp", ":25")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		line := []byte("250-mx.example.com says more\r\n")
+		for {
+			if _, err := c.Write(line); err != nil {
+				return // the client hung up
+			}
+		}
+	}()
+	cli := &Client{Net: fabric.Host("198.51.100.9"), HELO: "probe", IOTimeout: 5 * time.Second}
+	conn, err := cli.Dial(context.Background(), "192.0.2.31:25")
+	if err == nil {
+		conn.Close()
+		t.Fatal("Dial accepted an endless banner")
+	}
+	if !strings.Contains(err.Error(), "lines") {
+		t.Errorf("Dial error = %v, want the line bound", err)
+	}
+	<-done
+}
+
+func TestServerStopsWithItsContext(t *testing.T) {
+	fabric := netsim.NewFabric()
+	ctx, cancel := context.WithCancel(context.Background())
+	srv := &Server{Hostname: "mx.example.com", Net: fabric.Host("192.0.2.32"), Addr: ":25", Handler: NopHandler{}}
+	if err := srv.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	client := fabric.Host("198.51.100.9")
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		c, err := client.DialContext(context.Background(), "tcp", "192.0.2.32:25")
+		if errors.Is(err, netsim.ErrRefused) {
+			return
+		}
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		c.Close()
+		if time.Now().After(deadline) {
+			t.Fatal("server still accepting after its context was cancelled")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestServerStopRacesContextCancel: Stop and the cancellation of Start's
+// ctx may run at once, and both must return.
+func TestServerStopRacesContextCancel(t *testing.T) {
+	fabric := netsim.NewFabric()
+	for i := 0; i < 50; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		srv := &Server{Hostname: "mx.example.com", Net: fabric.Host(fmt.Sprintf("192.0.2.%d", 100+i)), Addr: ":25", Handler: NopHandler{}}
+		if err := srv.Start(ctx); err != nil {
+			t.Fatal(err)
+		}
+		cancelled := make(chan struct{})
+		go func() {
+			cancel()
+			close(cancelled)
+		}()
+		srv.Stop()
+		<-cancelled
 	}
 }
