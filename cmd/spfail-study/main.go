@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"time"
@@ -54,7 +55,7 @@ func main() {
 		resume      = flag.Bool("resume", false, "resume an interrupted run from the -checkpoint store (same flags required)")
 		killAfter   = flag.String("kill-after", "", "testing: SIGKILL this process right after the named segment commits, e.g. round-002 (requires -checkpoint)")
 		csvDir      = flag.String("csv", "", "directory to write figure data as CSV (optional)")
-		memBudget   = flag.String("mem-budget", "", "soft RSS budget, e.g. 512MiB: above it the run degrades (smaller batches, forced GC) and heap profiles land in the -checkpoint dir")
+		memBudget   = flag.String("mem-budget", "", "soft memory budget, e.g. 512MiB: sets the Go runtime's memory limit (debug.SetMemoryLimit), so the GC works harder as the process nears it")
 		memHard     = flag.String("mem-budget-hard", "", "hard RSS limit, e.g. 2GiB: above it the run stops with an error instead of an OOM kill")
 		verbose     = flag.Bool("v", true, "print progress to stderr")
 		metricsOut  = flag.String("metrics-out", "", "write the JSON telemetry snapshot to this file (implies -metrics)")
@@ -110,13 +111,14 @@ func main() {
 	if !plan.Empty() {
 		cfg.Faults = &plan
 	}
+	var softLimit int64
 	for _, b := range []struct {
 		flag string
 		val  string
 		dst  *int64
 	}{
-		{"-mem-budget", *memBudget, &cfg.Budget.SoftRSS},
-		{"-mem-budget-hard", *memHard, &cfg.Budget.HardRSS},
+		{"-mem-budget", *memBudget, &softLimit},
+		{"-mem-budget-hard", *memHard, &cfg.HardRSS},
 	} {
 		if b.val == "" {
 			continue
@@ -180,6 +182,9 @@ func main() {
 		defer stop()
 	}
 
+	if softLimit > 0 {
+		debug.SetMemoryLimit(softLimit)
+	}
 	res, err := study.Run(context.Background(), cfg)
 	if stopProgress != nil {
 		stopProgress()

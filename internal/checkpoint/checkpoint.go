@@ -125,9 +125,6 @@ func Open(dir, fingerprint string, reg *telemetry.Registry) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Segments returns a copy of the committed segment list in commit order.
 func (s *Store) Segments() []SegmentMeta {
 	s.mu.Lock()

@@ -17,8 +17,8 @@ import (
 // virtual offsets no matter how the batch is partitioned or how many
 // shards execute it. That is what keeps traced span timestamps (and
 // therefore trace bytes) independent of execution geometry: BatchSize and
-// Concurrency become wall-time knobs that a memory-budget watchdog can
-// turn mid-run without perturbing deterministic output.
+// Concurrency are wall-time knobs that never perturb deterministic
+// output.
 //
 // Frames are only meaningful on a simulated clock; NewFrame returns the
 // underlying clock unchanged when it is not a *Sim, so real-socket runs

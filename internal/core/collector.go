@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"sync"
@@ -110,9 +109,6 @@ func (a *LabelAllocator) Next() string {
 		}
 	}
 }
-
-// NewSuiteLabel derives a short suite label from a test-suite counter.
-func NewSuiteLabel(n int) string { return fmt.Sprintf("s%02d", n) }
 
 // LabelSource hands out probe transaction labels. *LabelAllocator and
 // *LabelStream both satisfy it.

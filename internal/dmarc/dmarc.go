@@ -11,6 +11,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"spfail/internal/spf"
@@ -63,7 +65,9 @@ func IsDMARCRecord(txt string) bool {
 	return rest == "" || strings.HasPrefix(strings.TrimSpace(rest), ";")
 }
 
-// Parse parses a DMARC record's tag-value list.
+// Parse parses a DMARC record's tag-value list. A record without a valid
+// p= tag, or with an invalid sp= tag, parses as p=none when its rua= tag
+// holds a syntactically valid URI, and fails otherwise (RFC 7489 §6.6.3).
 func Parse(txt string) (*Record, error) {
 	if !IsDMARCRecord(txt) {
 		return nil, errors.New("dmarc: missing v=DMARC1 tag")
@@ -73,7 +77,7 @@ func Parse(txt string) (*Record, error) {
 		DKIMAlignment: AlignRelaxed,
 		Percent:       100,
 	}
-	sawPolicy := false
+	var badPolicy error // the first invalid p= or sp= value
 	for i, field := range strings.Split(txt, ";") {
 		field = strings.TrimSpace(field)
 		if field == "" {
@@ -89,19 +93,18 @@ func Parse(txt string) (*Record, error) {
 			continue // the v=DMARC1 tag itself
 		}
 		switch tag {
-		case "p":
+		case "p", "sp":
 			p, err := parsePolicy(val)
-			if err != nil {
-				return nil, err
+			switch {
+			case err != nil:
+				if badPolicy == nil {
+					badPolicy = err
+				}
+			case tag == "p":
+				rec.Policy = p
+			default:
+				rec.SubdomainPolicy = p
 			}
-			rec.Policy = p
-			sawPolicy = true
-		case "sp":
-			p, err := parsePolicy(val)
-			if err != nil {
-				return nil, err
-			}
-			rec.SubdomainPolicy = p
 		case "aspf":
 			a, err := parseAlignment(val)
 			if err != nil {
@@ -115,8 +118,9 @@ func Parse(txt string) (*Record, error) {
 			}
 			rec.DKIMAlignment = a
 		case "pct":
-			n := 0
-			if _, err := fmt.Sscanf(val, "%d", &n); err != nil || n < 0 || n > 100 {
+			// One to three digits (RFC 7489 §6.3), so no sign.
+			n, err := strconv.Atoi(val)
+			if err != nil || len(val) > 3 || val[0] < '0' || val[0] > '9' || n > 100 {
 				return nil, fmt.Errorf("dmarc: bad pct %q", val)
 			}
 			rec.Percent = n
@@ -126,13 +130,52 @@ func Parse(txt string) (*Record, error) {
 			// Unknown tags are ignored per RFC 7489 §6.3.
 		}
 	}
-	if !sawPolicy {
-		return nil, errors.New("dmarc: missing required p= tag")
+	if rec.Policy == "" && badPolicy == nil {
+		badPolicy = errors.New("dmarc: missing required p= tag")
+	}
+	if badPolicy != nil {
+		if !slices.ContainsFunc(rec.RUA, validReportURI) {
+			return nil, badPolicy
+		}
+		rec.Policy, rec.SubdomainPolicy = PolicyNone, PolicyNone
 	}
 	if rec.SubdomainPolicy == "" {
 		rec.SubdomainPolicy = rec.Policy
 	}
 	return rec, nil
+}
+
+// validReportURI reports whether u is a syntactically valid reporting URI
+// (RFC 7489 §6.4): an RFC 3986 scheme, a colon, and a non-empty rest made
+// of URI characters and well-formed percent-escapes. An optional "!size"
+// suffix is made of such characters too.
+func validReportURI(u string) bool {
+	u = strings.TrimSpace(u)
+	colon := strings.IndexByte(u, ':')
+	if colon < 1 || colon == len(u)-1 {
+		return false
+	}
+	for i := 0; i < len(u); i++ {
+		c := u[i]
+		switch {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z':
+		case i == 0:
+			return false
+		case '0' <= c && c <= '9', c == '+', c == '-', c == '.':
+		case i < colon:
+			return false
+		case strings.IndexByte("_~:/?#[]@!$&'()*=", c) >= 0:
+		case c == '%' && i+2 < len(u) && isHex(u[i+1]) && isHex(u[i+2]):
+			i += 2
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+func isHex(c byte) bool {
+	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
 }
 
 func parsePolicy(v string) (Policy, error) {

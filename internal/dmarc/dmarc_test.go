@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -63,15 +64,92 @@ func TestParseErrors(t *testing.T) {
 		"v=DMARC1; p=bogus",       // unknown policy
 		"v=DMARC1; p=none; pct=x", // bad pct
 		"v=DMARC1; p=none; pct=101",
+		"v=DMARC1; p=none; pct=50abc",
+		"v=DMARC1; p=none; pct=+50",
+		"v=DMARC1; p=none; pct=0100",
+		"v=DMARC1; p=none; pct=",
 		"v=DMARC1; p=none; aspf=q", // bad alignment
 		"v=DMARC1; p=none; junk",   // tag without value
 		"not dmarc",
+		// No valid p= and no valid rua= URI to fall back on.
+		"v=DMARC1; rua=agg@example.com",
+		"v=DMARC1; p=bogus; rua=mailto:",
+		"v=DMARC1; p=bogus; rua=mailto:agg@example.com%zz",
+		"v=DMARC1; p=bogus; rua=mailto:agg @example.com",
+		"v=DMARC1; p=reject; sp=bogus; rua=1mailto:agg@example.com",
 	}
 	for _, s := range bad {
 		if _, err := Parse(s); err == nil {
 			t.Errorf("Parse(%q) should fail", s)
 		}
 	}
+}
+
+func TestParsePercentBounds(t *testing.T) {
+	for in, want := range map[string]int{"0": 0, "007": 7, "50": 50, "100": 100} {
+		rec, err := Parse("v=DMARC1; p=reject; pct=" + in)
+		if err != nil || rec.Percent != want {
+			t.Errorf("pct=%s: %+v, %v; want %d", in, rec, err, want)
+		}
+	}
+}
+
+// TestParseReportOnlyFallback: a record without a valid p=, or with an
+// invalid sp=, whose rua= holds a valid URI acts as p=none (RFC 7489
+// §6.6.3).
+func TestParseReportOnlyFallback(t *testing.T) {
+	for _, s := range []string{
+		"v=DMARC1; rua=mailto:agg@example.com",
+		"v=DMARC1; p=bogus; rua=mailto:agg@example.com!10m",
+		"v=DMARC1; p=reject; sp=bogus; rua=junk, https://reports.example/dmarc?x=%2F",
+	} {
+		rec, err := Parse(s)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", s, err)
+			continue
+		}
+		if rec.Policy != PolicyNone || rec.SubdomainPolicy != PolicyNone {
+			t.Errorf("Parse(%q) policies = %s/%s, want none/none", s, rec.Policy, rec.SubdomainPolicy)
+		}
+	}
+}
+
+// FuzzParse: Parse must not panic, must keep an accepted pct= in range,
+// and must parse an accepted record written back in canonical form to
+// the same Record.
+func FuzzParse(f *testing.F) {
+	for _, seed := range []string{
+		"v=DMARC1; p=quarantine; sp=reject; aspf=s; adkim=r; pct=50; rua=mailto:agg@example.com,mailto:b@example.org",
+		"v=DMARC1; p=reject",
+		"v=DMARC1; p=none; pct=50abc",
+		"v=DMARC1; rua=mailto:agg@example.com",
+		"v=DMARC1; p=bogus; rua= mailto:a@b.example!10m , x",
+		"V=dmarc1;P=Reject;SP=none;pct=007",
+		"v=DMARC1; p=reject; rua=%41:x",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, txt string) {
+		rec, err := Parse(txt)
+		if err != nil {
+			return
+		}
+		if rec.Percent < 0 || rec.Percent > 100 {
+			t.Fatalf("accepted pct %d", rec.Percent)
+		}
+		canon := fmt.Sprintf("v=DMARC1; p=%s; sp=%s; aspf=%c; adkim=%c; pct=%d",
+			rec.Policy, rec.SubdomainPolicy, rec.SPFAlignment, rec.DKIMAlignment, rec.Percent)
+		if rec.RUA != nil {
+			canon += "; rua=" + strings.Join(rec.RUA, ",")
+		}
+		again, err := Parse(canon)
+		if err != nil {
+			t.Fatalf("canonical form %q of %q rejected: %v", canon, txt, err)
+		}
+		if !reflect.DeepEqual(again, rec) {
+			t.Fatalf("canonical form %q parsed as %+v, want %+v", canon, again, rec)
+		}
+	})
 }
 
 func TestOrganizationalDomain(t *testing.T) {

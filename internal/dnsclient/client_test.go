@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/netip"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -152,17 +153,24 @@ func TestExchangeTruncationFallsBackToTCP(t *testing.T) {
 	}
 }
 
+// loseFirstQuery is a netsim.FaultInjector that drops the first datagram
+// sent to port 53 and passes everything else.
+type loseFirstQuery struct{ dropped atomic.Bool }
+
+func (*loseFirstQuery) DialTCP(src, dst netsim.Addr) netsim.DialFault { return netsim.DialFault{} }
+
+func (l *loseFirstQuery) Datagram(from, to netsim.Addr, payload []byte) ([]byte, netsim.DatagramVerdict) {
+	if to.Port == 53 && l.dropped.CompareAndSwap(false, true) {
+		return nil, netsim.VerdictDrop
+	}
+	return nil, netsim.VerdictPass
+}
+
 func TestExchangeRetriesAfterLoss(t *testing.T) {
 	fabric := netsim.NewFabric()
 	startServer(t, fabric, "10.0.1.53", testZone())
-	var dropped bool
-	fabric.DropUDP = func(from, to netsim.Addr) bool {
-		if to.Port == 53 && !dropped {
-			dropped = true // lose exactly the first query
-			return true
-		}
-		return false
-	}
+	loss := &loseFirstQuery{}
+	fabric.Faults = loss
 	r := NewResolver(&Client{
 		Net:     fabric.Host("10.0.1.2"),
 		Server:  "10.0.1.53:53",
@@ -174,6 +182,9 @@ func TestExchangeRetriesAfterLoss(t *testing.T) {
 	}
 	if len(txts) == 0 {
 		t.Fatal("no TXT after retry")
+	}
+	if !loss.dropped.Load() {
+		t.Fatal("no query was lost")
 	}
 }
 

@@ -101,11 +101,6 @@ func WireNameHasSuffix(wire []byte, suffix Name) bool {
 	return true
 }
 
-// AppendWireName appends the uncompressed wire encoding of n to buf.
-func AppendWireName(buf []byte, n Name) ([]byte, error) {
-	return appendName(buf, n, nil)
-}
-
 // ReadWireName decodes a wire-format name starting at wire[0], returning
 // the name and the offset just past its encoding.
 func ReadWireName(wire []byte) (Name, int, error) {

@@ -68,14 +68,6 @@ func (z *ZoneSet) AddTXT(name dnsmsg.Name, text string) {
 		Data: dnsmsg.SplitTXT(text)})
 }
 
-// Remove deletes all records for a name.
-func (z *ZoneSet) Remove(name dnsmsg.Name) {
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	delete(z.records, name.CanonicalKey())
-	z.invalidateTemplates()
-}
-
 // Lookup returns records of the given type owned by name, chasing one level
 // of CNAME. exists reports whether the name owns any records at all.
 func (z *ZoneSet) Lookup(name dnsmsg.Name, typ dnsmsg.Type) (rrs []dnsmsg.Record, exists bool) {

@@ -50,9 +50,6 @@ func (e *Engine) SetMetrics(reg *telemetry.Registry) { e.metrics = reg }
 // span of whichever probe currently owns the subject host; nil disables.
 func (e *Engine) SetTracer(t *trace.Tracer) { e.tracer = t }
 
-// Plan returns the normalized plan the engine runs.
-func (e *Engine) Plan() Plan { return e.plan }
-
 // SeqEntry is one (rule, host) event counter, the engine's only mutable
 // state. Fault decisions hash the per-key sequence number, so a resumed
 // study must restore these counters for later rounds to draw the same

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/netip"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"spfail/internal/clock"
@@ -29,14 +28,6 @@ type Campaign struct {
 
 	cfg      Config
 	breakers *retry.Breakers
-
-	// dynBatch is the live batch size. It starts at cfg.BatchSize and can
-	// be lowered mid-run by SetBatchSize (the memory-budget watchdog's
-	// degradation hook); batch partitioning is a wall-time concern only —
-	// probe indices, labels, and per-probe virtual frames are all
-	// independent of it — so changing it never perturbs report or trace
-	// bytes.
-	dynBatch atomic.Int64
 
 	// stats accumulates per-shard and allocation accounting for the
 	// resource side table; see Resources.
@@ -64,7 +55,6 @@ func NewCampaign(rig *Rig, cfg Config) (*Campaign, error) {
 		return nil, err
 	}
 	c := &Campaign{Rig: rig, cfg: norm}
-	c.dynBatch.Store(int64(norm.BatchSize))
 	if norm.Breaker.Enabled() {
 		c.breakers = retry.NewBreakers(norm.Breaker)
 	}
@@ -88,24 +78,6 @@ func (c *Campaign) tracer() *trace.Tracer {
 func (c *Campaign) suite() string { return c.cfg.Suite }
 
 func (c *Campaign) concurrency() int { return c.cfg.Concurrency }
-
-func (c *Campaign) batchSize() int { return int(c.dynBatch.Load()) }
-
-// BatchSize returns the live batch size, which SetBatchSize may have
-// lowered below the configured one.
-func (c *Campaign) BatchSize() int { return c.batchSize() }
-
-// SetBatchSize changes the batch size used by subsequent batch waves,
-// clamped to at least 1. It is safe to call concurrently with a running
-// measurement — the new size takes effect at the next wave boundary.
-// Batch size only shapes wall-time execution (how many hosts are resident
-// at once); it cannot alter probe outcomes, report bytes, or trace bytes.
-func (c *Campaign) SetBatchSize(n int) {
-	if n < 1 {
-		n = 1
-	}
-	c.dynBatch.Store(int64(n))
-}
 
 // labelSeed derives the label-stream seed, mixing the suite in so the
 // study's s01 and s02 campaigns draw from disjoint-looking streams.
@@ -183,7 +155,7 @@ func (c *Campaign) MeasureAddrsFunc(ctx context.Context, addrs []netip.Addr, rcp
 	// behaviour must not (determinism).
 	asOf := c.Rig.Clock.Now()
 	for start := 0; start < len(addrs); {
-		end := start + c.batchSize()
+		end := start + c.cfg.BatchSize
 		if end > len(addrs) {
 			end = len(addrs)
 		}
@@ -383,53 +355,4 @@ func probeAddr(a netip.Addr) string {
 type Round struct {
 	Time    time.Time
 	Results map[netip.Addr]core.Outcome
-}
-
-// Longitudinal runs repeated measurements of a fixed address set across
-// measurement windows (paper §5.3: every 2 days, with a pause between
-// November 30 and January 15).
-type Longitudinal struct {
-	Campaign *Campaign
-	// Targets is the address set re-measured each round (the initially
-	// vulnerable plus re-measurable inconclusive addresses).
-	Targets []netip.Addr
-	// RcptDomain maps each target to its recipient domain.
-	RcptDomain map[netip.Addr]string
-	// Interval between rounds (paper: 48h).
-	Interval time.Duration
-}
-
-// Window is a half-open measurement window.
-type Window struct {
-	Start time.Time
-	End   time.Time
-}
-
-// Run executes rounds every Interval within each window, advancing the
-// campaign clock. It must run on a goroutine accounted to the simulated
-// clock (use clock.Go) or with a real clock. On error the completed rounds
-// are returned alongside it.
-func (l *Longitudinal) Run(ctx context.Context, windows []Window) ([]Round, error) {
-	clk := l.Campaign.Rig.Clock
-	var rounds []Round
-	for _, w := range windows {
-		// Rounds are pinned to an even grid so per-round probe time does
-		// not drift the cadence.
-		for next := w.Start; !next.After(w.End); next = next.Add(l.Interval) {
-			if d := next.Sub(clk.Now()); d > 0 {
-				if err := clk.Sleep(ctx, d); err != nil {
-					return rounds, err
-				}
-			}
-			results, err := l.Campaign.MeasureAddrs(ctx, l.Targets, l.RcptDomain)
-			if err != nil {
-				return rounds, err
-			}
-			rounds = append(rounds, Round{Time: next, Results: results})
-			if err := ctx.Err(); err != nil {
-				return rounds, err
-			}
-		}
-	}
-	return rounds, nil
 }

@@ -226,27 +226,6 @@ func TestCampaignOnSimClock(t *testing.T) {
 	}
 }
 
-func TestCampaignSetBatchSize(t *testing.T) {
-	sim := clock.NewSim(population.TInitial)
-	defer sim.Close()
-	rig := newTestRig(t, sim)
-	c, err := NewCampaign(rig, Config{Suite: "t02", BatchSize: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.BatchSize(); got != 100 {
-		t.Fatalf("BatchSize() = %d, want 100", got)
-	}
-	c.SetBatchSize(50)
-	if got := c.BatchSize(); got != 50 {
-		t.Errorf("after SetBatchSize(50): %d", got)
-	}
-	c.SetBatchSize(0) // clamps to 1, never stalls the wave loop
-	if got := c.BatchSize(); got != 1 {
-		t.Errorf("after SetBatchSize(0): %d, want clamp to 1", got)
-	}
-}
-
 func TestInferSeriesRules(t *testing.T) {
 	v, s, i := IPVulnerable, IPSafe, IPInconclusive
 	cases := []struct {
@@ -344,79 +323,5 @@ func TestDomainAggregation(t *testing.T) {
 	}
 	if got := series[2].VulnerableRate(); got != 0 {
 		t.Errorf("rate round 2 = %f", got)
-	}
-}
-
-func TestLongitudinalWindowsOnSimClock(t *testing.T) {
-	sim := clock.NewSim(population.TInitial)
-	defer sim.Close()
-	rig := newTestRig(t, sim)
-	c, err := NewCampaign(rig, Config{
-		Suite: "t03", Concurrency: 16, BatchSize: 100,
-		GreylistWait: 8 * time.Minute, ReconnectWait: 90 * time.Second,
-		IOTimeout: 2 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Choose a few vulnerable hosts as longitudinal targets.
-	var targets []netip.Addr
-	rcpt := map[netip.Addr]string{}
-	for _, d := range rig.World.Domains {
-		for _, a := range d.Hosts {
-			h := rig.World.Hosts[a]
-			if h.Listens && !h.RefuseSMTP && h.EverVulnerable() {
-				if _, ok := rcpt[a]; !ok {
-					targets = append(targets, a)
-					rcpt[a] = d.Name
-				}
-			}
-		}
-		if len(targets) >= 8 {
-			break
-		}
-	}
-	if len(targets) == 0 {
-		t.Skip("no vulnerable hosts in tiny world")
-	}
-	l := &Longitudinal{
-		Campaign:   c,
-		Targets:    targets,
-		RcptDomain: rcpt,
-		Interval:   48 * time.Hour,
-	}
-	windows := []Window{
-		{Start: population.TLongitudinal, End: population.TLongitudinal.Add(6 * 24 * time.Hour)},
-		{Start: population.TResume, End: population.TResume.Add(4 * 24 * time.Hour)},
-	}
-	done := make(chan []Round, 1)
-	clock.Go(sim, func() {
-		rounds, err := l.Run(context.Background(), windows)
-		if err != nil {
-			t.Error(err)
-		}
-		done <- rounds
-	})
-	select {
-	case rounds := <-done:
-		// Window 1 fits ~4 biday rounds, window 2 ~3; probe time drifts
-		// each round past its nominal slot, so allow one fewer per window.
-		if len(rounds) < 5 {
-			t.Fatalf("rounds = %d, want ≥5", len(rounds))
-		}
-		if rounds[0].Time.Before(population.TLongitudinal) {
-			t.Errorf("first round at %v", rounds[0].Time)
-		}
-		last := rounds[len(rounds)-1]
-		if last.Time.Before(population.TResume) {
-			t.Errorf("last round at %v, want in window 2", last.Time)
-		}
-		for _, r := range rounds {
-			if len(r.Results) != len(targets) {
-				t.Errorf("round %v has %d results, want %d", r.Time, len(r.Results), len(targets))
-			}
-		}
-	case <-time.After(120 * time.Second):
-		t.Fatal("longitudinal run deadlocked")
 	}
 }

@@ -196,15 +196,6 @@ func (h *Host) Patch() {
 	h.checkers = nil
 }
 
-// SetBehaviors replaces the validation stack (used by patch plans that
-// switch libraries entirely).
-func (h *Host) SetBehaviors(bs []spfimpl.Behavior) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.behaviors = append([]spfimpl.Behavior(nil), bs...)
-	h.checkers = nil
-}
-
 // Behaviors returns the current validation stack.
 func (h *Host) Behaviors() []spfimpl.Behavior {
 	h.mu.Lock()
@@ -273,8 +264,8 @@ func (h *Host) newChecker(b spfimpl.Behavior) *spf.Checker {
 // Reusing checkers across validations lets the SPF engine's parsed-record
 // memo and pooled evaluation sessions amortize; a fresh checker per
 // validation would re-parse every policy and re-allocate every walk. Both
-// returned slices are immutable snapshots: Patch and SetBehaviors replace
-// the stack wholesale rather than mutating it.
+// returned slices are immutable snapshots: Patch replaces the stack
+// wholesale rather than mutating it.
 func (h *Host) behaviorCheckers() ([]spfimpl.Behavior, []*spf.Checker) {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -69,10 +69,9 @@ func (Real) ListenPacket(network, address string) (net.PacketConn, error) {
 // Errors surfaced by the fabric. ErrRefused unwraps from the *net.OpError
 // returned by DialContext so callers can use errors.Is.
 var (
-	ErrRefused     = errors.New("connection refused")
-	ErrAddrInUse   = errors.New("address already in use")
-	ErrClosed      = net.ErrClosed
-	ErrUnreachable = errors.New("host unreachable")
+	ErrRefused   = errors.New("connection refused")
+	ErrAddrInUse = errors.New("address already in use")
+	ErrClosed    = net.ErrClosed
 	// ErrReset unwraps from the *net.OpError a fault-injected connection
 	// returns once its byte budget is spent.
 	ErrReset = errors.New("connection reset by peer")
@@ -144,10 +143,6 @@ type Fabric struct {
 	listeners map[string]*fabricListener
 	packet    map[Addr]*fabricPacketConn
 	nextPort  int
-
-	// DropUDP, when non-nil, is consulted for every datagram; returning
-	// true silently drops it (used to inject DNS loss in tests).
-	DropUDP func(from, to Addr) bool
 
 	// Faults, when non-nil, intercepts dials and datagrams (see
 	// internal/faults for the declarative engine). Set before handing out
@@ -423,9 +418,6 @@ func (f *Fabric) bindPacket(addr Addr) (*fabricPacketConn, error) {
 // to absent endpoints or overflowing inboxes are dropped, as on a real
 // network. d.to.Net must be "udp", the network every endpoint is keyed on.
 func (f *Fabric) deliver(d datagram) {
-	if f.DropUDP != nil && f.DropUDP(d.from, d.to) {
-		return
-	}
 	if f.Faults != nil {
 		payload, verdict := f.Faults.Datagram(d.from, d.to, d.data)
 		switch verdict {

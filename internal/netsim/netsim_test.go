@@ -155,17 +155,38 @@ func TestFabricUDPReadDeadline(t *testing.T) {
 	}
 }
 
+// dropDatagrams is a FaultInjector that drops the datagrams it selects
+// and leaves everything else alone.
+type dropDatagrams func(from, to Addr) bool
+
+func (dropDatagrams) DialTCP(src, dst Addr) DialFault { return DialFault{} }
+
+func (d dropDatagrams) Datagram(from, to Addr, payload []byte) ([]byte, DatagramVerdict) {
+	if d(from, to) {
+		return nil, VerdictDrop
+	}
+	return nil, VerdictPass
+}
+
 func TestFabricUDPDropHook(t *testing.T) {
 	f := NewFabric()
-	f.DropUDP = func(from, to Addr) bool { return to.Port == 53 }
+	f.Faults = dropDatagrams(func(from, to Addr) bool { return to.Port == 53 })
 	srv, _ := f.Host("10.2.2.2").ListenPacket("udp", ":53")
 	defer srv.Close()
+	other, _ := f.Host("10.2.2.2").ListenPacket("udp", ":54")
+	defer other.Close()
 	cli, _ := f.Host("10.2.2.3").ListenPacket("udp", ":0")
 	defer cli.Close()
 	cli.WriteTo([]byte("x"), Addr{Net: "udp", Host: "10.2.2.2", Port: 53})
+	cli.WriteTo([]byte("y"), Addr{Net: "udp", Host: "10.2.2.2", Port: 54})
 	srv.SetReadDeadline(time.Now().Add(30 * time.Millisecond))
 	if _, _, err := srv.ReadFrom(make([]byte, 4)); err == nil {
 		t.Fatal("datagram should have been dropped")
+	}
+	other.SetReadDeadline(time.Now().Add(time.Second))
+	buf := make([]byte, 4)
+	if n, _, err := other.ReadFrom(buf); err != nil || string(buf[:n]) != "y" {
+		t.Fatalf("passed datagram: %q, %v", buf[:n], err)
 	}
 }
 

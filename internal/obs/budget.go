@@ -1,60 +1,19 @@
 package obs
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"runtime"
-	"runtime/debug"
-	"runtime/pprof"
 	"strconv"
 	"strings"
-	"sync"
-	"time"
-
-	"spfail/internal/clock"
-	"spfail/internal/telemetry"
 )
-
-// DefaultBudgetInterval is the watchdog poll cadence when none is set.
-const DefaultBudgetInterval = 250 * time.Millisecond
-
-// DefaultMaxProfiles bounds automatic heap-profile capture per run.
-const DefaultMaxProfiles = 3
-
-// Budget is a resident-set-size envelope for a run. Zero limits are
-// unenforced; a Budget with neither limit set is disabled.
-type Budget struct {
-	// SoftRSS, when > 0, is the degradation threshold in bytes: above it
-	// the watchdog triggers the soft-breach hook (typically halving the
-	// campaign batch size), forces a GC + scavenge, and captures a heap
-	// profile into ProfileDir.
-	SoftRSS int64
-	// HardRSS, when > 0, is the failure threshold: above it the run is
-	// stopped with a *BudgetError instead of waiting for the OOM killer.
-	HardRSS int64
-	// Interval is the poll cadence (DefaultBudgetInterval when ≤ 0).
-	Interval time.Duration
-	// ProfileDir, when non-empty, receives heap-NNN.pprof captures on
-	// soft breaches (at most MaxProfiles per run). Studies point it at
-	// the checkpoint directory.
-	ProfileDir string
-	// MaxProfiles caps captures (DefaultMaxProfiles when 0; negative
-	// disables capture).
-	MaxProfiles int
-}
-
-// Enabled reports whether the budget enforces anything.
-func (b Budget) Enabled() bool { return b.SoftRSS > 0 || b.HardRSS > 0 }
 
 // ErrBudgetExceeded is the sentinel all hard-breach errors wrap.
 var ErrBudgetExceeded = errors.New("memory budget exceeded")
 
 // BudgetError reports a hard RSS breach.
 type BudgetError struct {
-	// RSS is the observed resident set; Limit the configured HardRSS.
+	// RSS is the observed resident set; Limit the one Collector.LimitRSS
+	// armed.
 	RSS, Limit int64
 }
 
@@ -65,158 +24,6 @@ func (e *BudgetError) Error() string {
 
 // Unwrap ties BudgetError to ErrBudgetExceeded for errors.Is.
 func (e *BudgetError) Unwrap() error { return ErrBudgetExceeded }
-
-// Watchdog polls RSS against a Budget on its own wall-clock goroutine.
-// Hooks are invoked from that goroutine, so they must be safe to call
-// concurrently with the run they degrade — Campaign.SetBatchSize is.
-//
-// Budget metrics (budget.soft_breaches, budget.hard_breaches,
-// budget.profiles_captured) land in the registry; see docs/telemetry.md.
-type Watchdog struct {
-	budget Budget
-	reg    *telemetry.Registry
-	clk    clock.Clock
-
-	mu        sync.Mutex
-	onSoft    func(rss int64) // guarded by mu
-	onHard    func(err error) // guarded by mu
-	profiles  int             // guarded by mu
-	hardFired bool            // guarded by mu
-
-	cancel context.CancelFunc
-	done   chan struct{}
-}
-
-// NewWatchdog builds a watchdog for b publishing breach counters into reg
-// and pacing itself on clk (pass clock.Real{} in production; a virtual
-// clock makes breaches deterministic in tests).
-func NewWatchdog(b Budget, reg *telemetry.Registry, clk clock.Clock) *Watchdog {
-	if clk == nil {
-		clk = clock.Real{}
-	}
-	if b.Interval <= 0 {
-		b.Interval = DefaultBudgetInterval
-	}
-	if b.MaxProfiles == 0 {
-		b.MaxProfiles = DefaultMaxProfiles
-	}
-	return &Watchdog{budget: b, reg: reg, clk: clk}
-}
-
-// OnSoftBreach installs the degradation hook, called with the observed
-// RSS on every soft breach (after the profile capture, before the forced
-// GC).
-func (w *Watchdog) OnSoftBreach(fn func(rss int64)) {
-	w.mu.Lock()
-	w.onSoft = fn
-	w.mu.Unlock()
-}
-
-// OnHardBreach installs the failure hook, called at most once with a
-// *BudgetError. The hook typically cancels the run's context.
-func (w *Watchdog) OnHardBreach(fn func(err error)) {
-	w.mu.Lock()
-	w.onHard = fn
-	w.mu.Unlock()
-}
-
-// Poll takes one enforcement step; the background loop repeats it. It is
-// exported for deterministic tests and for callers that want an explicit
-// check at a known point.
-func (w *Watchdog) Poll() {
-	rss := readRSS()
-	if w.budget.HardRSS > 0 && rss > w.budget.HardRSS {
-		w.mu.Lock()
-		fired := w.hardFired
-		w.hardFired = true
-		fn := w.onHard
-		w.mu.Unlock()
-		if !fired {
-			w.reg.Counter("budget.hard_breaches").Inc()
-			if fn != nil {
-				fn(&BudgetError{RSS: rss, Limit: w.budget.HardRSS})
-			}
-		}
-		return
-	}
-	if w.budget.SoftRSS > 0 && rss > w.budget.SoftRSS {
-		w.reg.Counter("budget.soft_breaches").Inc()
-		w.captureProfile()
-		w.mu.Lock()
-		fn := w.onSoft
-		w.mu.Unlock()
-		if fn != nil {
-			fn(rss)
-		}
-		// Two back-to-back collections fully drain every sync.Pool (one
-		// moves contents to the victim cache, the next drops it), and the
-		// scavenge inside FreeOSMemory returns the freed pages to the OS —
-		// which is what moves the RSS this budget is written against.
-		runtime.GC()
-		debug.FreeOSMemory()
-	}
-}
-
-// captureProfile writes a numbered heap profile into ProfileDir, up to
-// MaxProfiles per run. Failures are recorded (budget.profile_errors) and
-// otherwise ignored: profiling is diagnostics, not control flow.
-func (w *Watchdog) captureProfile() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.budget.ProfileDir == "" || w.budget.MaxProfiles < 0 || w.profiles >= w.budget.MaxProfiles {
-		return
-	}
-	w.profiles++
-	name := filepath.Join(w.budget.ProfileDir, fmt.Sprintf("heap-%03d.pprof", w.profiles))
-	f, err := os.Create(name)
-	if err != nil {
-		w.reg.Counter("budget.profile_errors").Inc()
-		return
-	}
-	err = pprof.WriteHeapProfile(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		w.reg.Counter("budget.profile_errors").Inc()
-		return
-	}
-	w.reg.Counter("budget.profiles_captured").Inc()
-}
-
-// Start launches the polling loop; it is a no-op for a disabled budget.
-func (w *Watchdog) Start() {
-	if !w.budget.Enabled() || w.cancel != nil {
-		return
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	w.cancel = cancel
-	done := make(chan struct{})
-	w.done = done
-	go func() {
-		defer close(done)
-		// One immediate check so even a run shorter than the poll interval
-		// enforces its budget at least once (Stop waits on this goroutine,
-		// so the check is sequenced before the run reports its metrics).
-		w.Poll()
-		for {
-			if err := w.clk.Sleep(ctx, w.budget.Interval); err != nil {
-				return
-			}
-			w.Poll()
-		}
-	}()
-}
-
-// Stop ends the polling loop.
-func (w *Watchdog) Stop() {
-	if w.cancel == nil {
-		return
-	}
-	w.cancel()
-	<-w.done
-	w.cancel = nil
-}
 
 // ParseBytes parses a human byte size: a number with an optional binary
 // ("512MiB", "2g") or decimal ("500MB") suffix; a bare number is bytes.

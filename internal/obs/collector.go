@@ -25,6 +25,10 @@ const DefaultSampleInterval = time.Second
 // timeline, because resource usage is a wall-time phenomenon. Start,
 // Stop, and Sample are not safe to call concurrently with each other;
 // the accessors (RSS, PeakRSS) are safe from any goroutine.
+//
+// The collector also enforces the hard half of a memory budget (see
+// LimitRSS). The soft half is the Go runtime's own memory limit
+// (debug.SetMemoryLimit), which the collector only reports.
 type Collector struct {
 	reg      *telemetry.Registry
 	clk      clock.Clock
@@ -36,6 +40,9 @@ type Collector struct {
 	prevAlloc  uint64           // guarded by mu
 	prevPauses []uint64         // guarded by mu
 	prevSched  []uint64         // guarded by mu
+	hardRSS    int64            // guarded by mu
+	onHard     func(error)      // guarded by mu
+	hardFired  bool             // guarded by mu
 
 	lastRSS atomic.Int64
 	peakRSS atomic.Int64
@@ -53,6 +60,7 @@ var collectorKeys = [...]string{
 	keyAllocBytes,
 	keyGCPauses,
 	keySchedLat,
+	keyMemLimit,
 }
 
 const (
@@ -63,6 +71,7 @@ const (
 	slotAllocBytes
 	slotGCPauses
 	slotSchedLat
+	slotMemLimit
 )
 
 // NewCollector builds a collector publishing into reg every interval
@@ -84,17 +93,31 @@ func NewCollector(reg *telemetry.Registry, clk clock.Clock, interval time.Durati
 	return c
 }
 
-// Sample takes one poll: reads runtime/metrics and RSS, and publishes the
-// results. It is the unit the background loop repeats and is exported so
-// callers can force a final reading before snapshotting the registry.
+// LimitRSS arms the hard memory limit: the first Sample that reads RSS
+// above limit counts budget.hard_breaches and calls hook with a
+// *BudgetError wrapping ErrBudgetExceeded. Later samples above the limit
+// do neither. The hook runs on whichever goroutine took that Sample,
+// after the collector's lock is released; a run passes its cancel
+// function. Call LimitRSS before Start.
+func (c *Collector) LimitRSS(limit int64, hook func(error)) {
+	c.mu.Lock()
+	c.hardRSS = limit
+	c.onHard = hook
+	c.mu.Unlock()
+}
+
+// Sample takes one poll: reads runtime/metrics and RSS, publishes the
+// results, and enforces the limit LimitRSS armed. It is the unit the
+// background loop repeats and is exported so callers can force a final
+// reading before snapshotting the registry.
 func (c *Collector) Sample() {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	metrics.Read(c.samples)
 
 	c.reg.Gauge("runtime.heap.live_bytes").Set(int64(c.samples[slotHeapLive].Value.Uint64()))
 	c.reg.Gauge("runtime.heap.goal_bytes").Set(int64(c.samples[slotHeapGoal].Value.Uint64()))
 	c.reg.Gauge("runtime.sched.goroutines").Set(int64(c.samples[slotGoroutines].Value.Uint64()))
+	c.reg.Gauge("runtime.mem.limit_bytes").Set(int64(c.samples[slotMemLimit].Value.Uint64()))
 
 	if gc := c.samples[slotGCCycles].Value.Uint64(); gc > c.prevGC {
 		c.reg.Counter("runtime.gc.cycles").Add(int64(gc - c.prevGC))
@@ -113,6 +136,18 @@ func (c *Collector) Sample() {
 	raiseMax(&c.peakRSS, rss)
 	c.reg.Gauge("runtime.mem.rss_bytes").Set(rss)
 	c.reg.Counter("runtime.obs.samples").Inc()
+
+	var breach error
+	if c.hardRSS > 0 && rss > c.hardRSS && !c.hardFired {
+		c.hardFired = true
+		breach = &BudgetError{RSS: rss, Limit: c.hardRSS}
+	}
+	hook := c.onHard
+	c.mu.Unlock()
+	if breach != nil {
+		c.reg.Counter("budget.hard_breaches").Inc()
+		hook(breach)
+	}
 }
 
 // foldHistogram feeds the per-bucket growth of a runtime histogram into a
@@ -152,23 +187,22 @@ func (c *Collector) RSS() int64 { return c.lastRSS.Load() }
 // compare it across their window to attribute a peak to a stage.
 func (c *Collector) PeakRSS() int64 { return c.peakRSS.Load() }
 
-// Start launches the background sampling loop. Stop (or nothing — the
-// goroutine is harmless at process exit) ends it.
+// Start takes one Sample, so even a run shorter than the interval
+// enforces its hard limit, then launches the background sampling loop.
+// Stop (or nothing — the goroutine is harmless at process exit) ends it.
 func (c *Collector) Start() {
 	if c.cancel != nil {
 		return
 	}
+	c.Sample()
 	ctx, cancel := context.WithCancel(context.Background())
 	c.cancel = cancel
 	done := make(chan struct{})
 	c.done = done
 	go func() {
 		defer close(done)
-		for {
+		for c.clk.Sleep(ctx, c.interval) == nil {
 			c.Sample()
-			if err := c.clk.Sleep(ctx, c.interval); err != nil {
-				return
-			}
 		}
 	}()
 }

@@ -12,11 +12,10 @@
 //   - StageProbe captures before/after deltas (allocations, heap growth,
 //     GC cycles, wall and virtual time, peak RSS) around a study stage,
 //     producing the StageResources rows of the report's resource table.
-//   - Watchdog enforces a Budget{SoftRSS, HardRSS}: a soft breach triggers
-//     graceful degradation (the caller's hook, typically halving the
-//     campaign batch size), a forced GC, and an automatic heap profile; a
-//     hard breach fails the run with a structured error instead of an OOM
-//     kill.
+//   - A memory budget: its soft half is the Go runtime's memory limit
+//     (debug.SetMemoryLimit, which the collector publishes as
+//     runtime.mem.limit_bytes); its hard half is Collector.LimitRSS,
+//     which fails the run with a structured error instead of an OOM kill.
 //
 // Resource numbers are a side channel by construction: nothing in this
 // package feeds the seeded report or trace bytes, so budgeted and
@@ -29,7 +28,7 @@ import (
 )
 
 // runtime/metrics keys the package samples. All of them exist since
-// go1.20, well below the module's minimum.
+// go1.21 (/gc/gomemlimit:bytes is the newest), below the module's go1.22.
 const (
 	keyHeapLive     = "/memory/classes/heap/objects:bytes"
 	keyHeapGoal     = "/gc/heap/goal:bytes"
@@ -40,6 +39,7 @@ const (
 	keyGCPauses     = "/gc/pauses:seconds"
 	keySchedLat     = "/sched/latencies:seconds"
 	keyMemTotal     = "/memory/classes/total:bytes"
+	keyMemLimit     = "/gc/gomemlimit:bytes"
 )
 
 // AllocCounts is a cumulative heap-allocation reading: total bytes and

@@ -2,9 +2,8 @@ package obs
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -23,6 +22,7 @@ func TestCollectorSamplePublishes(t *testing.T) {
 		"runtime.heap.live_bytes",
 		"runtime.heap.goal_bytes",
 		"runtime.mem.rss_bytes",
+		"runtime.mem.limit_bytes",
 		"runtime.sched.goroutines",
 	} {
 		g, ok := snap.Gauges[gauge]
@@ -32,6 +32,9 @@ func TestCollectorSamplePublishes(t *testing.T) {
 		if g.Value <= 0 {
 			t.Errorf("gauge %s = %d, want > 0", gauge, g.Value)
 		}
+	}
+	if got, want := snap.Gauges["runtime.mem.limit_bytes"].Value, debug.SetMemoryLimit(-1); got != want {
+		t.Errorf("runtime.mem.limit_bytes = %d, want the runtime's limit %d", got, want)
 	}
 	if got := snap.Counters["runtime.obs.samples"]; got != 1 {
 		t.Errorf("runtime.obs.samples = %d, want 1", got)
@@ -123,53 +126,19 @@ func TestAllocSamplerDelta(t *testing.T) {
 	}
 }
 
-func TestWatchdogSoftBreach(t *testing.T) {
+func TestCollectorHardLimit(t *testing.T) {
 	reg := telemetry.New()
-	dir := t.TempDir()
-	w := NewWatchdog(Budget{SoftRSS: 1, ProfileDir: dir, MaxProfiles: 2}, reg, clock.Real{})
-	var degraded []int64
-	w.OnSoftBreach(func(rss int64) { degraded = append(degraded, rss) })
+	c := NewCollector(reg, clock.Real{}, time.Second)
+	var hardErrs []error
+	c.LimitRSS(2, func(err error) { hardErrs = append(hardErrs, err) })
 
-	w.Poll()
-	w.Poll()
-	w.Poll()
+	c.Sample()
+	c.Sample() // the hook fires once
 
-	if got := reg.Counter("budget.soft_breaches").Value(); got != 3 {
-		t.Errorf("budget.soft_breaches = %d, want 3", got)
+	if len(hardErrs) != 1 {
+		t.Fatalf("hard hook called %d times, want 1", len(hardErrs))
 	}
-	if len(degraded) != 3 || degraded[0] <= 1 {
-		t.Errorf("degrade hook calls = %v, want 3 calls with rss > 1", degraded)
-	}
-	if got := reg.Counter("budget.profiles_captured").Value(); got != 2 {
-		t.Errorf("budget.profiles_captured = %d, want 2 (capped)", got)
-	}
-	for _, name := range []string{"heap-001.pprof", "heap-002.pprof"} {
-		st, err := os.Stat(filepath.Join(dir, name))
-		if err != nil {
-			t.Errorf("profile %s: %v", name, err)
-		} else if st.Size() == 0 {
-			t.Errorf("profile %s is empty", name)
-		}
-	}
-	if _, err := os.Stat(filepath.Join(dir, "heap-003.pprof")); !os.IsNotExist(err) {
-		t.Error("profile capture exceeded MaxProfiles")
-	}
-}
-
-func TestWatchdogHardBreach(t *testing.T) {
-	reg := telemetry.New()
-	w := NewWatchdog(Budget{SoftRSS: 1, HardRSS: 2}, reg, clock.Real{})
-	var hardErr error
-	softs := 0
-	w.OnSoftBreach(func(int64) { softs++ })
-	w.OnHardBreach(func(err error) { hardErr = err })
-
-	w.Poll()
-	w.Poll() // hard hook fires once
-
-	if hardErr == nil {
-		t.Fatal("hard hook not called")
-	}
+	hardErr := hardErrs[0]
 	if !errors.Is(hardErr, ErrBudgetExceeded) {
 		t.Errorf("hard error %v does not wrap ErrBudgetExceeded", hardErr)
 	}
@@ -180,38 +149,15 @@ func TestWatchdogHardBreach(t *testing.T) {
 	if got := reg.Counter("budget.hard_breaches").Value(); got != 1 {
 		t.Errorf("budget.hard_breaches = %d, want 1 (latched)", got)
 	}
-	if softs != 0 {
-		t.Errorf("soft hook ran %d times above the hard limit, want 0", softs)
-	}
-}
 
-func TestWatchdogStartStopLoop(t *testing.T) {
-	reg := telemetry.New()
-	w := NewWatchdog(Budget{SoftRSS: 1, Interval: time.Millisecond, MaxProfiles: -1}, reg, clock.Real{})
-	w.Start()
-	deadline := clock.Real{}.Now().Add(5 * time.Second)
-	for reg.Counter("budget.soft_breaches").Value() == 0 {
-		if (clock.Real{}).Now().After(deadline) {
-			t.Fatal("watchdog loop never breached a 1-byte soft budget")
-		}
-		runtime.Gosched()
-	}
-	w.Stop()
-	w.Stop()
-	// Disabled budgets must not spin a goroutine.
-	idle := NewWatchdog(Budget{}, reg, clock.Real{})
-	idle.Start()
-	if idle.cancel != nil {
-		t.Error("disabled watchdog started a loop")
-	}
-}
-
-func TestBudgetEnabled(t *testing.T) {
-	if (Budget{}).Enabled() {
-		t.Error("zero budget reports enabled")
-	}
-	if !(Budget{SoftRSS: 1}).Enabled() || !(Budget{HardRSS: 1}).Enabled() {
-		t.Error("limited budget reports disabled")
+	// A limit no sample crosses counts nothing.
+	idle := telemetry.New()
+	roomy := NewCollector(idle, clock.Real{}, time.Second)
+	roomy.LimitRSS(1<<62, func(err error) { t.Errorf("hook fired below the limit: %v", err) })
+	roomy.Start() // Start samples once before it returns
+	roomy.Stop()
+	if got := idle.Counter("budget.hard_breaches").Value(); got != 0 {
+		t.Errorf("budget.hard_breaches = %d below the limit, want 0", got)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -26,8 +27,9 @@ const sessionEnd = "\r\n.\r\nQUIT\r\n"
 
 // FuzzServerSession feeds arbitrary bytes over a fabric stream into a
 // Server and drains its replies. The session must not panic, must end on
-// its own rather than at its I/O deadline, and must hand the hooks only
-// paths that ParsePath accepts.
+// its own rather than at its I/O deadline, must hand the hooks only paths
+// that ParsePath accepts, and must hand them no line over RFC 5321's
+// bounds.
 func FuzzServerSession(f *testing.F) {
 	for _, seed := range []string{
 		"EHLO probe.example\r\nMAIL FROM:<a@b.example>\r\nRCPT TO:<c@d.example>\r\nDATA\r\nhi\r\n..dot\r\n.\r\nQUIT\r\n",
@@ -37,6 +39,8 @@ func FuzzServerSession(f *testing.F) {
 		"MAIL FROM:<<a@b>\r\nRCPT TO:<@a:@b:c>\r\n",
 		"\r\n\n\r \x00\xff",
 		"EHLO a\r\nMAIL FROM:<a@b>\r\nRCPT TO:<c@d>\r\nDATA\r\nno terminator",
+		"HELO " + strings.Repeat("h", maxCommandLine) + "\r\nHELO x\r\n",
+		"EHLO a\r\nMAIL FROM:<a@b>\r\nRCPT TO:<c@d>\r\nDATA\r\n.." + strings.Repeat("t", maxTextLine) + "\r\n",
 	} {
 		f.Add([]byte(seed))
 	}
@@ -89,6 +93,18 @@ func FuzzServerSession(f *testing.F) {
 		for _, p := range append(got.mails, got.rcpts...) {
 			if _, err := ParsePath(p); err != nil {
 				t.Fatalf("a hook received %q, which ParsePath rejects: %v", p, err)
+			}
+		}
+		for _, arg := range append(append(got.helos, got.mails...), got.rcpts...) {
+			if len(arg)+len("\r\n") > maxCommandLine {
+				t.Fatalf("a hook received a %d-octet argument from a command line", len(arg))
+			}
+		}
+		for _, msg := range got.datas {
+			for _, l := range strings.Split(msg, "\r\n") {
+				if len(l)+len("\r\n") > maxTextLine {
+					t.Fatalf("OnData received a %d-octet text line", len(l)+len("\r\n"))
+				}
 			}
 		}
 	})

@@ -2,6 +2,7 @@ package smtp
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -240,19 +241,41 @@ func writeReply(w *bufio.Writer, r *Reply) error {
 	return err
 }
 
-func (ss *serverSession) readLine() (string, error) {
+// Line bounds, CRLF included: RFC 5321 §4.5.3.1.4 caps a command line at
+// 512 octets and §4.5.3.1.6 a line of message text at 1000.
+const (
+	maxCommandLine = 512
+	maxTextLine    = 1000
+)
+
+// errLineTooLong is readLine's verdict on a line over its bound.
+var errLineTooLong = errors.New("smtp: line too long")
+
+// readLine reads one line of at most limit octets and returns it without
+// its line ending. A bare-LF line is measured as if CRLF-terminated. A
+// line that fills the read buffer is over every bound, since the pooled
+// buffers are larger than maxTextLine.
+func (ss *serverSession) readLine(limit int) (string, error) {
 	if err := ss.conn.SetReadDeadline(ss.srv.clock().Now().Add(ss.srv.ioTimeout())); err != nil {
 		return "", err
 	}
-	line, err := ss.br.ReadString('\n')
-	if err != nil {
+	line, err := ss.br.ReadSlice('\n')
+	if err != nil && !errors.Is(err, bufio.ErrBufferFull) {
 		return "", err
 	}
-	return strings.TrimRight(line, "\r\n"), nil
+	line = bytes.TrimRight(line, "\r\n")
+	if err != nil || len(line)+len("\r\n") > limit {
+		return "", errLineTooLong
+	}
+	return string(line), nil
 }
 
-func (ss *serverSession) abortIfMidTransaction(err error) {
-	if err == nil {
+// readFailed ends the session after a failed read. An over-long line
+// earns "500 Line too long" (RFC 5321 §4.5.3.1.9) before the server
+// closes the session.
+func (ss *serverSession) readFailed(err error) {
+	if errors.Is(err, errLineTooLong) {
+		ss.send(NewReply(500, "Line too long"))
 		return
 	}
 	// EOF or reset mid-session: report the state we were in so MTA
@@ -273,9 +296,10 @@ func (ss *serverSession) run() {
 		return
 	}
 	for {
-		line, err := ss.readLine()
+		line, err := ss.readLine(maxCommandLine)
 		if err != nil {
-			ss.abortIfMidTransaction(err)
+			ss.verb = "" // a command never read has no verb to charge
+			ss.readFailed(err)
 			return
 		}
 		verb, arg := splitCommand(line)
@@ -408,7 +432,7 @@ func (ss *serverSession) cmdData() bool {
 	ss.state = StateData
 	msg, err := ss.readData()
 	if err != nil {
-		ss.abortIfMidTransaction(err)
+		ss.readFailed(err)
 		return true
 	}
 	r := ss.srv.Handler.OnData(ss.from, ss.rcpts, msg, ss.remote, ss.helo)
@@ -425,7 +449,7 @@ func (ss *serverSession) cmdData() bool {
 func (ss *serverSession) readData() ([]byte, error) {
 	var buf []byte
 	for {
-		line, err := ss.readLine()
+		line, err := ss.readLine(maxTextLine + len("."))
 		if err != nil {
 			return nil, err
 		}
@@ -434,6 +458,9 @@ func (ss *serverSession) readData() ([]byte, error) {
 		}
 		if strings.HasPrefix(line, "..") {
 			line = line[1:] // un-stuff
+		}
+		if len(line)+len("\r\n") > maxTextLine {
+			return nil, errLineTooLong
 		}
 		buf = append(buf, line...)
 		buf = append(buf, '\r', '\n')

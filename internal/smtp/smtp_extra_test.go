@@ -235,6 +235,77 @@ func TestReadReplyBounds(t *testing.T) {
 	}
 }
 
+// TestServerLineBounds checks RFC 5321's line bounds at their edges: 512
+// octets for a command line and 1000 for a line of message text, CRLF
+// included, not counting the dot that dot-stuffing adds. One octet more
+// earns "500 Line too long", and the server ends the session.
+func TestServerLineBounds(t *testing.T) {
+	line := func(prefix string, octets int) string {
+		return prefix + strings.Repeat("x", octets-len(prefix)-len("\r\n")) + "\r\n"
+	}
+	for _, tc := range []struct {
+		name string
+		text bool // sent as message text after DATA
+		line string
+		ok   bool
+	}{
+		{"512-octet command", false, line("NOOP ", maxCommandLine), true},
+		{"513-octet command", false, line("NOOP ", maxCommandLine+1), false},
+		{"1000-octet text line", true, line("", maxTextLine), true},
+		{"1001-octet text line", true, line("", maxTextLine+1), false},
+		{"1001 octets with a stuffed dot", true, line("..", maxTextLine+1), true},
+		{"1002 octets with a stuffed dot", true, line("..", maxTextLine+2), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := &recordingHandler{}
+			fabric, addr := startServer(t, h)
+			conn := dial(t, fabric, addr)
+			defer conn.Close()
+			send := tc.line
+			if tc.text {
+				for _, step := range []func() error{
+					conn.Hello,
+					func() error { return conn.Mail("a@b.example") },
+					func() error { return conn.Rcpt("x@example.com") },
+					conn.Data,
+				} {
+					if err := step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				send += ".\r\n"
+			}
+			conn.bw.WriteString(send)
+			if err := conn.bw.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			r, err := conn.readReply()
+			if err != nil {
+				t.Fatal(err)
+			}
+			datas := h.snapshot().datas
+			if tc.ok {
+				if !r.Positive() {
+					t.Fatalf("reply %v, want positive", r)
+				}
+				if tc.text && (len(datas) != 1 || len(datas[0]) != maxTextLine) {
+					t.Fatalf("OnData got %d messages, want one %d-octet line", len(datas), maxTextLine)
+				}
+				return
+			}
+			if got := r.String(); got != "500 Line too long" {
+				t.Fatalf("reply %q, want 500 Line too long", got)
+			}
+			if r, err := conn.readReply(); err == nil {
+				t.Fatalf("session went on after an over-long line: %v", r)
+			}
+			if len(datas) != 0 {
+				t.Error("an over-long text line reached OnData")
+			}
+		})
+	}
+}
+
 // TestClientRejectsEndlessReply: a server that never ends its banner must
 // cost the client an error, not unbounded memory.
 func TestClientRejectsEndlessReply(t *testing.T) {

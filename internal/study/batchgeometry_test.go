@@ -13,12 +13,10 @@ import (
 	"spfail/internal/trace"
 )
 
-// TestBatchGeometryDeterminism pins the invariant the memory-budget
-// watchdog depends on: batch size is a wall-time concern only. Probe
-// pacing runs on per-probe frame clocks anchored at the pass's asOf, so
-// repartitioning the address list — which is exactly what a soft-budget
-// breach does mid-run via Campaign.SetBatchSize — must not move a single
-// byte of the report or the trace JSONL.
+// TestBatchGeometryDeterminism pins that batch size and concurrency are
+// wall-time concerns only. Probe pacing runs on per-probe frame clocks
+// anchored at the pass's asOf, so repartitioning the address list must
+// not move a single byte of the report or the trace JSONL.
 func TestBatchGeometryDeterminism(t *testing.T) {
 	render := func(batch, concurrency int) ([]byte, []byte) {
 		t.Helper()

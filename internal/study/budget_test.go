@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -18,7 +18,7 @@ import (
 	"spfail/internal/trace"
 )
 
-func budgetRun(t *testing.T, budget obs.Budget) (*study.Results, []byte, []byte) {
+func budgetRun(t *testing.T, hardRSS int64) (*study.Results, []byte, []byte) {
 	t.Helper()
 	spec := population.DefaultSpec()
 	spec.Scale = 0.003
@@ -32,7 +32,7 @@ func budgetRun(t *testing.T, budget obs.Budget) (*study.Results, []byte, []byte)
 		},
 		Spec:     spec,
 		Interval: 4 * 24 * time.Hour,
-		Budget:   budget,
+		HardRSS:  hardRSS,
 	})
 	if err != nil {
 		t.Fatalf("study run: %v", err)
@@ -42,19 +42,18 @@ func budgetRun(t *testing.T, budget obs.Budget) (*study.Results, []byte, []byte)
 	return res, rep.Bytes(), traceBuf.Bytes()
 }
 
-// TestBudgetSoftDegradationDeterminism is the PR's headline acceptance
-// check: a run whose soft budget is breached immediately — so the
-// watchdog is halving the batch size, draining pools, forcing GCs, and
-// capturing heap profiles throughout — must produce a report and trace
-// byte-identical to the same-seed unbudgeted run.
-func TestBudgetSoftDegradationDeterminism(t *testing.T) {
-	dir := t.TempDir()
-	refRes, refReport, refTrace := budgetRun(t, obs.Budget{})
-	gotRes, gotReport, gotTrace := budgetRun(t, obs.Budget{
-		SoftRSS:    1, // every poll breaches
-		Interval:   5 * time.Millisecond,
-		ProfileDir: dir,
-	})
+// TestSoftMemoryLimitDeterminism runs a study under a runtime memory
+// limit no higher than its live heap, so the GC runs about thirty times
+// as often, with a hard limit armed that it never reaches. Its report
+// and trace must be byte-identical to the same-seed unbudgeted run's,
+// and the collector must report the limit in force.
+func TestSoftMemoryLimitDeterminism(t *testing.T) {
+	refRes, refReport, refTrace := budgetRun(t, 0)
+
+	const tight = 8 << 20
+	prev := debug.SetMemoryLimit(tight)
+	defer debug.SetMemoryLimit(prev)
+	gotRes, gotReport, gotTrace := budgetRun(t, 1<<50)
 
 	if !bytes.Equal(refReport, gotReport) {
 		t.Error("report bytes differ between budgeted and unbudgeted runs")
@@ -62,24 +61,14 @@ func TestBudgetSoftDegradationDeterminism(t *testing.T) {
 	if !bytes.Equal(refTrace, gotTrace) {
 		t.Error("trace bytes differ between budgeted and unbudgeted runs")
 	}
-	if got := gotRes.Metrics.Counter("budget.soft_breaches").Value(); got == 0 {
-		t.Error("soft budget never breached — degradation was not exercised")
+	if got := gotRes.Metrics.Gauge("runtime.mem.limit_bytes").Value(); got != tight {
+		t.Errorf("budgeted runtime.mem.limit_bytes = %d, want %d", got, tight)
 	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
+	if got := refRes.Metrics.Gauge("runtime.mem.limit_bytes").Value(); got != prev {
+		t.Errorf("unbudgeted runtime.mem.limit_bytes = %d, want %d", got, prev)
 	}
-	profiles := 0
-	for _, e := range ents {
-		if strings.HasPrefix(e.Name(), "heap-") && strings.HasSuffix(e.Name(), ".pprof") {
-			profiles++
-		}
-	}
-	if profiles == 0 {
-		t.Error("no heap profile captured on soft breach")
-	}
-	if refRes.Metrics.Counter("budget.soft_breaches").Value() != 0 {
-		t.Error("unbudgeted run recorded soft breaches")
+	if got := gotRes.Metrics.Counter("budget.hard_breaches").Value(); got != 0 {
+		t.Errorf("budget.hard_breaches = %d under an unreachable hard limit", got)
 	}
 }
 
@@ -93,10 +82,7 @@ func TestBudgetHardBreachFailsRun(t *testing.T) {
 		Config:   measure.Config{Concurrency: 32, BatchSize: 200},
 		Spec:     spec,
 		Interval: 4 * 24 * time.Hour,
-		Budget: obs.Budget{
-			HardRSS:  1, // any live process exceeds this
-			Interval: time.Millisecond,
-		},
+		HardRSS:  1, // any live process exceeds this
 	})
 	if !errors.Is(err, obs.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want wrap of obs.ErrBudgetExceeded", err)
@@ -114,7 +100,7 @@ func TestBudgetHardBreachFailsRun(t *testing.T) {
 // executed stage contributes a row with non-zero deltas, and the
 // renderer emits them.
 func TestStageResourceTable(t *testing.T) {
-	res, _, _ := budgetRun(t, obs.Budget{})
+	res, _, _ := budgetRun(t, 0)
 	if len(res.Resources) == 0 {
 		t.Fatal("no stage resource rows recorded")
 	}
@@ -154,10 +140,10 @@ func TestStageResourceTable(t *testing.T) {
 	}
 }
 
-// TestBudgetResumeAcrossBudgetChange checks that Budget stays outside
-// the checkpoint fingerprint: a store written under a tight soft budget
-// resumes cleanly in an unbudgeted run, and replayed stages surface
-// their originally-recorded resource rows flagged as replayed.
+// TestBudgetResumeAcrossBudgetChange checks that HardRSS stays outside
+// the checkpoint fingerprint: a store written under a hard limit resumes
+// cleanly in an unlimited run, and replayed stages surface their
+// originally-recorded resource rows flagged as replayed.
 func TestBudgetResumeAcrossBudgetChange(t *testing.T) {
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "ckpt")
@@ -169,7 +155,7 @@ func TestBudgetResumeAcrossBudgetChange(t *testing.T) {
 		Spec:          spec,
 		Interval:      4 * 24 * time.Hour,
 		CheckpointDir: ckpt,
-		Budget:        obs.Budget{SoftRSS: 1, Interval: 5 * time.Millisecond, ProfileDir: dir},
+		HardRSS:       1 << 50,
 		Kill: func(point string) bool {
 			return point == "commit:initial"
 		},
@@ -178,7 +164,7 @@ func TestBudgetResumeAcrossBudgetChange(t *testing.T) {
 		t.Fatalf("first run err = %v, want ErrKilled", err)
 	}
 
-	cfg.Budget = obs.Budget{}
+	cfg.HardRSS = 0
 	cfg.Kill = nil
 	cfg.Resume = true
 	res, err := study.Run(context.Background(), cfg)

@@ -26,7 +26,7 @@ type runner struct {
 	tracker   *Tracker
 	trackerIP string
 	progress  func(string)
-	cancel    context.CancelFunc
+	cancel    context.CancelCauseFunc
 	// coll sharpens per-stage peak-RSS attribution with the collector's
 	// polled high-water mark.
 	coll *obs.Collector
@@ -165,7 +165,7 @@ func (r *runner) kill(point string) bool {
 		return false
 	}
 	r.killed = true
-	r.cancel()
+	r.cancel(ErrKilled)
 	return true
 }
 

@@ -9,7 +9,6 @@ import (
 	"net/netip"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"spfail/internal/checkpoint"
@@ -65,16 +64,15 @@ type Config struct {
 	// the same Spec and knobs as the one that wrote the store — the
 	// store's fingerprint enforces that.
 	Resume bool
-	// Budget, when enabled, puts the run under a resident-memory envelope
-	// enforced by an obs.Watchdog: a soft breach halves the campaign batch
-	// size (floor 16), drains pools, forces a GC, and captures a heap
-	// profile (to Budget.ProfileDir, defaulting to CheckpointDir); a hard
-	// breach stops the run with an error wrapping obs.ErrBudgetExceeded.
-	// Batch geometry is a wall-time-only concern — probe pacing runs on
-	// per-probe frame clocks — so degradation never moves a report or
-	// trace byte, and Budget is deliberately outside the checkpoint
-	// fingerprint: budgeted and unbudgeted runs are mutually resumable.
-	Budget obs.Budget
+	// HardRSS, when positive, is the hard memory limit in bytes: the
+	// first time the run's obs.Collector reads a resident set above it,
+	// the run stops with an error wrapping obs.ErrBudgetExceeded instead
+	// of waiting for the OOM killer. The soft half of a memory budget is
+	// the Go runtime's process-wide memory limit (debug.SetMemoryLimit),
+	// which the caller sets. Neither moves a report or trace byte, so
+	// HardRSS is deliberately outside the checkpoint fingerprint: runs
+	// with and without it are mutually resumable.
+	HardRSS int64
 
 	// Kill, if non-nil, is the crash-injection test hook: it is
 	// consulted with a point name after every segment commit
@@ -225,9 +223,15 @@ func Run(ctx context.Context, cfg Config) (*Results, error) {
 
 	// Resource observability rides the wall clock even though the study
 	// itself runs on a simulated one: memory and GC are wall-time
-	// phenomena. The collector feeds runtime.* instruments and sharpens
-	// per-stage peak-RSS attribution.
+	// phenomena. The collector feeds runtime.* instruments, sharpens
+	// per-stage peak-RSS attribution, and enforces HardRSS by cancelling
+	// the run with the *obs.BudgetError as the cause.
+	runCtx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
 	coll := obs.NewCollector(norm.Metrics, clock.Real{}, 0)
+	if norm.HardRSS > 0 {
+		coll.LimitRSS(norm.HardRSS, cancel)
+	}
 	coll.Start()
 	defer coll.Stop()
 
@@ -273,8 +277,6 @@ func Run(ctx context.Context, cfg Config) (*Results, error) {
 		return nil, err
 	}
 
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	r := &runner{
 		cfg:       norm,
 		res:       res,
@@ -289,31 +291,6 @@ func Run(ctx context.Context, cfg Config) (*Results, error) {
 		coll:      coll,
 	}
 
-	// The budget watchdog degrades the campaign from its own wall-clock
-	// goroutine. Halving the batch only repartitions the address list —
-	// probe pacing runs on per-probe frames — so this is byte-safe by
-	// construction (TestBatchGeometryDeterminism pins it).
-	var budget budgetState
-	if norm.Budget.Enabled() {
-		b := norm.Budget
-		if b.ProfileDir == "" {
-			b.ProfileDir = norm.CheckpointDir
-		}
-		wd := obs.NewWatchdog(b, norm.Metrics, clock.Real{})
-		wd.OnSoftBreach(func(int64) {
-			n := campaign.BatchSize() / 2
-			if n < minDegradedBatch {
-				n = minDegradedBatch
-			}
-			campaign.SetBatchSize(n)
-		})
-		wd.OnHardBreach(func(err error) {
-			budget.fail(err)
-			cancel()
-		})
-		wd.Start()
-		defer wd.Stop()
-	}
 	if store != nil {
 		r.pending = store.Segments()
 		if norm.Trace != nil {
@@ -333,41 +310,15 @@ func Run(ctx context.Context, cfg Config) (*Results, error) {
 		if r.killed {
 			return res, ErrKilled
 		}
-		if berr := budget.err(); berr != nil {
+		if cause := context.Cause(runCtx); errors.Is(cause, obs.ErrBudgetExceeded) {
 			// The hard breach cancelled the run context; the unwind error
 			// is just the cancellation echo — report the cause.
-			return res, fmt.Errorf("study: %w", berr)
+			return res, fmt.Errorf("study: %w", cause)
 		}
 		return res, err
 	case <-ctx.Done():
 		return res, ctx.Err()
 	}
-}
-
-// minDegradedBatch is the floor soft-breach degradation will not halve
-// the campaign batch below: smaller waves stop helping RSS and only
-// multiply scheduling overhead.
-const minDegradedBatch = 16
-
-// budgetState carries the hard-breach error from the watchdog goroutine
-// to Run's result without racing the run unwind.
-type budgetState struct {
-	mu sync.Mutex
-	e  error // guarded by mu
-}
-
-func (b *budgetState) fail(err error) {
-	b.mu.Lock()
-	if b.e == nil {
-		b.e = err
-	}
-	b.mu.Unlock()
-}
-
-func (b *budgetState) err() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.e
 }
 
 // run is the study driver; it executes on a clock-accounted goroutine.
