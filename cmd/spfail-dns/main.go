@@ -1,7 +1,7 @@
 // Command spfail-dns runs the SPFail measurement DNS zone on a real
 // socket: the dynamic authoritative server that synthesizes per-probe SPF
-// policies (v=spf1 a:%{d1r}.<id>.<suite>.<base> ...) and logs every query
-// it receives, printing fingerprint-relevant ones to stdout.
+// policies (v=spf1 a:%{d1r}.<id>.<suite>.<base> ...) and prints every
+// query it receives to stdout, tagging fingerprint-relevant ones.
 //
 //	spfail-dns -listen 0.0.0.0:5353 -base spf-test.dns-lab.org
 //
@@ -21,6 +21,7 @@ import (
 	"spfail/internal/dnsmsg"
 	"spfail/internal/dnsserver"
 	"spfail/internal/netsim"
+	"spfail/internal/telemetry"
 )
 
 func main() {
@@ -67,12 +68,14 @@ func main() {
 		inner = mux
 	}
 
-	log := &dnsserver.QueryLog{}
+	handler := inner
 	if !*quiet {
-		log.AddSink(printSink{zone: zone})
+		handler = &dnsserver.LoggingHandler{Inner: inner, Sink: printSink{zone: zone}, Now: clock.Real{}.Now}
 	}
-	handler := &dnsserver.LoggingHandler{Inner: inner, Sink: log, Now: clock.Real{}.Now}
-	srv := &dnsserver.Server{Net: netsim.Real{}, Addr: *listen, Handler: handler}
+	// The exit line counts queries with the server's own counter rather
+	// than a log, so a long-running server holds no per-query state.
+	metrics := telemetry.New()
+	srv := &dnsserver.Server{Net: netsim.Real{}, Addr: *listen, Handler: handler, Metrics: metrics}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -83,7 +86,7 @@ func main() {
 		baseName, *listen, zone.PolicyFor(dnsmsg.MustParseName("ID.SUITE."+*base)))
 	<-ctx.Done()
 	srv.Stop()
-	fmt.Printf("spfail-dns: %d queries observed\n", log.Len())
+	fmt.Printf("spfail-dns: %d queries observed\n", metrics.Counter("dns.server.queries").Value())
 }
 
 func fatal(format string, args ...interface{}) {

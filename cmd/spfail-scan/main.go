@@ -197,19 +197,7 @@ func scanOne(tracer *trace.Tracer, prober *core.Prober, clk clock.Clock, suite s
 	// with the full evidence; late zone queries still land on the root span.
 	_ = clk.Sleep(ctx, settle)
 	release()
-	root.SetAttrs(
-		trace.String("status", string(out.Status)),
-		trace.String("method", string(out.Method)),
-		trace.Int("attempts", out.Attempts),
-		trace.Bool("vulnerable", out.Vulnerable()),
-	)
-	if out.FailReason != "" {
-		root.SetAttrs(trace.String("fail_reason", out.FailReason))
-	}
-	if out.Err != nil {
-		root.SetAttrs(trace.String("error", out.Err.Error()))
-	}
-	root.End()
+	out.EndSpan(root)
 	tracer.FlushBuffer(buf)
 	return out
 }

@@ -22,6 +22,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/debug"
 	"strings"
@@ -208,8 +209,9 @@ func main() {
 		os.Exit(1)
 	}
 
+	// Flushed and checked before any later exit, so a failed or short
+	// write of the report is an error, never a truncated report and exit 0.
 	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
 	fmt.Fprintf(w, "SPFail reproduction — scale %.3f, seed %d\n", *scale, common.Seed)
 	fmt.Fprintf(w, "domains: %s   addresses: %s   initially vulnerable: %s addrs / %s domains\n\n",
 		report.Count(len(res.World.Domains)),
@@ -217,6 +219,10 @@ func main() {
 		report.Count(len(res.VulnAddrs)),
 		report.Count(len(res.VulnDomains)))
 	report.All(w, res)
+	if err := w.Flush(); err != nil {
+		fmt.Fprintf(os.Stderr, "spfail-study: writing report: %v\n", err)
+		os.Exit(1)
+	}
 
 	if *csvDir != "" {
 		if err := writeCSVs(*csvDir, res); err != nil {
@@ -317,16 +323,25 @@ func progressLoop(reg *telemetry.Registry, every time.Duration) (stop func()) {
 // writeMetrics dumps the final JSON snapshot to path, or stderr when path
 // is empty.
 func writeMetrics(path string, reg *telemetry.Registry) error {
-	w := os.Stderr
-	if path != "" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	if path == "" {
+		return reg.Snapshot().WriteJSON(os.Stderr)
 	}
-	return reg.Snapshot().WriteJSON(w)
+	return writeFile(path, reg.Snapshot().WriteJSON)
+}
+
+// writeFile creates path and fills it with fn. A failed Close counts as a
+// failed write: it can be the first report of data that never reached
+// the disk.
+func writeFile(path string, fn func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := fn(f); err != nil {
+		_ = f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // writeCSVs exports the figures' underlying data for external plotting.
@@ -334,13 +349,8 @@ func writeCSVs(dir string, res *study.Results) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	write := func(name string, fn func(f *os.File) error) error {
-		f, err := os.Create(dir + "/" + name)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		return fn(f)
+	write := func(name string, fn func(io.Writer) error) error {
+		return writeFile(dir+"/"+name, fn)
 	}
 	series := map[string]population.Set{
 		"fig5_all_domains.csv":   0,
@@ -350,20 +360,20 @@ func writeCSVs(dir string, res *study.Results) error {
 	}
 	for name, set := range series {
 		set := set
-		if err := write(name, func(f *os.File) error {
+		if err := write(name, func(f io.Writer) error {
 			return report.SeriesCSV(f, study.SetSeries(res, set))
 		}); err != nil {
 			return err
 		}
 	}
 	if len(res.ScenarioStats) > 0 {
-		if err := write("scenarios.csv", func(f *os.File) error {
+		if err := write("scenarios.csv", func(f io.Writer) error {
 			return report.ScenarioCSV(f, res.ScenarioStats)
 		}); err != nil {
 			return err
 		}
 	}
-	return write("fig3_choropleth.csv", func(f *os.File) error {
+	return write("fig3_choropleth.csv", func(f io.Writer) error {
 		buckets, _ := study.Figure3(res, 5)
 		return report.ChoroplethCSV(f, buckets)
 	})

@@ -123,6 +123,28 @@ func (o *Outcome) Vulnerable() bool {
 	return o.Status == StatusSPFMeasured && o.Observation.Vulnerable()
 }
 
+// EndSpan records o on a probe's root span and ends it. Campaigns and the
+// scanner both end their probe roots here, so their traces carry the same
+// attributes (docs/tracing.md).
+func (o *Outcome) EndSpan(root *trace.Span) {
+	root.SetAttrs(
+		trace.String("status", string(o.Status)),
+		trace.String("method", string(o.Method)),
+		trace.Int("attempts", o.Attempts),
+		trace.Bool("vulnerable", o.Vulnerable()),
+	)
+	if o.FailReason != "" {
+		root.SetAttrs(trace.String("fail_reason", o.FailReason))
+	}
+	if o.FailStage != "" {
+		root.SetAttrs(trace.String("fail_stage", o.FailStage))
+	}
+	if o.Err != nil {
+		root.SetAttrs(trace.String("error", o.Err.Error()))
+	}
+	root.End()
+}
+
 // Prober runs the NoMsg → BlankMsg detection ladder against mail servers.
 type Prober struct {
 	// Net supplies outbound connectivity (the measurement vantage).

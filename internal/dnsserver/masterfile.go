@@ -179,6 +179,18 @@ func (p *zoneParser) rdata(typ string, args []string) (dnsmsg.RData, error) {
 		if len(args) == 0 {
 			return nil, fmt.Errorf("TXT wants at least one string")
 		}
+		// Each string goes on the wire behind a one-byte length, and the
+		// whole RDATA behind a two-byte one (RFC 1035 §3.3, §3.2.1).
+		rdlen := 0
+		for _, a := range args {
+			if len(a) > 255 {
+				return nil, fmt.Errorf("TXT string of %d bytes exceeds 255", len(a))
+			}
+			rdlen += 1 + len(a)
+		}
+		if rdlen > 0xFFFF {
+			return nil, fmt.Errorf("TXT data of %d bytes exceeds 65535", rdlen)
+		}
 		return dnsmsg.TXT{Strings: args}, nil
 	case "CNAME":
 		if err := need(1); err != nil {

@@ -108,10 +108,38 @@ func TestParseZoneFileErrors(t *testing.T) {
 		"$TTL abc",
 		"$ORIGIN",
 		"$ORIGIN x.example.\n   IN A 192.0.2.1", // blank owner with no previous
+		longTXTZone(1, 256),                     // a character-string over 255 bytes
+		longTXTZone(257, 255),                   // TXT RDATA over 65535 bytes
 	}
 	for _, s := range bad {
 		if _, err := ParseZoneString(s); err == nil {
 			t.Errorf("ParseZoneString(%q) should fail", s)
+		}
+	}
+}
+
+// longTXTZone is a one-record zone whose TXT holds n strings of size bytes.
+func longTXTZone(n, size int) string {
+	q := `"` + strings.Repeat("a", size) + `"`
+	return "$ORIGIN x.example.\nhost IN TXT " + strings.TrimSpace(strings.Repeat(q+" ", n))
+}
+
+// TestParseZoneFileTXTBounds checks the largest TXT the wire can carry: a
+// 255-byte string, and 255 such strings (65,280 bytes of RDATA), parse and
+// encode; one byte or one string more is rejected (TestParseZoneFileErrors).
+// Found by FuzzParseZoneString's encode property.
+func TestParseZoneFileTXTBounds(t *testing.T) {
+	for _, zone := range []string{longTXTZone(1, 255), longTXTZone(255, 255)} {
+		z, err := ParseZoneString(zone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := z.ServeDNS(dnsmsg.NewQuery(1, name("host.x.example"), dnsmsg.TypeTXT), nil)
+		if len(resp.Answers) != 1 {
+			t.Fatalf("answers = %d, want 1", len(resp.Answers))
+		}
+		if _, err := resp.Pack(); err != nil {
+			t.Fatalf("accepted TXT does not encode: %v", err)
 		}
 	}
 }

@@ -327,22 +327,7 @@ func (c *Campaign) probeOne(ctx context.Context, tr *trace.Tracer, p *core.Probe
 	release := root.Adopt(a.String())
 	out := p.TestIP(trace.ContextWithSpan(ctx, root), probeAddr(a), dom)
 	release()
-	root.SetAttrs(
-		trace.String("status", string(out.Status)),
-		trace.String("method", string(out.Method)),
-		trace.Int("attempts", out.Attempts),
-		trace.Bool("vulnerable", out.Vulnerable()),
-	)
-	if out.FailReason != "" {
-		root.SetAttrs(trace.String("fail_reason", out.FailReason))
-	}
-	if out.FailStage != "" {
-		root.SetAttrs(trace.String("fail_stage", out.FailStage))
-	}
-	if out.Err != nil {
-		root.SetAttrs(trace.String("error", out.Err.Error()))
-	}
-	root.End()
+	out.EndSpan(root)
 	return out, buf
 }
 

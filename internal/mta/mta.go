@@ -3,8 +3,8 @@
 // paper measured, more than one) SPF implementation behavior, a DNS stub
 // resolver pointed at the simulation's authoritative server, and a
 // behaviour plan covering the operational quirks the SPFail measurement had
-// to contend with — greylisting, probe blacklisting, validation deferred
-// until after message data, and patching mid-study.
+// to contend with — greylisting, probe blacklisting, and validation deferred
+// until after message data.
 package mta
 
 import (
@@ -102,34 +102,23 @@ type Config struct {
 	Trace *trace.Tracer
 }
 
-// Validation records one SPF validation performed by the host.
-type Validation struct {
-	Time     time.Time
-	Sender   string
-	HELO     string
-	ClientIP netip.Addr
-	Behavior spfimpl.Behavior
-	Result   spf.Result
-}
-
-// Host is a running simulated mail host.
+// Host is a running simulated mail host. Its behaviors and their checkers
+// are fixed in New, so validations read them without a lock; a patched host
+// is a new Host (see population.HostSpec.BehaviorsAt).
 type Host struct {
 	cfg    Config
 	server *smtp.Server
-
-	mu          sync.Mutex
-	behaviors   []spfimpl.Behavior
-	checkers    []*spf.Checker // parallel to behaviors; built lazily, reset on change
-	greySeen    map[string]bool
-	validations []Validation
-	overflows   []spfimpl.OverflowEvent
-	inbox       [][]byte
-	flaky       *rand.Rand
-
 	// res is the host's resolver with its local TTL cache, like the
 	// recursive resolver a real MTA sits behind. SPFail's unique probe
 	// labels exist precisely to defeat this layer.
 	res spf.Resolver
+	// checkers holds the checker of each cfg.Behaviors entry, built in New.
+	checkers []*spf.Checker
+
+	mu        sync.Mutex
+	greySeen  map[string]bool
+	overflows []spfimpl.OverflowEvent
+	flaky     *rand.Rand
 }
 
 // New builds a host from cfg. Call Start to serve.
@@ -140,10 +129,10 @@ func New(cfg Config) *Host {
 	if cfg.DNSTimeout == 0 {
 		cfg.DNSTimeout = 2 * time.Second
 	}
+	cfg.Behaviors = append([]spfimpl.Behavior(nil), cfg.Behaviors...)
 	h := &Host{
-		cfg:       cfg,
-		behaviors: append([]spfimpl.Behavior(nil), cfg.Behaviors...),
-		greySeen:  make(map[string]bool),
+		cfg:      cfg,
+		greySeen: make(map[string]bool),
 	}
 	if cfg.FlakyRate > 0 {
 		h.flaky = rand.New(rand.NewSource(cfg.FlakySeed))
@@ -159,6 +148,15 @@ func New(cfg Config) *Host {
 	}
 	cached := dnsclient.NewCachingClient(wire, cfg.Clock)
 	h.res = ResolverAdapter{R: dnsclient.NewResolver(cached)}
+	h.checkers = make([]*spf.Checker, len(cfg.Behaviors))
+	for i, b := range cfg.Behaviors {
+		c := spfimpl.NewChecker(b, h.res)
+		c.Receiver = cfg.Hostname
+		if l, ok := c.Expander.(*spfimpl.LibSPF2Expander); ok {
+			l.OnOverflow = h.recordOverflow
+		}
+		h.checkers[i] = c
+	}
 	listen := cfg.ListenAddr
 	if listen == "" {
 		listen = ":25"
@@ -179,47 +177,6 @@ func (h *Host) Start(ctx context.Context) error { return h.server.Start(ctx) }
 // Stop shuts the SMTP listener down.
 func (h *Host) Stop() { h.server.Stop() }
 
-// Patch replaces every vulnerable or erroneous behavior with the patched
-// libSPF2, modeling a package upgrade. The stack is replaced wholesale (not
-// mutated in place) so snapshots handed to in-flight validations stay
-// immutable.
-func (h *Host) Patch() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	bs := append([]spfimpl.Behavior(nil), h.behaviors...)
-	for i, b := range bs {
-		if b == spfimpl.BehaviorVulnLibSPF2 {
-			bs[i] = spfimpl.BehaviorPatchedLibSPF2
-		}
-	}
-	h.behaviors = bs
-	h.checkers = nil
-}
-
-// Behaviors returns the current validation stack.
-func (h *Host) Behaviors() []spfimpl.Behavior {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]spfimpl.Behavior(nil), h.behaviors...)
-}
-
-// Vulnerable reports whether any current behavior is exploitable.
-func (h *Host) Vulnerable() bool {
-	for _, b := range h.Behaviors() {
-		if b.Vulnerable() {
-			return true
-		}
-	}
-	return false
-}
-
-// Validations returns a copy of the validations performed.
-func (h *Host) Validations() []Validation {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]Validation(nil), h.validations...)
-}
-
 // Overflows returns the simulated heap overflows the host has suffered.
 func (h *Host) Overflows() []spfimpl.OverflowEvent {
 	h.mu.Lock()
@@ -227,55 +184,10 @@ func (h *Host) Overflows() []spfimpl.OverflowEvent {
 	return append([]spfimpl.OverflowEvent(nil), h.overflows...)
 }
 
-// Inbox returns messages accepted by the host.
-func (h *Host) Inbox() [][]byte {
+func (h *Host) recordOverflow(ev spfimpl.OverflowEvent) {
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([][]byte, len(h.inbox))
-	for i, m := range h.inbox {
-		out[i] = append([]byte(nil), m...)
-	}
-	return out
-}
-
-// resolver returns the host's cached SPF-facing resolver.
-func (h *Host) resolver() spf.Resolver { return h.res }
-
-// newChecker builds the long-lived checker for one behavior.
-func (h *Host) newChecker(b spfimpl.Behavior) *spf.Checker {
-	checker := &spf.Checker{Resolver: h.res, Receiver: h.cfg.Hostname}
-	switch b {
-	case spfimpl.BehaviorVulnLibSPF2:
-		checker.Expander = &spfimpl.LibSPF2Expander{OnOverflow: func(ev spfimpl.OverflowEvent) {
-			h.mu.Lock()
-			h.overflows = append(h.overflows, ev)
-			h.mu.Unlock()
-		}}
-	case spfimpl.BehaviorSkipMacros:
-		checker.SkipMacroMechanisms = true
-	default:
-		checker.Expander = spfimpl.ExpanderFor(b)
-	}
-	return checker
-}
-
-// behaviorCheckers snapshots the behavior stack with a matching slice of
-// long-lived checkers, building checkers lazily after any behavior change.
-// Reusing checkers across validations lets the SPF engine's parsed-record
-// memo and pooled evaluation sessions amortize; a fresh checker per
-// validation would re-parse every policy and re-allocate every walk. Both
-// returned slices are immutable snapshots: Patch replaces the stack
-// wholesale rather than mutating it.
-func (h *Host) behaviorCheckers() ([]spfimpl.Behavior, []*spf.Checker) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.checkers == nil {
-		h.checkers = make([]*spf.Checker, len(h.behaviors))
-		for i, b := range h.behaviors {
-			h.checkers[i] = h.newChecker(b)
-		}
-	}
-	return h.behaviors, h.checkers
+	h.overflows = append(h.overflows, ev)
+	h.mu.Unlock()
 }
 
 // validate runs every configured behavior's validation for a transaction.
@@ -301,19 +213,8 @@ func (h *Host) validate(sender, helo string, remote net.Addr) spf.Result {
 	}
 
 	first := spf.ResultNone
-	behaviors, checkers := h.behaviorCheckers()
-	for i, b := range behaviors {
-		out := checkers[i].CheckHost(ctx, clientIP, domain, sender, helo)
-		h.mu.Lock()
-		h.validations = append(h.validations, Validation{
-			Time:     h.cfg.Clock.Now(),
-			Sender:   sender,
-			HELO:     helo,
-			ClientIP: clientIP,
-			Behavior: b,
-			Result:   out.Result,
-		})
-		h.mu.Unlock()
+	for i, b := range h.cfg.Behaviors {
+		out := h.checkers[i].CheckHost(ctx, clientIP, domain, sender, helo)
 		if vsp != nil {
 			vsp.Event("mta.behavior",
 				trace.String("behavior", string(b)),
@@ -430,14 +331,11 @@ func (hh *hostHandler) OnData(from string, rcpts []string, msg []byte, remote ne
 	}
 	if h.cfg.EnforceDMARC && from != "" && spfResult != spf.ResultPass {
 		domain := smtp.AddressDomain(from)
-		res, err := dmarc.Evaluate(context.Background(), h.resolver(), domain, spfResult, domain)
+		res, err := dmarc.Evaluate(context.Background(), h.res, domain, spfResult, domain)
 		if err == nil && res.Disposition == dmarc.PolicyReject {
 			return smtp.Replyf(550, "message rejected per DMARC policy of %s", domain)
 		}
 	}
-	h.mu.Lock()
-	h.inbox = append(h.inbox, append([]byte(nil), msg...))
-	h.mu.Unlock()
 	return nil
 }
 

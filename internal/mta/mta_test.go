@@ -2,8 +2,10 @@ package mta
 
 import (
 	"context"
+	"fmt"
 	"net/netip"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,16 +14,17 @@ import (
 	"spfail/internal/dnsserver"
 	"spfail/internal/netsim"
 	"spfail/internal/smtp"
-	"spfail/internal/spf"
 	"spfail/internal/spfimpl"
 )
 
 // world bundles a fabric, an authoritative DNS server with the SPF test
-// zone, and a query log — the measurement-side infrastructure.
+// zone, and a query log — the measurement-side infrastructure. Names
+// outside the test zone resolve from static, which tests may fill.
 type world struct {
 	fabric *netsim.Fabric
 	log    *dnsserver.QueryLog
 	zone   *dnsserver.SPFTestZone
+	static *dnsserver.ZoneSet
 }
 
 const dnsIP = "192.0.2.53"
@@ -40,10 +43,13 @@ func newWorldClock(t *testing.T, clk clock.Clock) *world {
 			Base:  dnsmsg.MustParseName("spf-test.dns-lab.org"),
 			Addr4: netip.MustParseAddr("192.0.2.80"),
 		},
+		static: dnsserver.NewZoneSet(),
 	}
 	w.fabric.Clock = clk
+	mux := dnsserver.NewMux(w.static)
+	mux.Handle(w.zone.Base, w.zone)
 	handler := &dnsserver.LoggingHandler{
-		Inner: w.zone,
+		Inner: mux,
 		Sink:  w.log,
 		Now:   time.Now,
 	}
@@ -73,7 +79,13 @@ func (w *world) newHost(t *testing.T, ip string, cfg Config) *Host {
 // probe runs a full BlankMsg-style transaction against the host.
 func (w *world) probe(t *testing.T, hostIP, mailDomain string, full bool) error {
 	t.Helper()
-	cli := &smtp.Client{Net: w.fabric.Host("198.51.100.9"), HELO: "probe.dns-lab.org"}
+	return w.probeFrom("198.51.100.9", hostIP, mailDomain, full)
+}
+
+// probeFrom is probe from the client address clientIP. It reports failure
+// only through its error, so concurrent probes may share a test.
+func (w *world) probeFrom(clientIP, hostIP, mailDomain string, full bool) error {
+	cli := &smtp.Client{Net: w.fabric.Host(clientIP), HELO: "probe.dns-lab.org"}
 	conn, err := cli.Dial(context.Background(), hostIP+":25")
 	if err != nil {
 		return err
@@ -113,6 +125,20 @@ func (w *world) queriesFor(id string) []string {
 		}
 	}
 	return out
+}
+
+// patternsFor reports whether the server saw the vulnerable libSPF2 and
+// the compliant expansion of the probe macro for label id.
+func (w *world) patternsFor(id string) (vuln, compliant bool) {
+	for _, q := range w.queriesFor(id) {
+		if strings.HasPrefix(q, "org.org.") {
+			vuln = true
+		}
+		if q == id+"."+id+".t01.spf-test.dns-lab.org." {
+			compliant = true
+		}
+	}
+	return vuln, compliant
 }
 
 func TestVulnerableHostEmitsFingerprint(t *testing.T) {
@@ -192,26 +218,21 @@ func TestValidateAtDataRequiresBlankMsg(t *testing.T) {
 	}
 }
 
+// TestPatchChangesFingerprint probes a host built with the stack a
+// population.HostManager gives a vulnerable host after its PatchAt: the
+// patched libSPF2 expands the probe macro like a compliant validator.
 func TestPatchChangesFingerprint(t *testing.T) {
 	w := newWorld(t)
-	h := w.newHost(t, "203.0.113.13", Config{
-		Behaviors:  []spfimpl.Behavior{spfimpl.BehaviorVulnLibSPF2},
+	w.newHost(t, "203.0.113.13", Config{
+		Behaviors:  []spfimpl.Behavior{spfimpl.BehaviorPatchedLibSPF2},
 		ValidateAt: ValidateAtMailFrom,
 	})
-	if !h.Vulnerable() {
-		t.Fatal("host should start vulnerable")
-	}
-	h.Patch()
-	if h.Vulnerable() {
-		t.Fatal("host should be patched")
-	}
 	if err := w.probe(t, "203.0.113.13", "ef55.t01.spf-test.dns-lab.org", false); err != nil {
 		t.Fatalf("probe: %v", err)
 	}
-	for _, q := range w.queriesFor("ef55") {
-		if strings.HasPrefix(q, "org.org.") {
-			t.Errorf("patched host still emits vulnerable pattern: %s", q)
-		}
+	if vuln, compliant := w.patternsFor("ef55"); vuln || !compliant {
+		t.Errorf("patched host patterns: vuln=%v compliant=%v, want only the compliant one; queries %v",
+			vuln, compliant, w.queriesFor("ef55"))
 	}
 }
 
@@ -224,18 +245,8 @@ func TestMultipleBehaviorsEmitMultiplePatterns(t *testing.T) {
 	if err := w.probe(t, "203.0.113.14", "gh33.t01.spf-test.dns-lab.org", false); err != nil {
 		t.Fatalf("probe: %v", err)
 	}
-	qs := w.queriesFor("gh33")
-	var vuln, compliant bool
-	for _, q := range qs {
-		if strings.HasPrefix(q, "org.org.") {
-			vuln = true
-		}
-		if q == "gh33.gh33.t01.spf-test.dns-lab.org." {
-			compliant = true
-		}
-	}
-	if !vuln || !compliant {
-		t.Errorf("multi-impl host patterns: vuln=%v compliant=%v queries=%v", vuln, compliant, qs)
+	if vuln, compliant := w.patternsFor("gh33"); !vuln || !compliant {
+		t.Errorf("multi-impl host patterns: vuln=%v compliant=%v queries=%v", vuln, compliant, w.queriesFor("gh33"))
 	}
 }
 
@@ -246,7 +257,7 @@ func TestHostCacheServesSecondBehavior(t *testing.T) {
 	sim := clock.NewSim(time.Date(2021, 10, 11, 0, 0, 0, 0, time.UTC))
 	defer sim.Close()
 	w := newWorldClock(t, sim)
-	h := w.newHost(t, "203.0.113.23", Config{
+	w.newHost(t, "203.0.113.23", Config{
 		Clock:      sim,
 		Behaviors:  []spfimpl.Behavior{spfimpl.BehaviorVulnLibSPF2, spfimpl.BehaviorCompliant},
 		ValidateAt: ValidateAtMailFrom,
@@ -255,8 +266,10 @@ func TestHostCacheServesSecondBehavior(t *testing.T) {
 	if err := w.probe(t, "203.0.113.23", mailDomain, false); err != nil {
 		t.Fatalf("probe: %v", err)
 	}
-	if n := len(h.Validations()); n != 2 {
-		t.Fatalf("validations = %d, want one per behavior", n)
+	// Both behaviors validated: each one's expansion reached the server.
+	if vuln, compliant := w.patternsFor("uv55"); !vuln || !compliant {
+		t.Fatalf("patterns: vuln=%v compliant=%v, want one per behavior; queries %v",
+			vuln, compliant, w.queriesFor("uv55"))
 	}
 	policy := dnsmsg.MustParseName(mailDomain)
 	txt := 0
@@ -360,7 +373,7 @@ func TestDMARCEnforcementDiscardsBlankProbe(t *testing.T) {
 	// the probe domain publishes p=reject (§6.2) — it never reaches an
 	// inbox.
 	w := newWorld(t)
-	h := w.newHost(t, "203.0.113.21", Config{
+	w.newHost(t, "203.0.113.21", Config{
 		Behaviors:    []spfimpl.Behavior{spfimpl.BehaviorVulnLibSPF2},
 		ValidateAt:   ValidateAtData,
 		EnforceDMARC: true,
@@ -372,44 +385,70 @@ func TestDMARCEnforcementDiscardsBlankProbe(t *testing.T) {
 	if qs := w.queriesFor("st99"); len(qs) == 0 {
 		t.Fatal("SPF queries should precede the DMARC rejection")
 	}
-	if len(h.Inbox()) != 0 {
-		t.Fatal("rejected probe must not be delivered")
-	}
-	// Sanity: without enforcement the same probe is delivered.
-	h2 := w.newHost(t, "203.0.113.22", Config{
+	// Sanity: without enforcement the same probe is delivered (250 after
+	// the message data).
+	w.newHost(t, "203.0.113.22", Config{
 		Behaviors:  []spfimpl.Behavior{spfimpl.BehaviorVulnLibSPF2},
 		ValidateAt: ValidateAtData,
 	})
 	if err := w.probe(t, "203.0.113.22", "st98.t01.spf-test.dns-lab.org", true); err != nil {
 		t.Fatalf("unenforced probe: %v", err)
 	}
-	if len(h2.Inbox()) != 1 {
-		t.Fatal("unenforced probe should be delivered")
+}
+
+// TestValidationRecordsAndOverflows checks that a validation judges the
+// SMTP client's own address: a RejectOnFail host accepts MAIL FROM from the
+// one address the sender policy authorizes and answers 550 to another. A
+// policy without URL-encoded macros overflows nothing.
+func TestValidationRecordsAndOverflows(t *testing.T) {
+	w := newWorld(t)
+	w.static.AddTXT(dnsmsg.MustParseName("ipcheck.example"), "v=spf1 ip4:198.51.100.9 -all")
+	h := w.newHost(t, "203.0.113.20", Config{
+		Behaviors:    []spfimpl.Behavior{spfimpl.BehaviorVulnLibSPF2},
+		ValidateAt:   ValidateAtMailFrom,
+		RejectOnFail: true,
+	})
+	if err := w.probeFrom("198.51.100.9", "203.0.113.20", "ipcheck.example", false); err != nil {
+		t.Fatalf("authorized client: %v", err)
+	}
+	if err := w.probeFrom("198.51.100.10", "203.0.113.20", "ipcheck.example", false); smtp.ReplyCode(err) != 550 {
+		t.Fatalf("unauthorized client = %v, want 550 SPF rejection", err)
+	}
+	if ov := h.Overflows(); len(ov) != 0 {
+		t.Errorf("benign policy caused overflows: %v", ov)
 	}
 }
 
-func TestValidationRecordsAndOverflows(t *testing.T) {
+// TestConcurrentValidationsOnOneHost runs several SMTP sessions at once
+// against one two-behavior host. Validations share the host's behaviors
+// and checkers without a lock, so every probe label must still show both
+// behaviors' expansions at the server (run it under -race).
+func TestConcurrentValidationsOnOneHost(t *testing.T) {
 	w := newWorld(t)
-	h := w.newHost(t, "203.0.113.20", Config{
-		Behaviors:  []spfimpl.Behavior{spfimpl.BehaviorVulnLibSPF2},
+	w.newHost(t, "203.0.113.24", Config{
+		Behaviors:  []spfimpl.Behavior{spfimpl.BehaviorVulnLibSPF2, spfimpl.BehaviorCompliant},
 		ValidateAt: ValidateAtMailFrom,
 	})
-	if err := w.probe(t, "203.0.113.20", "qr88.t01.spf-test.dns-lab.org", false); err != nil {
-		t.Fatal(err)
+	const sessions = 8
+	errs := make([]error, sessions)
+	var wg sync.WaitGroup
+	for i := 0; i < sessions; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			client := fmt.Sprintf("198.51.100.%d", 20+i)
+			mailDomain := fmt.Sprintf("cc%02d.t01.spf-test.dns-lab.org", i)
+			errs[i] = w.probeFrom(client, "203.0.113.24", mailDomain, false)
+		}(i)
 	}
-	vals := h.Validations()
-	if len(vals) != 1 {
-		t.Fatalf("validations = %v", vals)
-	}
-	v := vals[0]
-	if v.Behavior != spfimpl.BehaviorVulnLibSPF2 || v.Result != spf.ResultFail {
-		t.Errorf("validation = %+v", v)
-	}
-	if v.ClientIP.String() != "198.51.100.9" {
-		t.Errorf("client IP = %s", v.ClientIP)
-	}
-	// The benign probe policy uses lowercase %{d1r}: no overflow events.
-	if ov := h.Overflows(); len(ov) != 0 {
-		t.Errorf("benign probe caused overflows: %v", ov)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+		id := fmt.Sprintf("cc%02d", i)
+		if vuln, compliant := w.patternsFor(id); !vuln || !compliant {
+			t.Errorf("label %s: vuln=%v compliant=%v; queries %v", id, vuln, compliant, w.queriesFor(id))
+		}
 	}
 }

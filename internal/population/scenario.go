@@ -2,20 +2,16 @@ package population
 
 import (
 	"fmt"
-	"math/rand"
 	"net/netip"
-	"sort"
 	"strings"
-	"sync"
 )
 
 // A ScenarioPack is a declarative, seed-deterministic misconfiguration
 // class: a named bundle of mutators that rewrites a domain's SPF record
-// set, DNS zone content, and (if the pack wants) host behaviour after
-// base generation. Packs are pure data in, deterministic world mutation
-// out — applying the same pack mix to the same seed yields byte-identical
-// worlds, which is what the study's same-seed determinism regressions
-// assert end to end.
+// set, DMARC record and DNS zone content after base generation. Packs are
+// pure data in, deterministic world mutation out — applying the same pack
+// mix to the same seed yields byte-identical worlds, which is what the
+// study's same-seed determinism regressions assert end to end.
 type ScenarioPack struct {
 	// Name identifies the pack in Spec.Scenarios refs, report rows, and
 	// trace attributes. Lowercase kebab-case by convention.
@@ -34,22 +30,16 @@ type ScenarioPack struct {
 	SpoofMailFromLabel string
 }
 
-// A Mutator applies one deterministic rewrite to a domain.
+// A Mutator applies one deterministic rewrite to a domain: its output is a
+// function of the domain alone.
 type Mutator func(*Mutation)
 
 // Mutation is the context handed to a pack's mutators for one domain.
-// All helpers write only generator-owned state (the Domain's policy
-// fields and extra zone records), so mutation order across domains never
-// matters; mutators that reach shared hosts through World must accept
-// that a host serving several scenario domains sees every pack's edits.
+// All helpers write only that Domain's policy fields and extra zone
+// records, so mutation order across domains never matters.
 type Mutation struct {
 	// Domain is the domain being rewritten.
 	Domain *Domain
-	// World is the full world, for mutators that need host specs.
-	World *World
-	// Rand is a deterministic stream derived from (seed, pack, domain);
-	// same-seed worlds replay it exactly.
-	Rand *rand.Rand
 }
 
 // SetSPF replaces the SPF policy TXT records published at the apex.
@@ -91,9 +81,9 @@ func (m *Mutation) HostMechanisms() string {
 	return b.String()
 }
 
-// ScenarioPackRef selects a registered pack for a world mix.
+// ScenarioPackRef selects a built-in pack for a world mix.
 type ScenarioPackRef struct {
-	// Name of a pack registered with RegisterPack.
+	// Name of a built-in pack (see PackNames).
 	Name string
 	// Weight overrides the pack's default weight when > 0.
 	Weight float64
@@ -136,59 +126,38 @@ func ParseScenarioRefs(s string) ([]ScenarioPackRef, error) {
 	return refs, nil
 }
 
-// ---- registry ----
+// ---- built-in table ----
 
-var (
-	packMu sync.RWMutex
-	packs  = make(map[string]ScenarioPack)
-)
-
-// RegisterPack adds a pack to the global registry. It panics on an empty
-// name, a pack with no mutators, or a duplicate registration — all
-// programming errors, caught at init time.
-func RegisterPack(p ScenarioPack) {
-	if p.Name == "" {
-		panic("population: RegisterPack: empty pack name")
-	}
-	if len(p.Mutators) == 0 {
-		panic("population: RegisterPack: pack " + p.Name + " has no mutators")
-	}
-	packMu.Lock()
-	defer packMu.Unlock()
-	if _, dup := packs[p.Name]; dup {
-		panic("population: RegisterPack: duplicate pack " + p.Name)
-	}
-	packs[p.Name] = p
+// builtinPacks is the fixed taxonomy, sorted by name. Spec.Validate
+// accepts exactly these names.
+var builtinPacks = []ScenarioPack{
+	AlignmentGap(),
+	AlignmentStrict(),
+	DanglingInclude(),
+	DMARCNoneRelaxed(),
+	LookupLimitBuster(),
+	NestedIncludeChain(4),
+	NoDMARC(),
+	PlusAll(),
+	VoidLookupHeavy(),
 }
 
-// PackByName looks up a registered pack.
+// PackByName looks up a built-in pack.
 func PackByName(name string) (ScenarioPack, bool) {
-	packMu.RLock()
-	defer packMu.RUnlock()
-	p, ok := packs[name]
-	return p, ok
-}
-
-// PacksByName returns a copy of the registry.
-func PacksByName() map[string]ScenarioPack {
-	packMu.RLock()
-	defer packMu.RUnlock()
-	out := make(map[string]ScenarioPack, len(packs))
-	for k, v := range packs {
-		out[k] = v
+	for _, p := range builtinPacks {
+		if p.Name == name {
+			return p, true
+		}
 	}
-	return out
+	return ScenarioPack{}, false
 }
 
-// PackNames returns the registered pack names, sorted.
+// PackNames returns the built-in pack names, sorted.
 func PackNames() []string {
-	packMu.RLock()
-	defer packMu.RUnlock()
-	out := make([]string, 0, len(packs))
-	for k := range packs {
-		out = append(out, k)
+	out := make([]string, len(builtinPacks))
+	for i, p := range builtinPacks {
+		out[i] = p.Name
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -259,39 +228,11 @@ func (g *generator) applyScenarios() {
 
 func (g *generator) applyPack(p ScenarioPack, d *Domain) {
 	d.Scenario = p.Name
-	m := &Mutation{
-		Domain: d,
-		World:  g.w,
-		Rand:   rand.New(&lazySource{seed: int64(scenarioHash(g.spec.Seed, p.Name+"|"+d.Name))}),
-	}
+	m := &Mutation{Domain: d}
 	for _, mut := range p.Mutators {
 		mut(m)
 	}
 }
-
-// lazySource is rand.NewSource(seed), seeded on its first draw. Seeding
-// fills a 4.9 KB table, and most mutators never draw, so a world with
-// thousands of scenario domains seeds only the sources that are used.
-type lazySource struct {
-	seed int64
-	src  rand.Source64
-}
-
-func (s *lazySource) source() rand.Source64 {
-	if s.src == nil {
-		s.src = rand.NewSource(s.seed).(rand.Source64)
-	}
-	return s.src
-}
-
-// Int63 implements rand.Source.
-func (s *lazySource) Int63() int64 { return s.source().Int63() }
-
-// Uint64 implements rand.Source64.
-func (s *lazySource) Uint64() uint64 { return s.source().Uint64() }
-
-// Seed implements rand.Source.
-func (s *lazySource) Seed(seed int64) { s.seed, s.src = seed, nil }
 
 // ---- built-in packs ----
 
@@ -456,16 +397,4 @@ func AlignmentStrict() ScenarioPack {
 			m.AddTXT(m.Sub("outbound"), "v=spf1 +all")
 		}},
 	}
-}
-
-func init() {
-	RegisterPack(PlusAll())
-	RegisterPack(DanglingInclude())
-	RegisterPack(NestedIncludeChain(4))
-	RegisterPack(LookupLimitBuster())
-	RegisterPack(VoidLookupHeavy())
-	RegisterPack(NoDMARC())
-	RegisterPack(DMARCNoneRelaxed())
-	RegisterPack(AlignmentGap())
-	RegisterPack(AlignmentStrict())
 }

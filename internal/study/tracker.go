@@ -20,19 +20,16 @@ import (
 
 // Tracker is the minimal HTTP server that serves the notification emails'
 // tracking pixel (paper §7.7). Each pixel URL embeds a unique identifier;
-// a request for it is the study's evidence that the notification was
-// opened.
+// a successful fetch is the study's evidence that the notification was
+// opened (see Notifier).
 type Tracker struct {
 	Net  netsim.Network
 	Addr string // listen address, e.g. ":80"
 	Clk  clock.Clock
-	// Timeout bounds each pixel request; 0 means 10s.
-	Timeout time.Duration
 
-	mu    sync.Mutex
-	l     net.Listener
-	wg    sync.WaitGroup
-	opens map[string]time.Time
+	mu sync.Mutex
+	l  net.Listener
+	wg sync.WaitGroup
 }
 
 func (t *Tracker) clock() clock.Clock {
@@ -42,12 +39,8 @@ func (t *Tracker) clock() clock.Clock {
 	return clock.Real{}
 }
 
-func (t *Tracker) timeout() time.Duration {
-	if t.Timeout > 0 {
-		return t.Timeout
-	}
-	return 10 * time.Second
-}
+// pixelTimeout bounds one pixel request, on both ends.
+const pixelTimeout = 10 * time.Second
 
 // opened1x1 is a 1×1 GIF, the classic tracking pixel.
 var opened1x1 = []byte("GIF89a\x01\x00\x01\x00\x80\x00\x00\x00\x00\x00\xff\xff\xff!\xf9\x04\x01\x00\x00\x00\x00,\x00\x00\x00\x00\x01\x00\x01\x00\x00\x02\x02D\x01\x00;")
@@ -60,7 +53,6 @@ func (t *Tracker) Start() error {
 	}
 	t.mu.Lock()
 	t.l = l
-	t.opens = make(map[string]time.Time)
 	t.mu.Unlock()
 	t.wg.Add(1)
 	go t.serve(l)
@@ -96,7 +88,7 @@ func (t *Tracker) serve(l net.Listener) {
 
 // handle processes one HTTP request: GET /px/<id>.gif.
 func (t *Tracker) handle(c net.Conn) {
-	if err := c.SetDeadline(t.clock().Now().Add(t.timeout())); err != nil {
+	if err := c.SetDeadline(t.clock().Now().Add(pixelTimeout)); err != nil {
 		return
 	}
 	br := bufio.NewReader(c)
@@ -117,31 +109,12 @@ func (t *Tracker) handle(c net.Conn) {
 		return
 	}
 	path := fields[1]
-	const prefix = "/px/"
-	if !strings.HasPrefix(path, prefix) || !strings.HasSuffix(path, ".gif") {
+	if !strings.HasPrefix(path, "/px/") || !strings.HasSuffix(path, ".gif") {
 		fmt.Fprintf(c, "HTTP/1.0 404 Not Found\r\nContent-Length: 0\r\n\r\n")
 		return
 	}
-	id := strings.TrimSuffix(strings.TrimPrefix(path, prefix), ".gif")
-	now := t.clock().Now()
-	t.mu.Lock()
-	if _, seen := t.opens[id]; !seen {
-		t.opens[id] = now
-	}
-	t.mu.Unlock()
 	fmt.Fprintf(c, "HTTP/1.0 200 OK\r\nContent-Type: image/gif\r\nContent-Length: %d\r\n\r\n", len(opened1x1))
 	_, _ = c.Write(opened1x1)
-}
-
-// Opens returns a copy of the recorded open events (id → first open time).
-func (t *Tracker) Opens() map[string]time.Time {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[string]time.Time, len(t.opens))
-	for k, v := range t.opens {
-		out[k] = v
-	}
-	return out
 }
 
 // PixelURL renders the tracking URL embedded in a notification.
@@ -162,7 +135,7 @@ func FetchPixel(ctx context.Context, clk clock.Clock, n netsim.Network, addr, id
 		return err
 	}
 	defer c.Close()
-	if err := c.SetDeadline(clk.Now().Add(10 * time.Second)); err != nil {
+	if err := c.SetDeadline(clk.Now().Add(pixelTimeout)); err != nil {
 		return err
 	}
 	fmt.Fprintf(c, "GET /px/%s.gif HTTP/1.0\r\nHost: tracker\r\n\r\n", id)
