@@ -290,34 +290,28 @@ func serveObservability(common *cliflags.Common, cfg *study.Config) (stop func()
 // progressLoop prints one telemetry line per tick (wall time; the study
 // itself runs on a virtual clock) until the returned stop function runs.
 func progressLoop(reg *telemetry.Registry, every time.Duration) (stop func()) {
-	done := make(chan struct{})
-	clk := clock.Real{}
+	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
-		for {
-			select {
-			case <-done:
-				return
-			case <-clk.After(every):
-				s := reg.Snapshot()
-				lat := s.Histograms["probe.latency"]
-				fmt.Fprintf(os.Stderr,
-					"[metrics] probes=%d batches=%d inflight=%d (max %d) dns_queries=%d smtp_sessions=%d greylist_waits=%d probe_lat(p50/p95/p99)=%.3fs/%.3fs/%.3fs heap=%s rss=%s gc=%d goroutines=%d\n",
-					s.Counters["probe.total"],
-					s.Counters["campaign.batches_done"],
-					s.Gauges["campaign.inflight"].Value,
-					s.Gauges["campaign.inflight"].Max,
-					s.Counters["dns.server.queries"],
-					s.Counters["smtp.client.sessions"],
-					s.Counters["probe.greylist_waits"],
-					lat.P50Seconds, lat.P95Seconds, lat.P99Seconds,
-					report.Bytes(s.Gauges["runtime.heap.live_bytes"].Value),
-					report.Bytes(s.Gauges["runtime.mem.rss_bytes"].Value),
-					s.Counters["runtime.gc.cycles"],
-					s.Gauges["runtime.sched.goroutines"].Value)
-			}
+		for (clock.Real{}).Sleep(ctx, every) == nil {
+			s := reg.Snapshot()
+			lat := s.Histograms["probe.latency"]
+			fmt.Fprintf(os.Stderr,
+				"[metrics] probes=%d batches=%d inflight=%d (max %d) dns_queries=%d smtp_sessions=%d greylist_waits=%d probe_lat(p50/p95/p99)=%.3fs/%.3fs/%.3fs heap=%s rss=%s gc=%d goroutines=%d\n",
+				s.Counters["probe.total"],
+				s.Counters["campaign.batches_done"],
+				s.Gauges["campaign.inflight"].Value,
+				s.Gauges["campaign.inflight"].Max,
+				s.Counters["dns.server.queries"],
+				s.Counters["smtp.client.sessions"],
+				s.Counters["probe.greylist_waits"],
+				lat.P50Seconds, lat.P95Seconds, lat.P99Seconds,
+				report.Bytes(s.Gauges["runtime.heap.live_bytes"].Value),
+				report.Bytes(s.Gauges["runtime.mem.rss_bytes"].Value),
+				s.Counters["runtime.gc.cycles"],
+				s.Gauges["runtime.sched.goroutines"].Value)
 		}
 	}()
-	return func() { close(done) }
+	return cancel
 }
 
 // writeMetrics dumps the final JSON snapshot to path, or stderr when path

@@ -29,7 +29,6 @@ func main() {
 		report.Count(len(world.Domains)), report.Count(len(world.Hosts)))
 
 	sim := clock.NewSim(population.TInitial)
-	defer sim.Close()
 	rig, err := measure.NewRigFromOptions(context.Background(), measure.RigOptions{
 		World: world,
 		Clock: sim,
@@ -57,25 +56,19 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	done := make(chan map[string]int, 1)
-	var outcomes map[string]int
-	clock.Go(sim, func() {
-		results, err := campaign.MeasureAddrs(context.Background(), addrs, rep)
-		if err != nil {
-			panic(err)
+	results, err := campaign.MeasureAddrs(context.Background(), addrs, rep)
+	if err != nil {
+		panic(err)
+	}
+	outcomes := map[string]int{}
+	vulnerable := 0
+	for _, o := range results {
+		outcomes[string(o.Status)]++
+		if o.Vulnerable() {
+			vulnerable++
 		}
-		counts := map[string]int{}
-		vulnerable := 0
-		for _, o := range results {
-			counts[string(o.Status)]++
-			if o.Vulnerable() {
-				vulnerable++
-			}
-		}
-		counts["vulnerable"] = vulnerable
-		done <- counts
-	})
-	outcomes = <-done
+	}
+	outcomes["vulnerable"] = vulnerable
 
 	t := &report.Table{
 		Title:   "Initial measurement outcomes",

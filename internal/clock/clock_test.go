@@ -2,7 +2,6 @@ package clock
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
 )
@@ -35,7 +34,6 @@ func TestRealSleepCancelled(t *testing.T) {
 
 func TestSimNowStartsAtEpoch(t *testing.T) {
 	s := NewSim(epoch)
-	defer s.Close()
 	if got := s.Now(); !got.Equal(epoch) {
 		t.Fatalf("Now() = %v, want %v", got, epoch)
 	}
@@ -43,147 +41,56 @@ func TestSimNowStartsAtEpoch(t *testing.T) {
 
 func TestSimAdvanceMovesTime(t *testing.T) {
 	s := NewSim(epoch)
-	defer s.Close()
 	s.Advance(48 * time.Hour)
 	if got, want := s.Now(), epoch.Add(48*time.Hour); !got.Equal(want) {
 		t.Fatalf("Now() after Advance = %v, want %v", got, want)
 	}
 }
 
-func TestSimAdvanceFiresTimers(t *testing.T) {
-	s := NewSim(epoch)
-	defer s.Close()
-	ch := s.After(time.Minute)
-	s.Advance(2 * time.Minute)
-	select {
-	case at := <-ch:
-		if want := epoch.Add(time.Minute); !at.Equal(want) {
-			t.Fatalf("timer fired at %v, want %v", at, want)
-		}
-	default:
-		t.Fatal("timer did not fire after Advance past deadline")
-	}
-}
-
-func TestSimAdvanceDoesNotFireEarly(t *testing.T) {
-	s := NewSim(epoch)
-	defer s.Close()
-	ch := s.After(time.Hour)
-	s.Advance(time.Minute)
-	select {
-	case <-ch:
-		t.Fatal("timer fired before its deadline")
-	default:
-	}
-}
-
+// TestSimAutoAdvanceSleep: a Sleep moves the timeline by exactly d and
+// returns at once, with no Advance call and no other goroutine involved.
 func TestSimAutoAdvanceSleep(t *testing.T) {
 	s := NewSim(epoch)
-	defer s.Close()
-	done := make(chan time.Time, 1)
-	s.Go(func() {
-		if err := s.Sleep(context.Background(), 90*time.Second); err != nil {
-			t.Errorf("Sleep: %v", err)
-		}
-		done <- s.Now()
-	})
-	select {
-	case at := <-done:
-		if want := epoch.Add(90 * time.Second); !at.Equal(want) {
-			t.Fatalf("woke at %v, want %v", at, want)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("auto-advance never woke the sleeper")
+	if err := s.Sleep(context.Background(), 90*time.Second); err != nil {
+		t.Fatalf("Sleep: %v", err)
 	}
-}
-
-func TestSimManySleepersOrdered(t *testing.T) {
-	s := NewSim(epoch)
-	defer s.Close()
-	var mu sync.Mutex
-	var order []int
-	var wg sync.WaitGroup
-	s.Add(5) // register all sleepers before any can block
-	for i := 5; i >= 1; i-- {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer s.Done()
-			defer wg.Done()
-			s.Sleep(context.Background(), time.Duration(i)*time.Hour)
-			mu.Lock()
-			order = append(order, i)
-			mu.Unlock()
-		}()
-	}
-	doneCh := make(chan struct{})
-	go func() { wg.Wait(); close(doneCh) }()
-	select {
-	case <-doneCh:
-	case <-time.After(5 * time.Second):
-		t.Fatal("sleepers never completed")
-	}
-	for i := 1; i < len(order); i++ {
-		if order[i-1] > order[i] {
-			t.Fatalf("wake order %v not sorted by deadline", order)
-		}
-	}
-	if got, want := s.Now(), epoch.Add(5*time.Hour); got.Before(want) {
-		t.Fatalf("clock at %v, want at least %v", got, want)
+	if got, want := s.Now(), epoch.Add(90*time.Second); !got.Equal(want) {
+		t.Fatalf("woke at %v, want %v", got, want)
 	}
 }
 
 func TestSimSleepCancelled(t *testing.T) {
 	s := NewSim(epoch)
-	defer s.Close()
 	ctx, cancel := context.WithCancel(context.Background())
-	errCh := make(chan error, 1)
-	s.Add(1)
-	go func() {
-		defer s.Done()
-		errCh <- s.Sleep(ctx, time.Hour)
-	}()
 	cancel()
-	select {
-	case err := <-errCh:
-		if err != context.Canceled {
-			t.Fatalf("Sleep = %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled Sleep never returned")
+	if err := s.Sleep(ctx, time.Hour); err != context.Canceled {
+		t.Fatalf("Sleep = %v, want context.Canceled", err)
 	}
-}
-
-func TestSimAfterZeroFiresImmediately(t *testing.T) {
-	s := NewSim(epoch)
-	defer s.Close()
-	select {
-	case at := <-s.After(0):
-		if !at.Equal(epoch) {
-			t.Fatalf("After(0) fired at %v, want %v", at, epoch)
-		}
-	default:
-		t.Fatal("After(0) did not fire immediately")
+	if got := s.Now(); !got.Equal(epoch) {
+		t.Fatalf("cancelled Sleep moved the clock to %v", got)
 	}
 }
 
 func TestSimSequentialCampaignCadence(t *testing.T) {
-	// Emulates the longitudinal cadence: one goroutine sleeping 2 days, 10x.
+	// Emulates the longitudinal cadence: the driver sleeping 2 days, 10x.
 	s := NewSim(epoch)
-	defer s.Close()
-	done := make(chan time.Time, 1)
-	s.Go(func() {
-		for i := 0; i < 10; i++ {
-			s.Sleep(context.Background(), 48*time.Hour)
+	for i := 0; i < 10; i++ {
+		if err := s.Sleep(context.Background(), 48*time.Hour); err != nil {
+			t.Fatalf("Sleep: %v", err)
 		}
-		done <- s.Now()
-	})
-	select {
-	case at := <-done:
-		if want := epoch.Add(20 * 24 * time.Hour); !at.Equal(want) {
-			t.Fatalf("campaign ended at %v, want %v", at, want)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("campaign never completed")
+	}
+	if got, want := s.Now(), epoch.Add(20*24*time.Hour); !got.Equal(want) {
+		t.Fatalf("campaign ended at %v, want %v", got, want)
+	}
+}
+
+func TestContextCarriesClock(t *testing.T) {
+	s := NewSim(epoch)
+	def := NewSim(epoch)
+	if got := FromContext(context.Background(), def); got != Clock(def) {
+		t.Fatalf("FromContext without a clock = %v, want the default", got)
+	}
+	if got := FromContext(NewContext(context.Background(), s), def); got != Clock(s) {
+		t.Fatalf("FromContext = %v, want the carried clock", got)
 	}
 }

@@ -9,12 +9,11 @@ import (
 func TestFrameAdvancesOnlyThroughItsOwnSleeps(t *testing.T) {
 	base := time.Date(2021, 10, 11, 0, 0, 0, 0, time.UTC)
 	sim := NewSim(base)
-	defer sim.Close()
 
 	clk := NewFrame(sim, base)
-	f, ok := clk.(*Frame)
-	if !ok {
-		t.Fatalf("NewFrame over *Sim returned %T, want *Frame", clk)
+	f, ok := clk.(*Sim)
+	if !ok || f == sim {
+		t.Fatalf("NewFrame over *Sim returned %T (shared: %v), want a fresh *Sim", clk, f == sim)
 	}
 	if got := f.Now(); !got.Equal(base) {
 		t.Fatalf("fresh frame Now() = %v, want %v", got, base)
@@ -38,9 +37,7 @@ func TestFrameAdvancesOnlyThroughItsOwnSleeps(t *testing.T) {
 
 func TestFrameSleepHonoursCancelledContext(t *testing.T) {
 	base := time.Unix(0, 0)
-	sim := NewSim(base)
-	defer sim.Close()
-	f := NewFrame(sim, base)
+	f := NewFrame(NewSim(base), base)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -49,25 +46,6 @@ func TestFrameSleepHonoursCancelledContext(t *testing.T) {
 	}
 	if got := f.Now(); !got.Equal(base) {
 		t.Fatalf("cancelled Sleep advanced the frame to %v", got)
-	}
-}
-
-func TestFrameAfterDeliversImmediately(t *testing.T) {
-	base := time.Unix(1000, 0)
-	sim := NewSim(base)
-	defer sim.Close()
-	f := NewFrame(sim, base)
-
-	select {
-	case got := <-f.After(time.Minute):
-		if want := base.Add(time.Minute); !got.Equal(want) {
-			t.Fatalf("After delivered %v, want %v", got, want)
-		}
-	default:
-		t.Fatal("After channel was not immediately ready")
-	}
-	if got, want := f.Now(), base.Add(time.Minute); !got.Equal(want) {
-		t.Fatalf("After did not advance the frame: Now() = %v, want %v", got, want)
 	}
 }
 

@@ -9,96 +9,71 @@ import (
 	"time"
 )
 
-// TestPropertySimWakeOrder: under arbitrary sets of sleepers, every
-// goroutine wakes exactly at its deadline and virtual time never runs
-// backwards.
+// TestPropertySimWakeOrder: under arbitrary sets of concurrent sleepers,
+// each on its own frame over one shared Sim, every sleep wakes exactly at
+// its deadline on the sleeper's timeline, and the shared timeline never
+// moves.
 func TestPropertySimWakeOrder(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		s := NewSim(epoch)
-		defer s.Close()
+		shared := NewSim(epoch)
 		n := 2 + r.Intn(6)
-		durations := make([]time.Duration, n)
-		for i := range durations {
-			durations[i] = time.Duration(1+r.Intn(10_000)) * time.Millisecond
+		sleeps := make([][]time.Duration, n)
+		for i := range sleeps {
+			sleeps[i] = make([]time.Duration, 1+r.Intn(5))
+			for j := range sleeps[i] {
+				sleeps[i][j] = time.Duration(1+r.Intn(10_000)) * time.Millisecond
+			}
 		}
-		type wake struct {
-			idx int
-			at  time.Time
-		}
-		var mu sync.Mutex
-		var wakes []wake
+		ok := make([]bool, n)
 		var wg sync.WaitGroup
-		s.Add(n)
 		for i := 0; i < n; i++ {
 			i := i
 			wg.Add(1)
 			go func() {
-				defer s.Done()
 				defer wg.Done()
-				s.Sleep(context.Background(), durations[i])
-				mu.Lock()
-				wakes = append(wakes, wake{idx: i, at: s.Now()})
-				mu.Unlock()
+				frame := NewFrame(shared, epoch)
+				want := epoch
+				for _, d := range sleeps[i] {
+					want = want.Add(d)
+					if frame.Sleep(context.Background(), d) != nil || !frame.Now().Equal(want) {
+						return
+					}
+				}
+				ok[i] = true
 			}()
 		}
-		done := make(chan struct{})
-		go func() { wg.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			return false
-		}
-		// Every sleeper woke at or after its deadline, and observed
-		// times are consistent with deadline order.
-		for _, w := range wakes {
-			if s := epoch.Add(durations[w.idx]); w.at.Before(s) {
+		wg.Wait()
+		for _, o := range ok {
+			if !o {
 				return false
 			}
 		}
-		return true
+		return shared.Now().Equal(epoch)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestPropertyAdvanceMonotonic: Advance never moves time backwards and
-// fires every timer whose deadline is crossed.
+// TestPropertyAdvanceMonotonic: Advance and Sleep never move time
+// backwards, and the timeline reads exactly the sum of what moved it.
 func TestPropertyAdvanceMonotonic(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		s := NewSim(epoch)
-		defer s.Close()
-		type timer struct {
-			ch <-chan time.Time
-			at time.Time
-		}
-		var timers []timer
-		now := epoch
+		want := epoch
 		for step := 0; step < 20; step++ {
-			switch r.Intn(2) {
-			case 0:
-				d := time.Duration(r.Intn(5000)) * time.Millisecond
-				timers = append(timers, timer{ch: s.After(d), at: now.Add(d)})
-			case 1:
-				d := time.Duration(r.Intn(3000)) * time.Millisecond
+			d := time.Duration(r.Intn(5000)) * time.Millisecond
+			before := s.Now()
+			if r.Intn(2) == 0 {
 				s.Advance(d)
-				if s.Now().Before(now) {
-					return false
-				}
-				now = s.Now()
+			} else if s.Sleep(context.Background(), d) != nil {
+				return false
 			}
-		}
-		s.Advance(10 * time.Second)
-		for _, tm := range timers {
-			select {
-			case at := <-tm.ch:
-				if at.Before(tm.at) {
-					return false // fired early
-				}
-			default:
-				return false // due timer never fired
+			want = want.Add(d)
+			if s.Now().Before(before) || !s.Now().Equal(want) {
+				return false
 			}
 		}
 		return true

@@ -18,7 +18,6 @@ func TestOutcomeEndSpan(t *testing.T) {
 	var out bytes.Buffer
 	tr := trace.New(&out, trace.Options{Seed: 1})
 	sim := clock.NewSim(time.Date(2021, 10, 11, 0, 0, 0, 0, time.UTC))
-	defer sim.Close()
 	buf := tr.ProbeBuffer(sim, "s01", 7)
 	o := Outcome{
 		Status:     StatusInconclusive,

@@ -153,8 +153,11 @@ type Prober struct {
 	HELO string
 	// Clock paces greylist retries and inter-connection waits, stamps
 	// breaker decisions, and measures probe latency. Campaigns hand each
-	// probe a detached clock.Frame here so those timestamps are a pure
-	// function of the probe, independent of batch partitioning.
+	// probe its own timeline here (clock.NewFrame) and carry it on the
+	// probe's context, where a tarpitted dial sleeps on it too, so those
+	// timestamps are a pure function of the probe, independent of batch
+	// partitioning. A shared simulated clock has one sleeper, the study
+	// driver, so a prober that runs beside others must not sleep on it.
 	Clock clock.Clock
 	// IOClock, when non-nil, supplies the timeline SMTP I/O deadlines
 	// are computed on. Campaigns keep it on the rig's shared clock even

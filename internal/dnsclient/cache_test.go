@@ -41,7 +41,6 @@ func cacheStats(cache *CachingClient) (hits, misses int64) {
 
 func TestCacheServesRepeatsLocally(t *testing.T) {
 	sim := clock.NewSim(time.Unix(1_700_000_000, 0))
-	defer sim.Close()
 	r, cache, sink := newCachedSetup(t, sim)
 
 	for i := 0; i < 5; i++ {
@@ -61,7 +60,6 @@ func TestCacheServesRepeatsLocally(t *testing.T) {
 
 func TestCacheExpiresWithTTL(t *testing.T) {
 	sim := clock.NewSim(time.Unix(1_700_000_000, 0))
-	defer sim.Close()
 	r, _, sink := newCachedSetup(t, sim)
 
 	// testZone records carry TTL 300.
@@ -82,7 +80,6 @@ func TestCacheExpiresWithTTL(t *testing.T) {
 
 func TestCacheNegativeAnswers(t *testing.T) {
 	sim := clock.NewSim(time.Unix(1_700_000_000, 0))
-	defer sim.Close()
 	r, cache, sink := newCachedSetup(t, sim)
 
 	for i := 0; i < 3; i++ {
@@ -104,7 +101,6 @@ func TestCacheNegativeAnswers(t *testing.T) {
 func TestCacheDistinctNamesMiss(t *testing.T) {
 	// The SPFail label design: unique names can never be cache hits.
 	sim := clock.NewSim(time.Unix(1_700_000_000, 0))
-	defer sim.Close()
 	r, cache, sink := newCachedSetup(t, sim)
 	names := []string{"example.com", "mail.example.com"}
 	for _, n := range names {
@@ -122,7 +118,6 @@ func TestCacheNegativeHonorsSOAMinimum(t *testing.T) {
 	// A zone whose SOA carries a nonzero minimum: negative answers must be
 	// cached for exactly that long on the virtual clock, not the fallback.
 	sim := clock.NewSim(time.Unix(1_700_000_000, 0))
-	defer sim.Close()
 	fabric := netsim.NewFabric()
 	sink := &countingSink{}
 	z := dnsserver.NewZoneSet()
@@ -155,7 +150,6 @@ func TestCacheNegativeHonorsSOAMinimum(t *testing.T) {
 
 func TestCacheFlush(t *testing.T) {
 	sim := clock.NewSim(time.Unix(1_700_000_000, 0))
-	defer sim.Close()
 	r, cache, sink := newCachedSetup(t, sim)
 	r.LookupTXT(context.Background(), "example.com")
 	cache.Flush()

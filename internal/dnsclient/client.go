@@ -43,10 +43,11 @@ type Client struct {
 	Timeout time.Duration
 	// Retry, when enabled (MaxAttempts > 1), replaces the default of one
 	// immediate retransmit: attempts are bounded by the policy and
-	// separated by its jittered backoff slept on Clk. Leave zero on
-	// resolvers driven by goroutines not accounted to a simulated clock
-	// (e.g. MTA hosts): their sleeps would corrupt the clock's
-	// bookkeeping.
+	// separated by its jittered backoff slept on Clk. A shared simulated
+	// clock has one sleeper, the study driver, so leave it zero on
+	// resolvers that other goroutines drive (e.g. MTA hosts): their
+	// backoffs would move the shared timeline by an amount that depends
+	// on scheduling.
 	Retry retry.Policy
 	// Metrics, when non-nil, receives lookup/retry/latency metrics
 	// (see docs/telemetry.md).

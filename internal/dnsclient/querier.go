@@ -30,8 +30,9 @@ type Querier interface {
 // misses for the same name costs one wire exchange.
 //
 // Followers wait on the leader in wall time (channel select), never on the
-// injected clock: callers may be goroutines that are not accounted to a
-// simulated clock (e.g. MTA hosts), exactly like the fabric's I/O waits.
+// injected clock: a shared simulated clock has one sleeper, the study
+// driver, and callers may be MTA hosts, exactly like the fabric's I/O
+// waits.
 type SingleFlight struct {
 	// Upstream performs the actual transaction; required.
 	Upstream Querier

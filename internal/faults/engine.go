@@ -136,9 +136,9 @@ func (e *Engine) decide(i int, r Rule, host string) bool {
 }
 
 // DialTCP implements netsim.FaultInjector. Only port-25 (SMTP) dials are
-// faultable: those originate from prober goroutines accounted to the
-// simulated clock, so a tarpit's virtual sleep is safe there and only
-// there.
+// faultable. A tarpit's delay is slept by the dialer: a campaign probe
+// sleeps it on its own timeline, and the study driver (the §7.7
+// notifications) on the shared clock it alone sleeps on.
 func (e *Engine) DialTCP(src, dst netsim.Addr) netsim.DialFault {
 	var f netsim.DialFault
 	if dst.Port != 25 || e.plan.Empty() {

@@ -150,9 +150,8 @@ func (c *Campaign) ResumeRound(probeSeq uint64, breakers []retry.BreakerSnapshot
 // which surface in the returned error.
 func (c *Campaign) MeasureAddrsFunc(ctx context.Context, addrs []netip.Addr, rcptDomain map[netip.Addr]string, fn func(netip.Addr, core.Outcome)) error {
 	reg := c.metrics()
-	// All batches of a round share one effective time: the virtual instant a
-	// later batch starts depends on scheduler interleaving, and host
-	// behaviour must not (determinism).
+	// All batches of a round share one effective time, so host behaviour
+	// is a function of the pass alone (determinism).
 	asOf := c.Rig.Clock.Now()
 	for start := 0; start < len(addrs); {
 		end := start + c.cfg.BatchSize
@@ -213,16 +212,15 @@ type stampedOutcome struct {
 // serially in input order, which is what keeps same-seed campaigns
 // byte-deterministic regardless of how the shards interleave.
 //
-// When the rig runs on a simulated clock, the caller must be an accounted
-// goroutine (clock.Go); the shard workers are accounted and the final wait
-// yields to the virtual scheduler.
-//
-// Each probe runs on its own clock.Frame anchored at the batch's shared
-// asOf, so a probe's virtual timeline — politeness gaps, greylist waits,
-// retry backoffs, every traced span timestamp — depends only on the probe
-// itself, never on how the batch was partitioned or sharded. SMTP I/O
-// deadlines stay on the rig clock (see core.Prober.IOClock) so the fabric
-// spends exactly the configured budget.
+// Each probe runs on its own timeline (clock.NewFrame) anchored at the
+// batch's shared asOf, and carries it on its context (clock.NewContext) so
+// a tarpitted dial sleeps there too. A probe's virtual timeline —
+// politeness gaps, greylist waits, retry backoffs, tarpits, every traced
+// span timestamp — thus depends only on the probe itself, never on how
+// the batch was partitioned or sharded, and no shard sleeps on the rig's
+// shared clock, whose one sleeper is the study driver. SMTP I/O deadlines
+// stay on the rig clock (see core.Prober.IOClock) so the fabric spends
+// exactly the configured budget.
 func (c *Campaign) probeBatch(ctx context.Context, batch []netip.Addr, asOf time.Time, rcptDomain map[netip.Addr]string, record func(netip.Addr, core.Outcome)) {
 	if len(batch) == 0 {
 		return
@@ -256,7 +254,7 @@ func (c *Campaign) probeBatch(ctx context.Context, batch []netip.Addr, asOf time
 		s := s
 		results[s] = results[s][:0]
 		wg.Add(1)
-		clock.Go(clk, func() {
+		go func() {
 			defer wg.Done()
 			inflight.Add(1)
 			defer inflight.Add(-1)
@@ -279,14 +277,14 @@ func (c *Campaign) probeBatch(ctx context.Context, batch []netip.Addr, asOf time
 				// traced runs (labels appear in traced DNS query names).
 				stream.Reset(index)
 				p.Clock = clock.NewFrame(clk, asOf)
-				out, buf := c.probeOne(ctx, tr, p, suite, index, a, dom)
+				out, buf := c.probeOne(clock.NewContext(ctx, p.Clock), tr, p, suite, index, a, dom)
 				results[s] = append(results[s], stampedOutcome{seq: seq, out: out, buf: buf})
 				shardWork[s].probes++
 			}
 			shardWork[s].wall = clock.Real{}.Now().Sub(wallStart)
-		})
+		}()
 	}
-	clock.Yield(clk, wg.Wait)
+	wg.Wait()
 	c.stats.absorb(shardWork, c.sampler.Sample().Sub(allocMark))
 	// Merge by sequence stamp: shard seq%shards holds seq at index
 	// seq/shards, so this walks every shard slice in lockstep. Trace

@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"bytes"
 	"context"
 	"net/netip"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"spfail/internal/faults"
 	"spfail/internal/population"
 	"spfail/internal/retry"
+	"spfail/internal/trace"
 )
 
 // TestFaultyCampaignNoLostProbes is the resilience acceptance test: under
@@ -20,7 +22,6 @@ import (
 // outcome or an explicit StatusInconclusive — never silently vanish.
 func TestFaultyCampaignNoLostProbes(t *testing.T) {
 	sim := clock.NewSim(population.TInitial)
-	defer sim.Close()
 	w := population.MustGenerate(tinySpec())
 	plan, err := faults.Preset("aggressive")
 	if err != nil {
@@ -64,19 +65,13 @@ func TestFaultyCampaignNoLostProbes(t *testing.T) {
 		}
 	}
 
-	done := make(chan map[netip.Addr]core.Outcome, 1)
-	clock.Go(sim, func() {
-		results, err := c.MeasureAddrs(context.Background(), addrs, rcpt)
-		if err != nil {
-			t.Error(err)
-		}
-		done <- results
-	})
-	var results map[netip.Addr]core.Outcome
-	select {
-	case results = <-done:
-	case <-time.After(120 * time.Second):
-		t.Fatal("faulty campaign did not complete")
+	results, err := c.MeasureAddrs(context.Background(), addrs, rcpt)
+	if err != nil {
+		t.Error(err)
+	}
+	// Tarpits sleep on each probe's own timeline, never on the shared one.
+	if got := sim.Now(); !got.Equal(population.TInitial) {
+		t.Errorf("shared sim clock moved to %v during the faulty pass, want %v", got, population.TInitial)
 	}
 
 	if len(results) != len(addrs) {
@@ -113,6 +108,60 @@ func TestFaultyCampaignNoLostProbes(t *testing.T) {
 	}
 	if s.Counters["probe.retries"] == 0 {
 		t.Error("no probe retries recorded under the aggressive plan")
+	}
+}
+
+// TestTracedTarpitLandsOnProbeTimeline: under a plan that tarpits every
+// SMTP dial, the dial sleeps on the probe's own timeline, so every
+// smtp.transaction span lasts at least the tarpit delay.
+func TestTracedTarpitLandsOnProbeTimeline(t *testing.T) {
+	const delay = 20 * time.Second
+	sim := clock.NewSim(population.TInitial)
+	plan := faults.Plan{Seed: 5, Rules: []faults.Rule{{Kind: faults.KindSMTPTarpit, Rate: 1, Delay: delay}}}
+	var traced bytes.Buffer
+	rig, err := NewRigFromOptions(context.Background(), RigOptions{
+		World:  population.MustGenerate(tinySpec()),
+		Clock:  sim,
+		Faults: &plan,
+		Trace:  trace.New(&traced, trace.Options{Seed: 5}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rig.Close()
+	c, err := NewCampaign(rig, Config{Suite: "f02", Concurrency: 8, BatchSize: 32, IOTimeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := rig.World.AllAddrs()
+	if len(addrs) > 24 {
+		addrs = addrs[:24]
+	}
+	rcpt := map[netip.Addr]string{}
+	for _, a := range addrs {
+		if ds := rig.World.DomainsOn(a); len(ds) > 0 {
+			rcpt[a] = ds[0].Name
+		}
+	}
+	if _, err := c.MeasureAddrs(context.Background(), addrs, rcpt); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := trace.ReadAll(&traced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spans int
+	for _, r := range recs {
+		if r.Name != "smtp.transaction" {
+			continue
+		}
+		spans++
+		if d := r.End.Sub(r.Start); d < delay {
+			t.Errorf("%s span %d lasted %v, want at least the %v tarpit", r.Trace, r.Span, d, delay)
+		}
+	}
+	if spans == 0 {
+		t.Fatal("traced campaign recorded no smtp.transaction spans")
 	}
 }
 

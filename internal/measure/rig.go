@@ -174,8 +174,9 @@ func (r *Rig) Close() {
 }
 
 // Resolver returns a stub resolver from the probe vantage, carrying the
-// rig's DNS retry policy. Callers on a simulated clock must drive it from
-// an accounted goroutine (the policy's backoff sleeps on the rig clock).
+// rig's DNS retry policy. The policy's backoff sleeps on the rig clock,
+// and a shared simulated clock has one sleeper, so on one only the study
+// driver may use it.
 func (r *Rig) Resolver() *dnsclient.Resolver {
 	// ResolveTargets' dual-family lookups reach Client.QueryBatch directly,
 	// so each exchanger's A+AAAA pair shares one socket.

@@ -255,7 +255,6 @@ func TestMultipleBehaviorsEmitMultiplePatterns(t *testing.T) {
 // from the cache, so the authoritative server sees its TXT query once.
 func TestHostCacheServesSecondBehavior(t *testing.T) {
 	sim := clock.NewSim(time.Date(2021, 10, 11, 0, 0, 0, 0, time.UTC))
-	defer sim.Close()
 	w := newWorldClock(t, sim)
 	w.newHost(t, "203.0.113.23", Config{
 		Clock:      sim,
@@ -294,7 +293,6 @@ func TestRefuseSMTPHost(t *testing.T) {
 
 func TestBlacklistActivatesAtTime(t *testing.T) {
 	sim := clock.NewSim(time.Date(2021, 10, 11, 0, 0, 0, 0, time.UTC))
-	defer sim.Close()
 	// Deadlines on fabric connections are enforced against the fabric
 	// clock; a Sim-clocked host needs the fabric on the same timeline.
 	w := newWorldClock(t, sim)

@@ -85,10 +85,10 @@ type DialFault struct {
 	// Blackhole completes the dial but connects it to nothing: every read
 	// and write blocks until the connection's deadline expires.
 	Blackhole bool
-	// Delay tarpits the dial for this long on the fabric clock before it
-	// proceeds. Injectors must only delay dials made from goroutines
-	// accounted to the simulated clock (in this repository: the prober's
-	// port-25 dials), or the clock's bookkeeping is corrupted.
+	// Delay tarpits the dial for this long before it proceeds. The dial
+	// sleeps on the timeline its context carries (clock.NewContext), so a
+	// campaign probe's tarpit lands on that probe's own timeline; a dial
+	// whose context carries none sleeps on the fabric clock.
 	Delay time.Duration
 	// ResetAfter, when positive, resets the connection (ErrReset) after
 	// the dialer has read this many bytes.
@@ -246,7 +246,7 @@ func (f *Fabric) dialTCP(ctx context.Context, srcIP, address string) (net.Conn, 
 		fault = f.Faults.DialTCP(Addr{Net: "tcp", Host: srcIP}, raddr)
 	}
 	if fault.Delay > 0 {
-		if err := f.clock().Sleep(ctx, fault.Delay); err != nil {
+		if err := clock.FromContext(ctx, f.clock()).Sleep(ctx, fault.Delay); err != nil {
 			return nil, err
 		}
 	}

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"spfail/internal/clock"
 )
 
 func TestFabricTCPEcho(t *testing.T) {
@@ -166,6 +168,54 @@ func (d dropDatagrams) Datagram(from, to Addr, payload []byte) ([]byte, Datagram
 		return nil, VerdictDrop
 	}
 	return nil, VerdictPass
+}
+
+// tarpitDials is a FaultInjector that delays every TCP dial by itself.
+type tarpitDials time.Duration
+
+func (d tarpitDials) DialTCP(src, dst Addr) DialFault { return DialFault{Delay: time.Duration(d)} }
+
+func (tarpitDials) Datagram(from, to Addr, payload []byte) ([]byte, DatagramVerdict) {
+	return nil, VerdictPass
+}
+
+// TestTarpitSleepsOnDialerClock: a tarpitted dial sleeps on the timeline
+// its context carries, so it advances the dialing probe's clock by the
+// delay and leaves the fabric's shared clock where it was.
+func TestTarpitSleepsOnDialerClock(t *testing.T) {
+	base := time.Date(2021, 10, 11, 0, 0, 0, 0, time.UTC)
+	shared, b := clock.NewSim(base), clock.NewSim(base)
+	f := NewFabric()
+	f.Clock = shared
+	f.Faults = tarpitDials(20 * time.Second)
+	l, err := f.Host("192.0.2.10").Listen("tcp", ":25")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+
+	done := make(chan error, 1)
+	go func() {
+		c, err := f.Host("198.51.100.7").DialContext(clock.NewContext(context.Background(), b), "tcp", "192.0.2.10:25")
+		if err == nil {
+			c.Close()
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("tarpitted dial: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("tarpitted dial never returned")
+	}
+	if got, want := b.Now(), base.Add(20*time.Second); !got.Equal(want) {
+		t.Errorf("dialer clock = %v, want %v", got, want)
+	}
+	if got := shared.Now(); !got.Equal(base) {
+		t.Errorf("fabric clock moved to %v, want %v", got, base)
+	}
 }
 
 func TestFabricUDPDropHook(t *testing.T) {

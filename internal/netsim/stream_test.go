@@ -261,7 +261,6 @@ func TestStreamClosedEndErrors(t *testing.T) {
 func TestStreamDeadlineFollowsFabricClock(t *testing.T) {
 	f := NewFabric()
 	sim := clock.NewSim(time.Date(2021, 6, 1, 0, 0, 0, 0, time.UTC))
-	defer sim.Close()
 	f.Clock = sim
 	c, _ := streamPair(t, f)
 	start := time.Now()

@@ -78,7 +78,6 @@ func TestCollectorStartStop(t *testing.T) {
 
 func TestStageProbeDeltas(t *testing.T) {
 	sim := clock.NewSim(time.Unix(0, 0))
-	defer sim.Close()
 	p := BeginStage(sim, nil)
 	sim.Advance(42 * time.Second)
 	sink := make([][]byte, 0, 64)

@@ -373,10 +373,11 @@ func (m *HostManager) Ensure(ctx context.Context, addrs []netip.Addr) error {
 }
 
 // EnsureAt is Ensure with an explicit effective time. Campaigns pass the
-// round's grid time here: the virtual instant at which a mid-round batch
-// comes up depends on how probe sleeps interleaved with the scheduler, so
-// deriving behaviour (and the flakiness seed) from the live clock would
-// make same-seed runs diverge.
+// instant their measurement pass began, so every batch of the pass brings
+// its hosts up with the same behaviour and flakiness seed. Probes sleep on
+// their own timelines and the shared clock's one sleeper, the study
+// driver, waits for the pass, so the live clock reads that instant too;
+// passing it keeps host behaviour a function of the pass alone.
 func (m *HostManager) EnsureAt(ctx context.Context, addrs []netip.Addr, now time.Time) error {
 	m.mu.Lock()
 	if m.running == nil {

@@ -151,13 +151,8 @@ func TestWaitOnSimClock(t *testing.T) {
 	p := Policy{MaxAttempts: 3, BaseDelay: 2 * time.Second, Multiplier: 2, Jitter: 0.5, Seed: 11}
 	want := p.Backoff("host:25", 2)
 	sim := clock.NewSim(time.Unix(0, 0))
-	defer sim.Close()
 	start := sim.Now()
-	done := make(chan error, 1)
-	clock.Go(sim, func() {
-		done <- p.Wait(context.Background(), sim, "host:25", 2)
-	})
-	if err := <-done; err != nil {
+	if err := p.Wait(context.Background(), sim, "host:25", 2); err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
 	if got := sim.Now().Sub(start); got != want {
@@ -170,12 +165,7 @@ func TestWaitCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	sim := clock.NewSim(time.Unix(0, 0))
-	defer sim.Close()
-	done := make(chan error, 1)
-	clock.Go(sim, func() {
-		done <- p.Wait(ctx, sim, "k", 1)
-	})
-	if err := <-done; err == nil {
+	if err := p.Wait(ctx, sim, "k", 1); err == nil {
 		t.Fatal("Wait with cancelled ctx returned nil")
 	}
 }

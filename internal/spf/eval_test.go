@@ -163,6 +163,21 @@ func TestCheckHostSyntaxPermError(t *testing.T) {
 	}
 }
 
+// TestCheckHostABNFPermError: records the RFC 7208 ABNF rejects give
+// permerror, even where a lenient parse would match or fail.
+func TestCheckHostABNFPermError(t *testing.T) {
+	for _, rec := range []string{
+		"v=spf1 ip4:192.0.2.0/024 -all", // §5.6: no leading zero
+		"v=spf1 foo=%{z} -all",          // §4.6.1: value must be a macro-string
+	} {
+		f := newFakeResolver()
+		f.txt["example.com"] = []string{rec}
+		if res := check(t, f, ip1, "example.com"); res.Result != ResultPermError {
+			t.Errorf("%q: result = %s, want permerror", rec, res.Result)
+		}
+	}
+}
+
 func TestCheckHostTempError(t *testing.T) {
 	f := newFakeResolver()
 	f.temp["example.com"] = true

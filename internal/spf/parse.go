@@ -3,7 +3,6 @@ package spf
 import (
 	"fmt"
 	"net/netip"
-	"strconv"
 	"strings"
 )
 
@@ -106,6 +105,11 @@ func parseTerm(rec *Record, term string) error {
 			}
 			rec.Exp = val
 		default:
+			// An unknown modifier's value is a macro-string (RFC 7208
+			// §4.6.1, §7.1), so a malformed one is a syntax error.
+			if _, err := TokenizeMacroString(val); err != nil {
+				return &SyntaxError{Term: term, Msg: "modifier value is not a macro-string"}
+			}
 			rec.Unknown = append(rec.Unknown, Modifier{Name: name, Value: val})
 		}
 		return nil
@@ -231,12 +235,25 @@ func parseDualCIDR(m *Mechanism, arg string) error {
 	return parsePrefix(arg, &m.Prefix4, 32)
 }
 
+// parsePrefix parses a CIDR length into dst, rejecting values above max.
 func parsePrefix(s string, dst *int, max int) error {
 	if s == "" {
 		return fmt.Errorf("empty CIDR length")
 	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 0 || n > max {
+	// RFC 7208 §5.6: "0", or a non-zero digit followed by digits — no
+	// sign and no leading zero. With the value bound that leaves at most
+	// two digits for ip4 (≤ 32) and three for ip6 (≤ 128).
+	if len(s) > 1 && s[0] == '0' {
+		return fmt.Errorf("bad CIDR length %q", s)
+	}
+	n := 0
+	for i := 0; i < len(s); i++ {
+		if !isDigit(s[i]) || n > max {
+			return fmt.Errorf("bad CIDR length %q", s)
+		}
+		n = n*10 + int(s[i]-'0')
+	}
+	if n > max {
 		return fmt.Errorf("bad CIDR length %q", s)
 	}
 	*dst = n

@@ -102,8 +102,20 @@ func TestParseIPMechanisms(t *testing.T) {
 	}
 }
 
+func TestParseCIDRBoundaries(t *testing.T) {
+	rec, err := Parse("v=spf1 ip4:0.0.0.0/0 ip4:192.0.2.1/32 ip6:::/0 ip6:2001:db8::1/128 a/9//100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := rec.Mechanisms
+	if m[0].Prefix4 != 0 || m[1].Prefix4 != 32 || m[2].Prefix6 != 0 || m[3].Prefix6 != 128 ||
+		m[4].Prefix4 != 9 || m[4].Prefix6 != 100 {
+		t.Errorf("prefixes = %d %d %d %d %d/%d", m[0].Prefix4, m[1].Prefix4, m[2].Prefix6, m[3].Prefix6, m[4].Prefix4, m[4].Prefix6)
+	}
+}
+
 func TestParseModifiers(t *testing.T) {
-	rec, err := Parse("v=spf1 mx redirect=_spf.example.com exp=explain.%{d} custom=x")
+	rec, err := Parse("v=spf1 mx redirect=_spf.example.com exp=explain.%{d} custom=x foo=%{d}")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +125,7 @@ func TestParseModifiers(t *testing.T) {
 	if rec.Exp != "explain.%{d}" {
 		t.Errorf("exp = %q", rec.Exp)
 	}
-	if len(rec.Unknown) != 1 || rec.Unknown[0].Name != "custom" {
+	if len(rec.Unknown) != 2 || rec.Unknown[0].Name != "custom" || rec.Unknown[1].Value != "%{d}" {
 		t.Errorf("unknown = %v", rec.Unknown)
 	}
 }
@@ -138,6 +150,15 @@ func TestParseErrors(t *testing.T) {
 		"v=spf1 exp=a exp=b",
 		"v=spf1 ptr:",
 		"v=spf1 ptrx",
+		// RFC 7208 §5.6: CIDR lengths take no sign and no leading zero.
+		"v=spf1 ip4:192.0.2.0/024",
+		"v=spf1 ip4:192.0.2.0/+24",
+		"v=spf1 ip4:192.0.2.0/-0",
+		"v=spf1 a/024",
+		"v=spf1 ip6:2001:db8::/064",
+		// RFC 7208 §4.6.1: an unknown modifier's value is a macro-string.
+		"v=spf1 foo=%{z} -all",
+		"v=spf1 foo=50% -all",
 	}
 	for _, s := range bad {
 		if _, err := Parse(s); err == nil {

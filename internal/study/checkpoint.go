@@ -16,7 +16,8 @@ import (
 
 // runner threads the study's per-run state — rig, campaign, checkpoint
 // store — through the stage machinery. Everything except capture and
-// killed is touched only from the single clock-accounted run goroutine.
+// killed is touched only from the run goroutine, the one sleeper on the
+// shared simulated clock clk.
 type runner struct {
 	cfg       Config
 	res       *Results

@@ -249,7 +249,6 @@ func Run(ctx context.Context, cfg Config) (*Results, error) {
 	}
 
 	sim := clock.NewSim(population.TInitial)
-	defer sim.Close()
 
 	rig, err := measure.NewRigFromOptions(ctx, measure.RigOptions{
 		World:    world,
@@ -300,9 +299,9 @@ func Run(ctx context.Context, cfg Config) (*Results, error) {
 	}
 
 	done := make(chan error, 1)
-	clock.Go(sim, func() {
+	go func() {
 		done <- r.run(runCtx)
-	})
+	}()
 	select {
 	case err := <-done:
 		res.CampaignResources = r.campaign.Resources()
@@ -320,7 +319,10 @@ func Run(ctx context.Context, cfg Config) (*Results, error) {
 	}
 }
 
-// run is the study driver; it executes on a clock-accounted goroutine.
+// run is the study driver and the one sleeper on the shared simulated
+// clock: it sleeps to each round's grid time, and its own DNS retries and
+// §7.7 notification dials (tarpits included) move that clock too, while
+// every campaign probe sleeps on its own timeline.
 // Every probing phase goes through runner.stage, so the flow reads the
 // same whether stages execute live or replay from committed segments.
 func (r *runner) run(ctx context.Context) error {
