@@ -169,6 +169,7 @@ func TestCheckHostABNFPermError(t *testing.T) {
 	for _, rec := range []string{
 		"v=spf1 ip4:192.0.2.0/024 -all", // §5.6: no leading zero
 		"v=spf1 foo=%{z} -all",          // §4.6.1: value must be a macro-string
+		"v=spf1 a:foo.123 -all",         // §7.1: a toplabel is not all digits
 	} {
 		f := newFakeResolver()
 		f.txt["example.com"] = []string{rec}

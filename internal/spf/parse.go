@@ -95,6 +95,9 @@ func parseTerm(rec *Record, term string) error {
 			if val == "" {
 				return &SyntaxError{Term: term, Msg: "empty redirect target"}
 			}
+			if !isDomainSpec(val) {
+				return &SyntaxError{Term: term, Msg: "redirect target is not a domain-spec"}
+			}
 			rec.Redirect = val
 		case "exp":
 			if rec.Exp != "" {
@@ -102,6 +105,9 @@ func parseTerm(rec *Record, term string) error {
 			}
 			if val == "" {
 				return &SyntaxError{Term: term, Msg: "empty exp target"}
+			}
+			if !isDomainSpec(val) {
+				return &SyntaxError{Term: term, Msg: "exp target is not a domain-spec"}
 			}
 			rec.Exp = val
 		default:
@@ -175,8 +181,84 @@ func parseTerm(rec *Record, term string) error {
 	default:
 		return &SyntaxError{Term: term, Msg: "unknown mechanism"}
 	}
+	if m.Domain != "" && !isDomainSpec(m.Domain) {
+		return &SyntaxError{Term: term, Msg: "not a domain-spec"}
+	}
 	rec.Mechanisms = append(rec.Mechanisms, m)
 	return nil
+}
+
+// isDomainSpec reports whether s is an RFC 7208 §7.1 domain-spec: a
+// macro-string of visible ASCII whose domain-end is a macro-expand or
+// "." toplabel [ "." ]. A toplabel holds a letter, or is alphanumerics
+// joined by hyphens with no hyphen at either end, so "foo.123",
+// "example.-com" and the dotless "localhost" are rejected while "foo.1-2"
+// and "%{d}" are not.
+func isDomainSpec(s string) bool {
+	// Walk the macro-string as TokenizeMacroString does, without building
+	// tokens: Parse runs for every fresh probe policy.
+	endsInMacro := false
+	for i := 0; i < len(s); {
+		if s[i] != '%' {
+			// macro-literal: a visible ASCII character other than '%'.
+			if s[i] < 0x21 || s[i] > 0x7e {
+				return false
+			}
+			endsInMacro = false
+			i++
+			continue
+		}
+		if i+1 >= len(s) {
+			return false
+		}
+		switch s[i+1] {
+		case '%', '_', '-':
+			i += 2
+		case '{':
+			end := strings.IndexByte(s[i:], '}')
+			if end < 0 {
+				return false
+			}
+			if _, err := parseMacroBody(s[i+2 : i+end]); err != nil {
+				return false
+			}
+			i += end + 1
+		default:
+			return false
+		}
+		endsInMacro = true
+	}
+	if endsInMacro {
+		return true
+	}
+	// A toplabel holds no '%', '{' or '}', so a valid one after the last
+	// dot is literal text, and so is that dot.
+	s = strings.TrimSuffix(s, ".")
+	dot := strings.LastIndexByte(s, '.')
+	return dot >= 0 && isTopLabel(s[dot+1:])
+}
+
+// isTopLabel reports whether s matches RFC 7208's toplabel:
+// ( *alphanum ALPHA *alphanum ) / ( 1*alphanum "-" *( alphanum / "-" ) alphanum ).
+func isTopLabel(s string) bool {
+	if s == "" {
+		return false
+	}
+	letter, hyphen := false, false
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case isAlpha(c):
+			letter = true
+		case c == '-':
+			hyphen = true
+		case !isDigit(c):
+			return false
+		}
+	}
+	if !hyphen {
+		return letter
+	}
+	return s[0] != '-' && s[len(s)-1] != '-'
 }
 
 // isModifierName reports whether s is a valid modifier name: ALPHA

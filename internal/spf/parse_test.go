@@ -159,10 +159,47 @@ func TestParseErrors(t *testing.T) {
 		// RFC 7208 §4.6.1: an unknown modifier's value is a macro-string.
 		"v=spf1 foo=%{z} -all",
 		"v=spf1 foo=50% -all",
+		// RFC 7208 §7.1: a domain-spec ends in a macro-expand or in
+		// "." toplabel, and a toplabel is not all digits, does not start
+		// or end with a hyphen, and needs a dot before it.
+		"v=spf1 a:foo.123 -all",
+		"v=spf1 include:foo.123.",
+		"v=spf1 mx:example.-com",
+		"v=spf1 exists:%{i}.foo.123",
+		"v=spf1 redirect=foo.123",
+		"v=spf1 a:localhost",
+		"v=spf1 ptr:foo.123",
+		"v=spf1 exp=explain.123",
+		"v=spf1 a:foo.com-",
+		"v=spf1 include:foo.com..",
+		"v=spf1 include:%{z}.example.com",
+		// A macro-literal is visible ASCII other than '%'.
+		"v=spf1 a:foo\x01.example.com",
+		"v=spf1 include:f\xc3\xa9.example.com",
 	}
 	for _, s := range bad {
 		if _, err := Parse(s); err == nil {
 			t.Errorf("Parse(%q) should fail", s)
+		}
+	}
+}
+
+// TestParseDomainSpecEnds covers the domain-ends RFC 7208 §7.1 accepts:
+// a toplabel with a letter, hyphen-joined alphanumerics, an optional
+// trailing dot, and a closing macro-expand.
+func TestParseDomainSpecEnds(t *testing.T) {
+	for _, s := range []string{
+		"v=spf1 a:foo.1-2 -all",
+		"v=spf1 include:%{d}",
+		"v=spf1 mx:example.com. -all",
+		"v=spf1 exists:%{i}.x1.example -all",
+		"v=spf1 ptr:%{d}.a-1 -all",
+		"v=spf1 a:mail.%{d1r} -all",
+		"v=spf1 include:_spf.%{d}.%%",
+		"v=spf1 redirect=%{d}._spf.example.com exp=why.%{d}",
+	} {
+		if _, err := Parse(s); err != nil {
+			t.Errorf("Parse(%q): %v", s, err)
 		}
 	}
 }

@@ -43,8 +43,9 @@ func TestFaultySameSeedProducesIdenticalReports(t *testing.T) {
 		spec := population.DefaultSpec()
 		spec.Scale = 0.002
 		spec.Seed = 9
-		// The scenario mix rides along: the spoof survey's serial DNS walk
-		// must replay exactly even when the fabric injects faults.
+		// The scenario mix rides along: with faults injected the spoof
+		// survey walks the DNS on one worker, in domain order, and must
+		// replay exactly.
 		spec.Scenarios = scenarioMix()
 		var traceBuf bytes.Buffer
 		res, err := study.Run(context.Background(), study.Config{

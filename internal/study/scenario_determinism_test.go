@@ -28,9 +28,10 @@ func scenarioMix() []population.ScenarioPackRef {
 }
 
 // TestScenarioSameSeedProducesIdenticalReports extends the determinism
-// regression to scenario-enabled runs: the spoof survey's serial DNS
-// walk, the scenario prevalence table, and the per-domain scenario trace
-// attributes must all replay byte-identically for the same seed.
+// regression to scenario-enabled runs: the spoof survey's fanned-out DNS
+// walk, merged in domain order, the scenario prevalence table, and the
+// per-domain scenario trace attributes must all replay byte-identically
+// for the same seed.
 func TestScenarioSameSeedProducesIdenticalReports(t *testing.T) {
 	render := func() ([]byte, []byte, *study.Results) {
 		t.Helper()
