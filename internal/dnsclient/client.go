@@ -81,9 +81,18 @@ func (c *Client) id() uint16 {
 	return c.nextID
 }
 
-// udpBufPool recycles the 64 KiB datagram read buffers: allocating (and
-// zeroing) one per exchange dominated the old hot path's allocation profile.
+// udpBufPool recycles the buffers UDP responses are read into. The client
+// sends no EDNS, so a response it can accept is at most MaxUDPPayload
+// bytes (RFC 1035 §4.2.1); the one byte over tells a datagram that filled
+// the buffer, and so was longer, from one that fits.
 var udpBufPool = sync.Pool{New: func() any {
+	b := make([]byte, dnsserver.MaxUDPPayload+1)
+	return &b
+}}
+
+// tcpBufPool recycles the 64 KiB buffers TCP responses are read into, the
+// most a two-byte length prefix can announce.
+var tcpBufPool = sync.Pool{New: func() any {
 	b := make([]byte, 64<<10)
 	return &b
 }}
@@ -232,6 +241,9 @@ func (c *Client) exchangeUDP(ctx context.Context, conn net.Conn, q *dnsmsg.Messa
 		if err != nil {
 			return nil, err
 		}
+		if n == len(buf) {
+			continue // longer than any answer to this query may be; keep waiting
+		}
 		resp, err := dnsmsg.Unpack(buf[:n])
 		if err != nil {
 			continue // garbage datagram; keep waiting
@@ -260,8 +272,8 @@ func (c *Client) exchangeTCP(ctx context.Context, q *dnsmsg.Message, frame []byt
 	if _, err := conn.Write(frame); err != nil {
 		return nil, err
 	}
-	bufp := udpBufPool.Get().(*[]byte)
-	defer udpBufPool.Put(bufp)
+	bufp := tcpBufPool.Get().(*[]byte)
+	defer tcpBufPool.Put(bufp)
 	raw, err := dnsserver.ReadTCPMessage(conn, *bufp)
 	if err != nil {
 		return nil, err

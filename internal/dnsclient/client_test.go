@@ -242,6 +242,58 @@ func TestClientIgnoresSpoofedResponses(t *testing.T) {
 	}
 }
 
+// TestClientSkipsOversizeUDPAnswers has a raw responder send an answer
+// over dnsserver.MaxUDPPayload bytes, with the query's ID and question,
+// ahead of the genuine one. The client sends no EDNS, so no answer to its
+// query may be that long: it must skip the datagram and take the next.
+func TestClientSkipsOversizeUDPAnswers(t *testing.T) {
+	fabric := netsim.NewFabric()
+	pc, err := fabric.Host("10.7.0.53").ListenPacket("udp", ":53")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	answer := func(q *dnsmsg.Message, txt ...string) []byte {
+		m := q.Reply()
+		m.Answers = append(m.Answers, dnsmsg.Record{
+			Name: q.Questions[0].Name, Class: dnsmsg.ClassIN, TTL: 1,
+			Data: dnsmsg.TXT{Strings: txt},
+		})
+		pkt, err := m.Pack()
+		if err != nil {
+			t.Error(err)
+		}
+		return pkt
+	}
+	go func() {
+		buf := make([]byte, 4096)
+		for {
+			n, from, err := pc.ReadFrom(buf)
+			if err != nil {
+				return
+			}
+			q, err := dnsmsg.Unpack(buf[:n])
+			if err != nil {
+				continue
+			}
+			big := answer(q, "v=spf1 +all", strings.Repeat("x", 255), strings.Repeat("y", 255))
+			if len(big) <= dnsserver.MaxUDPPayload {
+				t.Errorf("oversize answer packs to %d bytes", len(big))
+			}
+			pc.WriteTo(big, from)
+			pc.WriteTo(answer(q, "v=spf1 -all"), from)
+		}
+	}()
+	r := stubResolver(fabric.Host("10.7.0.2"), "10.7.0.53:53", 2*time.Second)
+	txts, err := r.LookupTXT(context.Background(), "example.com")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(txts) != 1 || txts[0] != "v=spf1 -all" {
+		t.Fatalf("client accepted an answer over %d bytes: %.40q", dnsserver.MaxUDPPayload, txts)
+	}
+}
+
 func TestReverseName(t *testing.T) {
 	if got := ReverseName(netip.MustParseAddr("192.0.2.10")); got != "10.2.0.192.in-addr.arpa" {
 		t.Errorf("v4 reverse = %q", got)

@@ -69,8 +69,11 @@ func TestUDPExchangeAllocBytes(t *testing.T) {
 // fabric: dial, accept, five exchanges in which each side sets a deadline
 // before every read and write, then close both ends. Every probe
 // transaction, notification and tracker fetch pays this, so a deadline
-// that allocates per call shows here. Skipped under -race, which
-// instruments allocation.
+// that allocates per call shows here. A session measured 752 B in 6
+// allocations: the connection, one deadline timer and its callback per
+// end, and the dial address. The gates leave about 20% headroom on the
+// bytes and one allocation. Skipped under -race, which instruments
+// allocation.
 func TestTCPSessionAllocBytes(t *testing.T) {
 	f := NewFabric()
 	l, err := f.Host("192.0.2.25").Listen("tcp", ":25")
@@ -136,9 +139,13 @@ func TestTCPSessionAllocBytes(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	per := (after.TotalAlloc - before.TotalAlloc) / runs
-	t.Logf("%d B, %.1f allocs per session", per, float64(after.Mallocs-before.Mallocs)/runs)
-	if per >= 2560 {
-		t.Fatalf("one TCP session of %d exchanges allocates %d B, want < 2.5 KiB", exchanges, per)
+	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	t.Logf("%d B, %.1f allocs per session", per, allocs)
+	if per >= 900 {
+		t.Errorf("one TCP session of %d exchanges allocates %d B, want < 900 B", exchanges, per)
+	}
+	if allocs > 7 {
+		t.Errorf("one TCP session of %d exchanges makes %.1f allocations, want at most 7", exchanges, allocs)
 	}
 }
 

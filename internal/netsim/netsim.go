@@ -15,12 +15,15 @@
 // one reply pays for one datagram, not for the bound, and a busy server
 // pops its oldest datagram in constant time.
 //
-// A fabric TCP connection is a pair of stream ends with net.Pipe's
-// synchronous semantics and error values. Each end keeps one deadline timer
-// per direction for its whole life: a deadline that moves later leaves the
-// armed timer alone (it re-arms for the remainder when it fires), one that
-// moves earlier re-arms it, and Close stops it. A closed connection
-// therefore holds no timer, and its memory goes with its session.
+// A fabric TCP connection is one struct: both stream ends and the one lock
+// they share. It keeps net.Pipe's synchronous semantics and error values,
+// so a Write lends its slice and returns once the peer has read all of it.
+// Each end waits on its own condition variable and keeps at most one
+// deadline timer for both directions, armed only when a read or write is
+// about to wait with a deadline set. The timer only ever moves earlier: an
+// operation it wakes early re-arms it for that operation's own, later
+// deadline, and Close stops it. A closed connection therefore holds no
+// timer, and its memory goes with its session.
 package netsim
 
 import (

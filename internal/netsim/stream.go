@@ -10,72 +10,60 @@ import (
 	"spfail/internal/clock"
 )
 
-// streamConn is one end of a fabric TCP connection. It behaves like an end
-// of net.Pipe: the stream is synchronous and unbuffered, so a Write returns
-// once the peer has read the bytes, and every error value matches
-// net.Pipe's, because error text reaches trace events. Only deadlines
-// differ. net.Pipe arms a fresh timer on every Set*Deadline call and Close
-// never stops it, so each closed connection stays reachable until its last
-// deadline has passed. A streamConn keeps one timer per direction for its
-// whole life, leaves it alone when a deadline moves later, and stops it on
-// Close.
-type streamConn struct {
-	clk           clock.Clock
-	local, remote Addr
-
-	// A writer offers its slice on wrTx and learns on wrRx how much the
-	// peer's read took; rdRx and rdTx are the same pair seen from the
-	// reading end.
-	rdRx <-chan []byte
-	rdTx chan<- int
-	wrTx chan<- []byte
-	wrRx <-chan int
-	wrMu sync.Mutex // keeps the bytes of one Write together
-
-	localDone  chan struct{} // closed by Close, under mu
-	remoteDone <-chan struct{}
-
-	mu sync.Mutex
-	rd streamDeadline // guarded by mu
-	wr streamDeadline // guarded by mu
+// stream is one fabric TCP connection: its two ends and the one lock that
+// guards the state of both.
+type stream struct {
+	mu    sync.Mutex
+	clk   clock.Clock
+	addrs [2]Addr // the dialer's and the listener's, indexed by side
+	ends  [2]streamConn
 }
 
-// streamDeadline is one direction's deadline on one end of a stream, kept
-// on the wall clock. At most one timer is armed for it: a later deadline
-// leaves the armed timer alone, and a timer that fires before the stored
-// deadline re-arms for the remainder (see fire).
-type streamDeadline struct {
-	at     time.Time     // zero means no deadline
-	due    time.Time     // when the armed timer fires; zero when none is armed
-	timer  *time.Timer   // made by the first deadline that needs one
-	passed bool          // at has passed; operations fail until it moves
-	wake   chan struct{} // closed when at passes; made by the first waiter
+// streamConn is one end of a fabric TCP connection. It behaves like an end
+// of net.Pipe: the stream is synchronous and unbuffered, so a Write lends
+// its slice to the peer and returns once the peer's reads have taken all
+// of it, and every error value matches net.Pipe's, because error text
+// reaches trace events. Only deadlines differ. net.Pipe arms a fresh timer
+// on every Set*Deadline call and Close never stops it, so each closed
+// connection stays reachable until its last deadline has passed. A
+// streamConn keeps at most one timer for both directions, arms it only
+// when a read or write is about to wait with a deadline set, moves it only
+// earlier, and stops it on Close.
+type streamConn struct {
+	s    *stream
+	peer *streamConn
+
+	// cond, on s.mu, is broadcast whenever an operation waiting on this
+	// end may be able to go on: data offered by the peer, this end's
+	// offer taken or freed, either end closed, a deadline set or passed.
+	cond sync.Cond
+
+	side   uint8 // 0 for the dialer's end, 1 for the listener's
+	closed bool  // guarded by s.mu
+
+	// A Write holds the offer (writing) from the moment it lends its
+	// slice until it returns, so the bytes of two Writes never
+	// interleave. offer is the part the peer has not yet read; offered
+	// stays true until the peer has taken all of it, which for a
+	// zero-length Write means one Read.
+	writing bool   // guarded by s.mu
+	offered bool   // guarded by s.mu
+	offer   []byte // guarded by s.mu
+
+	rdAt, wrAt time.Time   // wall-clock deadlines, zero for none; guarded by s.mu
+	due        time.Time   // when timer fires; zero when it is not armed; guarded by s.mu
+	timer      *time.Timer // made by the first wait that needs one; guarded by s.mu
 }
 
 // newStream connects two stream ends: the dialer's, addressed laddr →
 // raddr, and the listener's, addressed the other way.
 func newStream(clk clock.Clock, laddr, raddr Addr) (cli, srv *streamConn) {
-	up, down := make(chan []byte), make(chan []byte)
-	upN, downN := make(chan int), make(chan int)
-	cliDone, srvDone := make(chan struct{}), make(chan struct{})
-	ends := new([2]streamConn) // one allocation for both ends
-	cli, srv = &ends[0], &ends[1]
-	cli.clk, cli.local, cli.remote = clk, laddr, raddr
-	cli.rdRx, cli.rdTx, cli.wrTx, cli.wrRx = down, downN, up, upN
-	cli.localDone, cli.remoteDone = cliDone, srvDone
-	srv.clk, srv.local, srv.remote = clk, raddr, laddr
-	srv.rdRx, srv.rdTx, srv.wrTx, srv.wrRx = up, upN, down, downN
-	srv.localDone, srv.remoteDone = srvDone, cliDone
+	s := &stream{clk: clk, addrs: [2]Addr{laddr, raddr}} // one allocation for the connection
+	cli, srv = &s.ends[0], &s.ends[1]
+	cli.s, cli.peer = s, srv
+	srv.s, srv.peer, srv.side = s, cli, 1
+	cli.cond.L, srv.cond.L = &s.mu, &s.mu
 	return cli, srv
-}
-
-func isClosedChan(c <-chan struct{}) bool {
-	select {
-	case <-c:
-		return true
-	default:
-		return false
-	}
 }
 
 // Read implements net.Conn.
@@ -88,27 +76,28 @@ func (c *streamConn) Read(b []byte) (int, error) {
 }
 
 func (c *streamConn) read(b []byte) (int, error) {
-	switch {
-	case isClosedChan(c.localDone):
-		return 0, io.ErrClosedPipe
-	case isClosedChan(c.remoteDone):
-		return 0, io.EOF
-	}
-	expired, passed := c.expiry(true)
-	if passed {
-		return 0, os.ErrDeadlineExceeded
-	}
-	select {
-	case bw := <-c.rdRx:
-		nr := copy(b, bw)
-		c.rdTx <- nr
-		return nr, nil
-	case <-c.localDone:
-		return 0, io.ErrClosedPipe
-	case <-c.remoteDone:
-		return 0, io.EOF
-	case <-expired:
-		return 0, os.ErrDeadlineExceeded
+	s := c.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p := c.peer
+	for {
+		switch {
+		case c.closed:
+			return 0, io.ErrClosedPipe
+		case p.closed:
+			return 0, io.EOF
+		case passed(c.rdAt):
+			return 0, os.ErrDeadlineExceeded
+		case p.offered:
+			n := copy(b, p.offer)
+			p.offer = p.offer[n:]
+			if len(p.offer) == 0 {
+				p.offered = false
+				p.cond.Broadcast()
+			}
+			return n, nil
+		}
+		c.wait(c.rdAt)
 	}
 }
 
@@ -121,74 +110,106 @@ func (c *streamConn) Write(b []byte) (int, error) {
 	return n, err
 }
 
-func (c *streamConn) write(b []byte) (n int, err error) {
-	if isClosedChan(c.localDone) || isClosedChan(c.remoteDone) {
-		return 0, io.ErrClosedPipe
-	}
-	c.wrMu.Lock()
-	defer c.wrMu.Unlock()
-	for once := true; once || len(b) > 0; once = false {
-		expired, passed := c.expiry(false)
-		if passed {
-			return n, os.ErrDeadlineExceeded
+func (c *streamConn) write(b []byte) (int, error) {
+	s := c.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p := c.peer
+	for {
+		switch {
+		case c.closed || p.closed:
+			return 0, io.ErrClosedPipe
+		case passed(c.wrAt):
+			return 0, os.ErrDeadlineExceeded
 		}
-		select {
-		case c.wrTx <- b:
-			nw := <-c.wrRx
-			b = b[nw:]
-			n += nw
-		case <-c.localDone:
-			return n, io.ErrClosedPipe
-		case <-c.remoteDone:
-			return n, io.ErrClosedPipe
-		case <-expired:
-			return n, os.ErrDeadlineExceeded
+		if !c.writing {
+			break
+		}
+		c.wait(c.wrAt) // another Write holds the offer
+	}
+	c.writing, c.offered, c.offer = true, true, b
+	p.cond.Broadcast()
+	var err error
+	for c.offered && err == nil {
+		c.wait(c.wrAt)
+		switch {
+		case !c.offered:
+			// Taken whole, even if an end has closed since.
+		case c.closed || p.closed:
+			err = io.ErrClosedPipe
+		case passed(c.wrAt):
+			err = os.ErrDeadlineExceeded
 		}
 	}
-	return n, nil
+	n := len(b) - len(c.offer)
+	c.writing, c.offered, c.offer = false, false, nil
+	c.cond.Broadcast() // a Write waiting for the offer
+	return n, err
 }
 
-// expiry returns a channel that is closed when the read (or write)
-// deadline passes, and whether it already has.
-func (c *streamConn) expiry(read bool) (<-chan struct{}, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	d := &c.wr
-	if read {
-		d = &c.rd
-	}
-	if d.passed {
-		return nil, true
-	}
-	if d.wake == nil {
-		d.wake = make(chan struct{})
-	}
-	return d.wake, false
+// passed reports whether the wall-clock deadline at is set and has passed.
+// Every operation asks before it waits and again whenever it wakes, so a
+// deadline that passed while nothing waited still fails the next one.
+func passed(at time.Time) bool {
+	//spfail:allow wallclock deadlines run on the wall clock; see toWall
+	return !at.IsZero() && !time.Now().Before(at)
 }
 
-// Close implements net.Conn. It stops both deadline timers, so nothing
-// keeps a closed end reachable.
+// wait blocks on c.cond until an operation on c may be able to go on.
+// When at is set and c's timer is not due by then, it first arms the timer
+// for at, so the wait ends by its deadline.
+//
+//spfail:locked c.s.mu
+func (c *streamConn) wait(at time.Time) {
+	if !at.IsZero() && (c.due.IsZero() || at.Before(c.due)) {
+		//spfail:allow wallclock deadline timers run on the wall clock; see toWall
+		d := time.Until(at)
+		if c.timer == nil {
+			//spfail:allow wallclock deadline timers run on the wall clock; see toWall
+			c.timer = time.AfterFunc(d, c.fire)
+		} else {
+			c.timer.Reset(d)
+		}
+		c.due = at
+	}
+	c.cond.Wait()
+}
+
+// fire runs when c's timer goes off. It wakes every operation waiting on
+// c; each checks its own deadline, and one whose deadline lies later
+// re-arms the timer before it waits again.
+func (c *streamConn) fire() {
+	s := c.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c.due = time.Time{}
+	c.cond.Broadcast()
+}
+
+// Close implements net.Conn. It stops the end's deadline timer, so nothing
+// keeps a closed connection reachable.
 func (c *streamConn) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if isClosedChan(c.localDone) {
+	s := c.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if c.closed {
 		return nil
 	}
-	close(c.localDone)
-	for _, d := range [...]*streamDeadline{&c.rd, &c.wr} {
-		if d.timer != nil {
-			d.timer.Stop()
-		}
-		d.due = time.Time{}
+	c.closed = true
+	if c.timer != nil {
+		c.timer.Stop()
+		c.due = time.Time{}
 	}
+	c.cond.Broadcast()
+	c.peer.cond.Broadcast()
 	return nil
 }
 
 // LocalAddr implements net.Conn.
-func (c *streamConn) LocalAddr() net.Addr { return c.local }
+func (c *streamConn) LocalAddr() net.Addr { return c.s.addrs[c.side] }
 
 // RemoteAddr implements net.Conn.
-func (c *streamConn) RemoteAddr() net.Addr { return c.remote }
+func (c *streamConn) RemoteAddr() net.Addr { return c.s.addrs[1-c.side] }
 
 // SetDeadline implements net.Conn on the fabric clock's timeline.
 func (c *streamConn) SetDeadline(t time.Time) error { return c.setDeadlines(t, true, true) }
@@ -199,20 +220,24 @@ func (c *streamConn) SetReadDeadline(t time.Time) error { return c.setDeadlines(
 // SetWriteDeadline implements net.Conn on the fabric clock's timeline.
 func (c *streamConn) SetWriteDeadline(t time.Time) error { return c.setDeadlines(t, false, true) }
 
+// setDeadlines stores the deadline and arms nothing. It wakes the
+// operations waiting on c, which check the new deadline and, when it moved
+// earlier than the armed timer, move the timer with it.
 func (c *streamConn) setDeadlines(t time.Time, read, write bool) error {
 	at := c.toWall(t)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// Checked under mu, which Close holds, so no timer is armed after Close.
-	if isClosedChan(c.localDone) || isClosedChan(c.remoteDone) {
+	s := c.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if c.closed || c.peer.closed {
 		return io.ErrClosedPipe
 	}
 	if read {
-		c.set(&c.rd, at)
+		c.rdAt = at
 	}
 	if write {
-		c.set(&c.wr, at)
+		c.wrAt = at
 	}
+	c.cond.Broadcast()
 	return nil
 }
 
@@ -225,81 +250,7 @@ func (c *streamConn) toWall(t time.Time) time.Time {
 		return t
 	}
 	//spfail:allow wallclock translating a virtual deadline onto the wall-clock timeline the deadline timers run on
-	return time.Now().Add(t.Sub(c.clk.Now()))
-}
-
-// set moves d to the wall-clock deadline at: zero clears it, a past
-// deadline expires it at once, and an earlier one than the armed timer's
-// re-arms that timer. A later one leaves the timer alone.
-//
-//spfail:locked c.mu
-func (c *streamConn) set(d *streamDeadline, at time.Time) {
-	d.at = at
-	if at.IsZero() {
-		d.passed = false
-		d.disarm()
-		return
-	}
-	//spfail:allow wallclock deadline timers run on the wall clock; see toWall
-	wait := time.Until(at)
-	if wait <= 0 {
-		d.disarm()
-		d.expire()
-		return
-	}
-	d.passed = false
-	if d.due.IsZero() || at.Before(d.due) {
-		c.arm(d, wait)
-	}
-}
-
-// arm schedules d's timer wait from now, for d.at.
-//
-//spfail:locked c.mu
-func (c *streamConn) arm(d *streamDeadline, wait time.Duration) {
-	if d.timer == nil {
-		//spfail:allow wallclock deadline timers run on the wall clock; see toWall
-		d.timer = time.AfterFunc(wait, func() { c.fire(d) })
-	} else {
-		d.timer.Reset(wait)
-	}
-	d.due = d.at
-}
-
-// fire runs when d's timer goes off. The deadline may have moved since the
-// timer was armed: a later one re-arms the timer for the remainder, and a
-// cleared or already expired one needs nothing. A late call for a timer
-// that was re-armed in the meantime takes the same path, so it is harmless.
-func (c *streamConn) fire(d *streamDeadline) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	d.due = time.Time{}
-	if d.at.IsZero() || d.passed || isClosedChan(c.localDone) {
-		return
-	}
-	//spfail:allow wallclock deadline timers run on the wall clock; see toWall
-	if wait := time.Until(d.at); wait > 0 {
-		c.arm(d, wait)
-		return
-	}
-	d.expire()
-}
-
-// disarm stops d's timer if one is armed.
-func (d *streamDeadline) disarm() {
-	if !d.due.IsZero() {
-		d.timer.Stop()
-		d.due = time.Time{}
-	}
-}
-
-// expire marks d passed and wakes the operations waiting on it.
-func (d *streamDeadline) expire() {
-	d.passed = true
-	if d.wake != nil {
-		close(d.wake)
-		d.wake = nil
-	}
+	return time.Now().Add(t.Sub(c.s.clk.Now()))
 }
 
 var _ net.Conn = (*streamConn)(nil)

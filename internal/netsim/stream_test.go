@@ -3,9 +3,11 @@ package netsim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -323,5 +325,59 @@ func TestStreamConcurrentDeadlinesAndIO(t *testing.T) {
 	wg.Wait()
 	if err := c.SetDeadline(time.Now().Add(time.Hour)); err != io.ErrClosedPipe {
 		t.Fatalf("SetDeadline after close = %v", err)
+	}
+}
+
+// TestStreamConcurrentWritesStayWhole has several goroutines write
+// distinct fixed-size records on one end while the peer reads in chunks
+// smaller than a record. Each Write is taken over several reads, yet no
+// other Write's bytes may land between them: every record must arrive
+// whole.
+func TestStreamConcurrentWritesStayWhole(t *testing.T) {
+	c, s := streamPair(t, NewFabric())
+	const writers, records, size = 8, 100, 16
+	want := make(map[string]bool, writers*records)
+	record := func(w, r int) string { return fmt.Sprintf("%-*s", size, fmt.Sprintf("w%d r%d", w, r)) }
+	for w := 0; w < writers; w++ {
+		for r := 0; r < records; r++ {
+			want[record(w, r)] = true
+		}
+	}
+	// A broken stream fails on these deadlines instead of hanging.
+	c.SetWriteDeadline(time.Now().Add(10 * time.Second))
+	s.SetReadDeadline(time.Now().Add(10 * time.Second))
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			for r := 0; r < records; r++ {
+				if _, err := c.Write([]byte(record(w, r))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	close(start)
+	got := make([]byte, 0, len(want)*size)
+	chunk := make([]byte, 5)
+	for len(got) < cap(got) {
+		n, err := s.Read(chunk)
+		if err != nil {
+			t.Fatalf("read after %d of %d bytes: %v", len(got), cap(got), err)
+		}
+		got = append(got, chunk[:n]...)
+		runtime.Gosched() // let the other writers queue up behind the one being read
+	}
+	wg.Wait()
+	for i := 0; i < len(got); i += size {
+		rec := string(got[i : i+size])
+		if !want[rec] {
+			t.Fatalf("record %d = %q: not one Write's bytes, or a repeat", i/size, rec)
+		}
+		delete(want, rec)
 	}
 }
