@@ -18,10 +18,12 @@ type discardSink struct{}
 func (discardSink) Observe(dnsserver.QueryEvent) {}
 
 // TestLookupTXTAllocBytes gates what one SPF record fetch costs both ends
-// of the wire: a bare Client's Resolver.LookupTXT against a started Server
+// of the wire: a warm Client's Resolver.LookupTXT against a started Server
 // that wraps its zones the way the measurement rig does (LoggingHandler
 // over a Mux over a ZoneSet), so the server's decode, dispatch and encode
-// count too. Skipped under -race, which instruments allocation.
+// count too. The client reuses its idle socket, so no lookup dials. A
+// lookup measured 912 B in 26 allocations; the gates leave about 20%
+// headroom. Skipped under -race, which instruments allocation.
 func TestLookupTXTAllocBytes(t *testing.T) {
 	fabric := netsim.NewFabric()
 	zone := dnsserver.NewZoneSet()
@@ -47,8 +49,12 @@ func TestLookupTXTAllocBytes(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	per := (after.TotalAlloc - before.TotalAlloc) / runs
-	t.Logf("%d B, %.1f allocs per lookup", per, float64(after.Mallocs-before.Mallocs)/runs)
-	if per >= 2048 {
-		t.Fatalf("one LookupTXT exchange allocates %d B, want < 2 KiB", per)
+	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	t.Logf("%d B, %.1f allocs per lookup", per, allocs)
+	if per >= 1100 {
+		t.Errorf("one LookupTXT exchange allocates %d B, want < 1100 B", per)
+	}
+	if allocs > 31 {
+		t.Errorf("one LookupTXT exchange makes %.1f allocations, want at most 31", allocs)
 	}
 }

@@ -25,16 +25,15 @@ type BatchResult struct {
 }
 
 // BatchQuerier is a Querier that can resolve several questions in one
-// virtual round-trip: one socket, one deadline budget, one pass through the
-// connection machinery instead of a dial per question.
+// call: a cache answers the hits and forwards the misses as one batch, and
+// the wire Client exchanges them back to back on its idle socket.
 //
 // Within a batch the wire exchanges stay strictly serialized in question
 // order. That is deliberate, not a missed optimization: the fault engine
 // counts each host's datagrams in sequence and the authoritative server
 // attributes trace events per packet, so overlapping in-flight queries from
 // one host would make faulty and traced campaign runs depend on scheduler
-// interleaving. The batch removes per-question dial and buffer costs while
-// keeping every host's datagram order reproducible.
+// interleaving.
 type BatchQuerier interface {
 	Querier
 	QueryBatch(ctx context.Context, qs []BatchQuestion) []BatchResult
@@ -63,7 +62,7 @@ func queryAll(ctx context.Context, q Querier, qs []BatchQuestion) []BatchResult 
 // and whatever queued up behind an in-flight dispatch forms the next batch.
 // It slots directly above the wire Client. No resolver stack in use
 // includes it: the only multi-question batches are explicit dual-family
-// lookups, which Client.QueryBatch already sends over one socket.
+// lookups, which Client.QueryBatch already sends back to back.
 type Pipeline struct {
 	// Upstream executes the batches; required.
 	Upstream BatchQuerier

@@ -34,6 +34,20 @@ var (
 )
 
 // Client performs DNS transactions against a single server.
+//
+// A Client keeps the UDP sockets its exchanges finish with, answered or
+// timed out, in an idle list; each exchange takes one from the list, or
+// dials one when the list is empty, so concurrent exchanges each hold
+// their own socket and sequential ones share one. A socket that failed any
+// other way is closed, and TCP connections are never kept. Responses are
+// still matched by ID and question, so a late answer to an earlier
+// exchange, left in a reused socket, is skipped. On the real network this
+// means a Client keeps its OS socket, and so its source port, across
+// lookups; matching is unchanged.
+//
+// Close closes the idle sockets. Whoever builds a long-lived Client closes
+// it when done: mta.Host.Stop does for its host's resolver, and
+// measure.Rig.Close for the probe-side one.
 type Client struct {
 	// Net supplies connectivity; required.
 	Net netsim.Network
@@ -57,7 +71,9 @@ type Client struct {
 	Clk clock.Clock
 
 	mu     sync.Mutex
-	nextID uint16
+	nextID uint16     // guarded by mu
+	idle   []net.Conn // UDP sockets no exchange holds; guarded by mu
+	closed bool       // set by Close; guarded by mu
 }
 
 func (c *Client) clock() clock.Clock {
@@ -106,28 +122,64 @@ var queryBufPool = sync.Pool{New: func() any {
 	return &b
 }}
 
+// socket takes an idle UDP socket, or dials one when none is idle.
+func (c *Client) socket(ctx context.Context) (net.Conn, error) {
+	c.mu.Lock()
+	if n := len(c.idle); n > 0 {
+		conn := c.idle[n-1]
+		c.idle[n-1] = nil
+		c.idle = c.idle[:n-1]
+		c.mu.Unlock()
+		return conn, nil
+	}
+	c.mu.Unlock()
+	return c.Net.DialContext(ctx, "udp", c.Server)
+}
+
+// release returns conn to the idle list, or closes it once c is closed.
+func (c *Client) release(conn net.Conn) {
+	c.mu.Lock()
+	if !c.closed {
+		c.idle = append(c.idle, conn)
+		c.mu.Unlock()
+		return
+	}
+	c.mu.Unlock()
+	_ = conn.Close()
+}
+
+// Close closes the idle UDP sockets and makes every socket an exchange
+// returns later close at once. It returns the first error a close met.
+// Lookups still work after Close, each on a socket of its own.
+func (c *Client) Close() error {
+	c.mu.Lock()
+	idle := c.idle
+	c.idle, c.closed = nil, true
+	c.mu.Unlock()
+	var first error
+	for _, conn := range idle {
+		if err := conn.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
 // Query sends one query and returns the validated response, implementing
 // Querier over the wire (UDP with TCP fallback on truncation).
 func (c *Client) Query(ctx context.Context, name dnsmsg.Name, typ dnsmsg.Type) (*dnsmsg.Message, error) {
-	return c.query(ctx, nil, name, typ)
+	return c.query(ctx, name, typ)
 }
 
-// QueryBatch implements BatchQuerier: the questions share one UDP socket,
-// exchanged strictly in order (see BatchQuerier for why serialized order is
-// load-bearing), so a multi-question batch costs one dial instead of one
-// per question. Per-question contexts keep trace attribution; per-question
-// failures fall back to the usual retry/TCP machinery independently.
+// QueryBatch implements BatchQuerier: the questions are exchanged strictly
+// in order (see BatchQuerier for why serialized order is load-bearing),
+// each on a socket from the idle list, so unless another exchange takes it
+// in between, the whole batch rides the one socket. Per-question contexts
+// keep trace attribution; per-question failures fall back to the usual
+// retry/TCP machinery independently.
 func (c *Client) QueryBatch(ctx context.Context, qs []BatchQuestion) []BatchResult {
 	out := make([]BatchResult, len(qs))
-	if len(qs) == 0 {
-		return out
-	}
-	var conn net.Conn
 	if len(qs) > 1 {
-		if cn, err := c.Net.DialContext(ctx, "udp", c.Server); err == nil {
-			conn = cn
-			defer cn.Close()
-		}
 		c.Metrics.Counter("dns.client.batches").Inc()
 		c.Metrics.Counter("dns.client.batch_questions").Add(int64(len(qs)))
 	}
@@ -136,14 +188,13 @@ func (c *Client) QueryBatch(ctx context.Context, qs []BatchQuestion) []BatchResu
 		if bq.Ctx != nil {
 			qctx = bq.Ctx
 		}
-		out[i].Msg, out[i].Err = c.query(qctx, conn, bq.Name, bq.Type)
+		out[i].Msg, out[i].Err = c.query(qctx, bq.Name, bq.Type)
 	}
 	return out
 }
 
-// query is the shared transaction body. conn, when non-nil, is a caller-
-// owned UDP socket reused across a batch; nil dials per attempt.
-func (c *Client) query(ctx context.Context, conn net.Conn, name dnsmsg.Name, typ dnsmsg.Type) (*dnsmsg.Message, error) {
+// query is the shared transaction body.
+func (c *Client) query(ctx context.Context, name dnsmsg.Name, typ dnsmsg.Type) (*dnsmsg.Message, error) {
 	c.Metrics.Counter("dns.client.lookups").Inc()
 	start := c.clock().Now()
 	ctx, qsp := trace.StartSpan(ctx, "dns.query")
@@ -177,7 +228,7 @@ func (c *Client) query(ctx context.Context, conn net.Conn, name dnsmsg.Name, typ
 				}
 			}
 		}
-		resp, err := c.exchangeUDP(ctx, conn, q, frame[2:])
+		resp, err := c.exchangeUDP(ctx, q, frame[2:])
 		if err != nil {
 			lastErr = err
 			continue
@@ -213,16 +264,26 @@ func (c *Client) query(ctx context.Context, conn net.Conn, name dnsmsg.Name, typ
 	return nil, fmt.Errorf("%w: %v", ErrTemporary, lastErr)
 }
 
-// exchangeUDP sends pkt, the packed q, and waits for the matching response.
-func (c *Client) exchangeUDP(ctx context.Context, conn net.Conn, q *dnsmsg.Message, pkt []byte) (*dnsmsg.Message, error) {
-	if conn == nil {
-		cn, err := c.Net.DialContext(ctx, "udp", c.Server)
-		if err != nil {
-			return nil, err
-		}
-		defer cn.Close()
-		conn = cn
+// exchangeUDP sends pkt, the packed q, on a socket from the idle list and
+// waits for the matching response. The socket goes back to the list when
+// the exchange is answered or times out; any other failure closes it.
+func (c *Client) exchangeUDP(ctx context.Context, q *dnsmsg.Message, pkt []byte) (*dnsmsg.Message, error) {
+	conn, err := c.socket(ctx)
+	if err != nil {
+		return nil, err
 	}
+	resp, err := c.roundTrip(ctx, conn, q, pkt)
+	if ne, ok := err.(net.Error); err == nil || ok && ne.Timeout() {
+		c.release(conn)
+	} else {
+		_ = conn.Close()
+	}
+	return resp, err
+}
+
+// roundTrip writes pkt to conn and reads until the response to q arrives,
+// skipping datagrams that answer anything else.
+func (c *Client) roundTrip(ctx context.Context, conn net.Conn, q *dnsmsg.Message, pkt []byte) (*dnsmsg.Message, error) {
 	deadline := c.clock().Now().Add(c.timeout())
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d

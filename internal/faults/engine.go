@@ -1,9 +1,9 @@
 package faults
 
 import (
-	"hash/fnv"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 
 	"spfail/internal/dnsmsg"
@@ -24,7 +24,14 @@ type Engine struct {
 	tracer   *trace.Tracer
 
 	mu  sync.Mutex
-	seq map[string]uint64
+	seq map[seqKey]uint64 // guarded by mu
+}
+
+// seqKey names one (rule, host) event counter: rule indexes the plan's
+// rules, and host is the subject host.
+type seqKey struct {
+	rule int
+	host string
 }
 
 // NewEngine normalizes plan and builds an engine for it.
@@ -33,7 +40,7 @@ func NewEngine(plan Plan) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{plan: p, seq: make(map[string]uint64)}, nil
+	return &Engine{plan: p, seq: make(map[seqKey]uint64)}, nil
 }
 
 // SetClassifier installs the host → class mapping rules with a Class
@@ -53,7 +60,8 @@ func (e *Engine) SetTracer(t *trace.Tracer) { e.tracer = t }
 // SeqEntry is one (rule, host) event counter, the engine's only mutable
 // state. Fault decisions hash the per-key sequence number, so a resumed
 // study must restore these counters for later rounds to draw the same
-// decisions an uninterrupted run would.
+// decisions an uninterrupted run would. Key spells the counter
+// "kind|rule|host", for example "dns-timeout|1|198.51.100.9".
 type SeqEntry struct {
 	Key string `json:"key"`
 	Seq uint64 `json:"seq"`
@@ -71,23 +79,46 @@ func (e *Engine) Snapshot() []SeqEntry {
 	}
 	out := make([]SeqEntry, 0, len(e.seq))
 	for k, s := range e.seq {
-		out = append(out, SeqEntry{Key: k, Seq: s})
+		key := string(e.plan.Rules[k.rule].Kind) + "|" + strconv.Itoa(k.rule) + "|" + k.host
+		out = append(out, SeqEntry{Key: key, Seq: s})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
 
 // Restore replaces the event counters with a snapshot taken by Snapshot.
+// An entry whose key names no rule of the plan, or a rule of another kind,
+// is dropped: no decision would ever read it.
 func (e *Engine) Restore(snap []SeqEntry) {
 	if e == nil {
 		return
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.seq = make(map[string]uint64, len(snap))
+	e.seq = make(map[seqKey]uint64, len(snap))
 	for _, s := range snap {
-		e.seq[s.Key] = s.Seq
+		if k, ok := e.parseKey(s.Key); ok {
+			e.seq[k] = s.Seq
+		}
 	}
+}
+
+// parseKey reads a counter key spelled the way Snapshot spells it.
+func (e *Engine) parseKey(key string) (seqKey, bool) {
+	kind, rest, ok := strings.Cut(key, "|")
+	if !ok {
+		return seqKey{}, false
+	}
+	num, host, ok := strings.Cut(rest, "|")
+	if !ok {
+		return seqKey{}, false
+	}
+	i, err := strconv.Atoi(num)
+	if err != nil || i < 0 || i >= len(e.plan.Rules) || strconv.Itoa(i) != num ||
+		string(e.plan.Rules[i].Kind) != kind {
+		return seqKey{}, false
+	}
+	return seqKey{rule: i, host: host}, true
 }
 
 // inject records one fired fault against the subject host: the per-kind
@@ -116,7 +147,7 @@ func (e *Engine) matches(r Rule, host string) bool {
 // the fault fires. The sequence number makes burst windows count-based and
 // the hash makes rate decisions reproducible.
 func (e *Engine) decide(i int, r Rule, host string) bool {
-	key := string(r.Kind) + "|" + strconv.Itoa(i) + "|" + host
+	key := seqKey{rule: i, host: host}
 	e.mu.Lock()
 	seq := e.seq[key]
 	e.seq[key] = seq + 1
@@ -131,7 +162,7 @@ func (e *Engine) decide(i int, r Rule, host string) bool {
 	if rate >= 1 {
 		return true
 	}
-	h := decisionHash(e.plan.Seed, key, seq)
+	h := decisionHash(e.plan.Seed, r.Kind, i, host, seq)
 	return float64(h%1_000_000)/1_000_000 < rate
 }
 
@@ -251,20 +282,45 @@ func truncateResponse(payload []byte) []byte {
 	return out
 }
 
-// decisionHash mixes the decision inputs with FNV-1a.
-func decisionHash(seed int64, key string, seq uint64) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(uint64(seed) >> (8 * i))
+// FNV-1a's 64-bit parameters.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// decisionHash mixes the decision inputs with FNV-1a: the seed's eight
+// bytes, least significant first, then the counter's key as Snapshot
+// spells it (kind|rule|host), then seq's eight bytes. The key's bytes are
+// fed in place, so a decision builds no string.
+func decisionHash(seed int64, kind Kind, rule int, host string, seq uint64) uint64 {
+	h := uint64(fnvOffset64)
+	h = hashUint64(h, uint64(seed))
+	h = hashString(h, string(kind))
+	h = (h ^ '|') * fnvPrime64
+	var num [20]byte
+	for _, c := range strconv.AppendInt(num[:0], int64(rule), 10) {
+		h = (h ^ uint64(c)) * fnvPrime64
 	}
-	h.Write(b[:])
-	h.Write([]byte(key))
-	for i := 0; i < 8; i++ {
-		b[i] = byte(seq >> (8 * i))
+	h = (h ^ '|') * fnvPrime64
+	h = hashString(h, host)
+	return hashUint64(h, seq)
+}
+
+// hashString feeds s's bytes to the FNV-1a state h.
+func hashString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
 	}
-	h.Write(b[:])
-	return h.Sum64()
+	return h
+}
+
+// hashUint64 feeds v's eight bytes, least significant first, to the FNV-1a
+// state h.
+func hashUint64(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = (h ^ (v >> (8 * i) & 0xff)) * fnvPrime64
+	}
+	return h
 }
 
 var _ netsim.FaultInjector = (*Engine)(nil)

@@ -59,8 +59,10 @@ type Rig struct {
 	// ProbeIP is the measurement vantage address.
 	ProbeIP string
 
-	dns      *dnsserver.Server
-	dnsRetry retry.Policy
+	dns *dnsserver.Server
+	// client is the probe-side DNS client every Resolver wraps; Close
+	// closes its sockets.
+	client *dnsclient.Client
 }
 
 // Rig addresses.
@@ -141,7 +143,14 @@ func NewRigFromOptions(ctx context.Context, opts RigOptions) (*Rig, error) {
 		FaultEngine: engine,
 		DNSAddr:     dnsIP + ":53",
 		ProbeIP:     probeIP,
-		dnsRetry:    opts.DNSRetry,
+		client: &dnsclient.Client{
+			Net:     fabric.Host(probeIP),
+			Server:  dnsIP + ":53",
+			Timeout: time.Second,
+			Clk:     clk,
+			Retry:   opts.DNSRetry,
+			Metrics: metrics,
+		},
 		Zone: &dnsserver.SPFTestZone{
 			Base:  dnsmsg.MustParseName(testZoneBase),
 			Addr4: netip.MustParseAddr("192.0.2.80"),
@@ -170,30 +179,24 @@ func NewRigFromOptions(ctx context.Context, opts RigOptions) (*Rig, error) {
 	return r, nil
 }
 
-// Close stops the DNS server and all running hosts.
+// Close stops the DNS server and all running hosts, and closes the
+// probe-side DNS client's sockets.
 func (r *Rig) Close() {
 	r.Manager.StopAll()
 	r.dns.Stop()
+	_ = r.client.Close() // fabric sockets close without error
 }
 
 // Resolver returns a stub resolver from the probe vantage, carrying the
-// rig's DNS retry policy. The policy's backoff sleeps on the rig clock,
-// and a shared simulated clock has one sleeper, the study driver, so the
-// rig's DNS walks (fanOut) use the resolver from one goroutine whenever
-// the policy is enabled. They do the same whenever the fabric injects
-// faults, because the fault engine counts the vantage's DNS events in
-// the order they arrive.
+// rig's DNS retry policy. Every resolver it returns wraps the rig's one
+// probe-side client, so they share its idle sockets. The policy's backoff
+// sleeps on the rig clock, and a shared simulated clock has one sleeper,
+// the study driver, so the rig's DNS walks (fanOut) use the resolver from
+// one goroutine whenever the policy is enabled. They do the same whenever
+// the fabric injects faults, because the fault engine counts the
+// vantage's DNS events in the order they arrive.
 func (r *Rig) Resolver() *dnsclient.Resolver {
-	// ResolveTargets' dual-family lookups reach Client.QueryBatch directly,
-	// so each exchanger's A+AAAA pair shares one socket.
-	return dnsclient.NewResolver(&dnsclient.Client{
-		Net:     r.Fabric.Host(r.ProbeIP),
-		Server:  r.DNSAddr,
-		Timeout: time.Second,
-		Clk:     r.Clock,
-		Retry:   r.dnsRetry,
-		Metrics: r.Metrics,
-	})
+	return dnsclient.NewResolver(r.client)
 }
 
 // fanOut calls fn(i) for every i in [0, n) and returns once every call
@@ -221,7 +224,7 @@ func (r *Rig) Resolver() *dnsclient.Resolver {
 func (r *Rig) fanOut(n int, fn func(i int)) {
 	procs := runtime.GOMAXPROCS(0)
 	workers := 2 * procs
-	if procs == 1 || r.Fabric.Faults != nil || r.dnsRetry.Enabled() {
+	if procs == 1 || r.Fabric.Faults != nil || r.client.Retry.Enabled() {
 		workers = 1
 	}
 	if workers > n {

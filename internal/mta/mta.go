@@ -108,6 +108,8 @@ type Config struct {
 type Host struct {
 	cfg    Config
 	server *smtp.Server
+	// wire is the DNS client under res; Stop closes its sockets.
+	wire *dnsclient.Client
 	// res is the host's resolver with its local TTL cache, like the
 	// recursive resolver a real MTA sits behind. SPFail's unique probe
 	// labels exist precisely to defeat this layer.
@@ -139,14 +141,14 @@ func New(cfg Config) *Host {
 	}
 	// Client → CachingClient → Resolver: the wire client under the MTA's
 	// local TTL cache. Dual-family (A+AAAA) lookups pass through the cache
-	// as one batch and ride one socket via Client.QueryBatch.
-	wire := &dnsclient.Client{
+	// as one batch, exchanged back to back by Client.QueryBatch.
+	h.wire = &dnsclient.Client{
 		Net:     cfg.Net,
 		Server:  cfg.DNSServer,
 		Timeout: cfg.DNSTimeout,
 		Clk:     cfg.Clock,
 	}
-	cached := dnsclient.NewCachingClient(wire, cfg.Clock)
+	cached := dnsclient.NewCachingClient(h.wire, cfg.Clock)
 	h.res = ResolverAdapter{R: dnsclient.NewResolver(cached)}
 	h.checkers = make([]*spf.Checker, len(cfg.Behaviors))
 	for i, b := range cfg.Behaviors {
@@ -174,8 +176,12 @@ func New(cfg Config) *Host {
 // Start binds port 25.
 func (h *Host) Start(ctx context.Context) error { return h.server.Start(ctx) }
 
-// Stop shuts the SMTP listener down.
-func (h *Host) Stop() { h.server.Stop() }
+// Stop shuts the SMTP listener down, waits out the sessions, and then
+// closes the sockets the host's DNS client kept.
+func (h *Host) Stop() {
+	h.server.Stop()
+	_ = h.wire.Close() // Stop reports nothing; the sockets are released either way
+}
 
 // Overflows returns the simulated heap overflows the host has suffered.
 func (h *Host) Overflows() []spfimpl.OverflowEvent {

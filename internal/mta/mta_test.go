@@ -3,6 +3,7 @@ package mta
 import (
 	"context"
 	"fmt"
+	"net"
 	"net/netip"
 	"strings"
 	"sync"
@@ -448,5 +449,83 @@ func TestConcurrentValidationsOnOneHost(t *testing.T) {
 		if vuln, compliant := w.patternsFor(id); !vuln || !compliant {
 			t.Errorf("label %s: vuln=%v compliant=%v; queries %v", id, vuln, compliant, w.queriesFor(id))
 		}
+	}
+}
+
+// udpTracker is a netsim.Network that counts the UDP conns dialed through
+// it that are still open.
+type udpTracker struct {
+	netsim.Network
+	mu           sync.Mutex
+	dialed, open int
+}
+
+func (n *udpTracker) DialContext(ctx context.Context, network, address string) (net.Conn, error) {
+	c, err := n.Network.DialContext(ctx, network, address)
+	if err != nil || network != "udp" {
+		return c, err
+	}
+	n.mu.Lock()
+	n.dialed++
+	n.open++
+	n.mu.Unlock()
+	return &trackedConn{Conn: c, n: n}, nil
+}
+
+func (n *udpTracker) counts() (dialed, open int) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.dialed, n.open
+}
+
+// trackedConn tells its tracker when it is first closed.
+type trackedConn struct {
+	net.Conn
+	n    *udpTracker
+	once sync.Once
+}
+
+func (c *trackedConn) Close() error {
+	c.once.Do(func() {
+		c.n.mu.Lock()
+		c.n.open--
+		c.n.mu.Unlock()
+	})
+	return c.Conn.Close()
+}
+
+// TestStoppedHostClosesItsSockets: a host's DNS client keeps the socket
+// its validation's lookups used, and Stop closes it, so no UDP conn dialed
+// through the host's Net is left open.
+func TestStoppedHostClosesItsSockets(t *testing.T) {
+	w := newWorld(t)
+	const ip = "203.0.113.31"
+	tr := &udpTracker{Network: w.fabric.Host(ip)}
+	h := New(Config{
+		Hostname:   "mx." + ip + ".example",
+		IP:         netip.MustParseAddr(ip),
+		Net:        tr,
+		DNSServer:  dnsIP + ":53",
+		DNSTimeout: time.Second,
+		Behaviors:  []spfimpl.Behavior{spfimpl.BehaviorCompliant},
+		ValidateAt: ValidateAtMailFrom,
+	})
+	if err := h.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(h.Stop)
+	if err := w.probe(t, ip, "st31.t01.spf-test.dns-lab.org", false); err != nil {
+		t.Fatalf("probe: %v", err)
+	}
+	if len(w.queriesFor("st31")) == 0 {
+		t.Fatal("the host did not validate: no query for the probe label")
+	}
+	dialed, open := tr.counts()
+	if dialed == 0 || open == 0 {
+		t.Fatalf("after the validation: %d UDP conns dialed, %d open; want the client to keep one", dialed, open)
+	}
+	h.Stop()
+	if _, open := tr.counts(); open != 0 {
+		t.Fatalf("stopped host left %d of %d UDP conns open", open, dialed)
 	}
 }

@@ -13,8 +13,12 @@ import (
 
 // TestUDPExchangeAllocBytes gates what one DNS-style exchange costs the
 // fabric: dial a UDP endpoint, write a query, let the server read it and
-// reply, read the reply, close. Every resolver attempt pays this, so an
-// endpoint that preallocates for traffic it never receives shows here.
+// reply, read the reply under a deadline, close. An endpoint that
+// preallocates for traffic it never receives, or a read that makes a timer
+// of its own, shows here. An exchange measured 528 B in 6 allocations:
+// the endpoint, its connected wrapper and inbox ring, the copies of the
+// query and the reply, and the sender address the server's ReadFrom
+// returns. The gates leave about 20% headroom.
 // Skipped under -race, which instruments allocation.
 func TestUDPExchangeAllocBytes(t *testing.T) {
 	f := NewFabric()
@@ -59,9 +63,13 @@ func TestUDPExchangeAllocBytes(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	per := (after.TotalAlloc - before.TotalAlloc) / runs
-	t.Logf("%d B, %.1f allocs per exchange", per, float64(after.Mallocs-before.Mallocs)/runs)
-	if per >= 1024 {
-		t.Fatalf("one UDP dial+write+read+close allocates %d B, want < 1 KiB", per)
+	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	t.Logf("%d B, %.1f allocs per exchange", per, allocs)
+	if per >= 640 {
+		t.Errorf("one UDP dial+write+read+close allocates %d B, want < 640 B", per)
+	}
+	if allocs > 7 {
+		t.Errorf("one UDP dial+write+read+close makes %.1f allocations, want at most 7", allocs)
 	}
 }
 
@@ -69,10 +77,10 @@ func TestUDPExchangeAllocBytes(t *testing.T) {
 // fabric: dial, accept, five exchanges in which each side sets a deadline
 // before every read and write, then close both ends. Every probe
 // transaction, notification and tracker fetch pays this, so a deadline
-// that allocates per call shows here. A session measured 752 B in 6
-// allocations: the connection, one deadline timer and its callback per
-// end, and the dial address. The gates leave about 20% headroom on the
-// bytes and one allocation. Skipped under -race, which instruments
+// that allocates per call shows here. A session measured 600 B in 4
+// allocations: the connection, its one deadline timer and the timer's
+// callback, and the dial address. The gates leave about 20% headroom on
+// the bytes and one allocation. Skipped under -race, which instruments
 // allocation.
 func TestTCPSessionAllocBytes(t *testing.T) {
 	f := NewFabric()
@@ -141,11 +149,11 @@ func TestTCPSessionAllocBytes(t *testing.T) {
 	per := (after.TotalAlloc - before.TotalAlloc) / runs
 	allocs := float64(after.Mallocs-before.Mallocs) / runs
 	t.Logf("%d B, %.1f allocs per session", per, allocs)
-	if per >= 900 {
-		t.Errorf("one TCP session of %d exchanges allocates %d B, want < 900 B", exchanges, per)
+	if per >= 720 {
+		t.Errorf("one TCP session of %d exchanges allocates %d B, want < 720 B", exchanges, per)
 	}
-	if allocs > 7 {
-		t.Errorf("one TCP session of %d exchanges makes %.1f allocations, want at most 7", exchanges, allocs)
+	if allocs > 5 {
+		t.Errorf("one TCP session of %d exchanges makes %.1f allocations, want at most 5", exchanges, allocs)
 	}
 }
 

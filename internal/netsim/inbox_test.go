@@ -112,20 +112,30 @@ func TestUDPWriteToForeignAddrType(t *testing.T) {
 	}
 }
 
+// TestUDPCloseWakesReaderAndDropsLateDatagrams: Close wakes a reader
+// blocked with an hour-long deadline, stops the deadline timer that read
+// armed, and drops datagrams that land afterwards.
 func TestUDPCloseWakesReaderAndDropsLateDatagrams(t *testing.T) {
 	f := NewFabric()
 	pc, err := f.Host("10.7.1.1").ListenPacket("udp", ":53")
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := pc.(*fabricPacketConn)
+	pc.SetReadDeadline(time.Now().Add(time.Hour))
 	errCh := make(chan error, 1)
 	go func() {
 		_, _, err := pc.ReadFrom(make([]byte, 16))
 		errCh <- err
 	}()
-	// The reader normally blocks before Close runs; if it does not, it
-	// sees the closed endpoint on entry, and the assertion is the same.
-	time.Sleep(10 * time.Millisecond)
+	// Wait until the reader has armed the timer, so Close meets a blocked
+	// read.
+	for armed := false; !armed; {
+		time.Sleep(time.Millisecond)
+		p.mu.Lock()
+		armed = !p.timer.due.IsZero()
+		p.mu.Unlock()
+	}
 	if err := pc.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -137,9 +147,14 @@ func TestUDPCloseWakesReaderAndDropsLateDatagrams(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Close did not wake the blocked reader")
 	}
+	p.mu.Lock()
+	due, stillPending := p.timer.due, p.timer.t.Stop()
+	p.mu.Unlock()
+	if !due.IsZero() || stillPending {
+		t.Fatalf("closed endpoint's timer: due %v, pending %v; want stopped", due, stillPending)
+	}
 
 	// A deliver that looked the endpoint up before Close lands after it.
-	p := pc.(*fabricPacketConn)
 	p.enqueue(datagram{from: Addr{Net: "udp", Host: "10.7.1.2", Port: 40001}, to: p.addr, data: []byte("late")})
 	p.mu.Lock()
 	queued := p.queued

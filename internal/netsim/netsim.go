@@ -11,19 +11,22 @@
 //
 // A fabric UDP endpoint queues at most inboxLimit (1024) unread datagrams
 // and drops the rest, as a full socket buffer does. The queue is a ring that
-// doubles with the traffic it actually holds, so a DNS dial that receives
-// one reply pays for one datagram, not for the bound, and a busy server
-// pops its oldest datagram in constant time.
+// doubles with the traffic it actually holds, so an endpoint that receives
+// one reply at a time pays for one datagram, not for the bound, and a busy
+// server pops its oldest datagram in constant time. Readers wait on one
+// condition variable over the endpoint's mutex; there are no channels.
 //
 // A fabric TCP connection is one struct: both stream ends and the one lock
 // they share. It keeps net.Pipe's synchronous semantics and error values,
 // so a Write lends its slice and returns once the peer has read all of it.
-// Each end waits on its own condition variable and keeps at most one
-// deadline timer for both directions, armed only when a read or write is
-// about to wait with a deadline set. The timer only ever moves earlier: an
-// operation it wakes early re-arms it for that operation's own, later
-// deadline, and Close stops it. A closed connection therefore holds no
-// timer, and its memory goes with its session.
+// Each end waits on its own condition variable over that lock.
+//
+// Both kinds keep deadlines the same way (deadlineTimer): one wall-clock
+// timer per UDP endpoint and one per TCP connection, armed only when an
+// operation is about to wait with a deadline set. The timer only ever
+// moves earlier: an operation it wakes early re-arms it for that
+// operation's own, later deadline, and Close stops it. A closed endpoint
+// or connection therefore holds no timer, and its memory goes with it.
 package netsim
 
 import (
@@ -407,12 +410,8 @@ func (f *Fabric) bindPacket(addr Addr) (*fabricPacketConn, error) {
 	if _, ok := f.packet[addr]; ok {
 		return nil, &net.OpError{Op: "listen", Net: "udp", Addr: addr, Err: ErrAddrInUse}
 	}
-	pc := &fabricPacketConn{
-		f:     f,
-		addr:  addr,
-		ready: make(chan struct{}, 1),
-		done:  make(chan struct{}),
-	}
+	pc := &fabricPacketConn{f: f, addr: addr}
+	pc.cond.L = &pc.mu
 	f.packet[addr] = pc
 	return pc, nil
 }
@@ -497,14 +496,14 @@ const inboxLimit = 1024
 type fabricPacketConn struct {
 	f    *Fabric
 	addr Addr
-	// ready holds a wake-up token once a datagram has been queued since a
-	// reader last looked; readers re-check the inbox after taking it.
-	ready chan struct{}
-	done  chan struct{}
 
-	mu       sync.Mutex
-	closed   bool      // guarded by mu
-	deadline time.Time // guarded by mu
+	mu sync.Mutex
+	// cond, on mu, is signalled once for each datagram queued and
+	// broadcast when the endpoint closes or its deadline timer fires.
+	cond     sync.Cond
+	closed   bool          // guarded by mu
+	deadline time.Time     // on the fabric clock, zero for none; guarded by mu
+	timer    deadlineTimer // guarded by mu
 	// inbox is a ring of unread datagrams, oldest at inbox[head], queued
 	// of them in all. Its length is zero or a power of two no larger than
 	// inboxLimit.
@@ -514,7 +513,9 @@ type fabricPacketConn struct {
 }
 
 // enqueue appends d to the inbox, or drops it when the endpoint is closed
-// or already holds inboxLimit datagrams.
+// or already holds inboxLimit datagrams. It wakes one waiting reader: a
+// woken reader takes a queued datagram before it looks at its deadline,
+// so the datagram is never left behind while a reader waits.
 func (p *fabricPacketConn) enqueue(d datagram) {
 	p.mu.Lock()
 	if p.closed || p.queued >= inboxLimit {
@@ -527,7 +528,7 @@ func (p *fabricPacketConn) enqueue(d datagram) {
 	p.inbox[(p.head+p.queued)&(len(p.inbox)-1)] = d
 	p.queued++
 	p.mu.Unlock()
-	p.wake()
+	p.cond.Signal()
 }
 
 // grow doubles the full inbox ring, unrolling it so the oldest datagram
@@ -553,14 +554,6 @@ func (p *fabricPacketConn) pop() datagram {
 	return d
 }
 
-// wake leaves a token in ready unless one is already waiting.
-func (p *fabricPacketConn) wake() {
-	select {
-	case p.ready <- struct{}{}:
-	default:
-	}
-}
-
 // ReadFrom implements net.PacketConn.
 func (p *fabricPacketConn) ReadFrom(b []byte) (int, net.Addr, error) {
 	n, from, err := p.read(b)
@@ -572,59 +565,50 @@ func (p *fabricPacketConn) ReadFrom(b []byte) (int, net.Addr, error) {
 
 // read returns the oldest queued datagram, waiting for one while the inbox
 // is empty. The deadline is interpreted on the fabric clock's timeline: the
-// remaining budget is measured against the fabric clock once, then waited
-// out in wall time. Fabric datagrams are delivered in real microseconds
-// regardless of virtual time, so waiting on the virtual clock instead would
-// turn every virtual-time jump (politeness sleeps, window gaps) into a
-// scheduling race against in-flight reads.
+// remaining budget is measured against the fabric clock once, when the read
+// starts, then waited out in wall time on the endpoint's deadline timer.
+// Fabric datagrams are delivered in real microseconds regardless of
+// virtual time, so waiting on the virtual clock instead would turn every
+// virtual-time jump (politeness sleeps, window gaps) into a scheduling
+// race against in-flight reads.
 func (p *fabricPacketConn) read(b []byte) (int, Addr, error) {
-	var budget time.Duration
 	p.mu.Lock()
+	defer p.mu.Unlock()
+	var at time.Time
 	if !p.deadline.IsZero() {
-		if budget = p.deadline.Sub(p.f.clock().Now()); budget <= 0 {
-			p.mu.Unlock()
+		budget := p.deadline.Sub(p.f.clock().Now())
+		if budget <= 0 {
 			return 0, Addr{}, timeoutError{}
 		}
+		at = time.Now().Add(budget) //spfail:allow wallclock virtual budget waited out in wall time; see comment above
 	}
-	var timeout <-chan time.Time
 	for {
-		if p.closed {
-			p.mu.Unlock()
+		switch {
+		case p.closed:
 			return 0, Addr{}, &net.OpError{Op: "read", Net: "udp", Addr: p.addr, Err: ErrClosed}
-		}
-		if p.queued > 0 {
+		case p.queued > 0:
 			d := p.pop()
-			rest := p.queued
-			p.mu.Unlock()
-			if rest > 0 {
-				p.wake() // the token this reader may have taken covered more than d
-			}
 			return copy(b, d.data), d.from, nil
-		}
-		p.mu.Unlock()
-		if timeout == nil && budget > 0 {
-			t := time.NewTimer(budget) //spfail:allow wallclock virtual budget waited out in wall time; see comment above
-			defer t.Stop()
-			timeout = t.C
-		}
-		select {
-		case <-p.ready:
-		case <-p.done:
-		case <-timeout:
+		case passed(at):
 			return 0, Addr{}, timeoutError{}
 		}
-		p.mu.Lock()
+		p.timer.arm(at, p)
+		p.cond.Wait()
 	}
+}
+
+// fire runs when the endpoint's deadline timer goes off. It wakes every
+// waiting reader; each checks its own deadline, and one whose deadline
+// lies later re-arms the timer before it waits again.
+func (p *fabricPacketConn) fire() {
+	p.mu.Lock()
+	p.timer.fired()
+	p.mu.Unlock()
+	p.cond.Broadcast()
 }
 
 // WriteTo implements net.PacketConn.
 func (p *fabricPacketConn) WriteTo(b []byte, addr net.Addr) (int, error) {
-	p.mu.Lock()
-	closed := p.closed
-	p.mu.Unlock()
-	if closed {
-		return 0, &net.OpError{Op: "write", Net: "udp", Addr: p.addr, Err: ErrClosed}
-	}
 	to, ok := addr.(Addr)
 	if !ok {
 		var err error
@@ -632,12 +616,24 @@ func (p *fabricPacketConn) WriteTo(b []byte, addr net.Addr) (int, error) {
 			return 0, err
 		}
 	}
+	return p.writeTo(b, to)
+}
+
+// writeTo sends a copy of b to the endpoint at to, if one is bound.
+func (p *fabricPacketConn) writeTo(b []byte, to Addr) (int, error) {
+	p.mu.Lock()
+	closed := p.closed
+	p.mu.Unlock()
+	if closed {
+		return 0, &net.OpError{Op: "write", Net: "udp", Addr: p.addr, Err: ErrClosed}
+	}
 	to.Net = "udp"
 	p.f.deliver(datagram{from: p.addr, to: to, data: append([]byte(nil), b...)})
 	return len(b), nil
 }
 
-// Close implements net.PacketConn.
+// Close implements net.PacketConn. It wakes every waiting reader and stops
+// the deadline timer, so nothing keeps a closed endpoint reachable.
 func (p *fabricPacketConn) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -646,10 +642,11 @@ func (p *fabricPacketConn) Close() error {
 	}
 	p.closed = true
 	p.inbox, p.head, p.queued = nil, 0, 0
+	p.timer.stop()
 	p.f.mu.Lock()
 	delete(p.f.packet, p.addr)
 	p.f.mu.Unlock()
-	close(p.done)
+	p.cond.Broadcast()
 	return nil
 }
 
@@ -692,7 +689,7 @@ func (c *connectedPacketConn) Read(b []byte) (int, error) {
 
 // Write implements net.Conn.
 func (c *connectedPacketConn) Write(b []byte) (int, error) {
-	return c.pc.WriteTo(b, c.remote)
+	return c.pc.writeTo(b, c.remote)
 }
 
 // Close implements net.Conn.

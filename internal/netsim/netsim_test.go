@@ -142,6 +142,10 @@ func TestFabricUDPRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFabricUDPReadDeadline covers the endpoint's one deadline timer: a
+// deadline that passes while a read is blocked, a read woken early by the
+// timer an earlier read armed, and an expired deadline, which times out
+// before the inbox is looked at.
 func TestFabricUDPReadDeadline(t *testing.T) {
 	f := NewFabric()
 	pc, err := f.Host("10.1.1.1").ListenPacket("udp", ":9999")
@@ -149,11 +153,76 @@ func TestFabricUDPReadDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pc.Close()
+	buf := make([]byte, 16)
+	wantTimeout := func(err error) {
+		t.Helper()
+		var ne net.Error
+		if !errors.As(err, &ne) || !ne.Timeout() {
+			t.Fatalf("ReadFrom = %v, want timeout net.Error", err)
+		}
+	}
+	// readWithin runs a ReadFrom that must return within a generous bound,
+	// and reports how long it took and its error.
+	readWithin := func() (time.Duration, error) {
+		t.Helper()
+		start := time.Now()
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := pc.ReadFrom(buf)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			return time.Since(start), err
+		case <-time.After(5 * time.Second):
+			t.Fatal("ReadFrom still blocked after 5s")
+			return 0, nil
+		}
+	}
+
+	// The deadline passes while the read waits.
 	pc.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
-	_, _, err = pc.ReadFrom(make([]byte, 16))
-	var ne net.Error
-	if !errors.As(err, &ne) || !ne.Timeout() {
-		t.Fatalf("ReadFrom = %v, want timeout net.Error", err)
+	took, err := readWithin()
+	wantTimeout(err)
+	if took < 15*time.Millisecond { // the deadline was set just before the read started
+		t.Fatalf("read timed out after %v, well before its 20ms deadline", took)
+	}
+
+	// A read that waits arms the timer for its deadline and is answered
+	// long before it; the timer stays due then. The next read's deadline
+	// lies later, so that timer wakes it early: it must arm the timer for
+	// its own deadline and wait it out.
+	pc.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	sender, err := f.Host("10.1.1.2").ListenPacket("udp", ":0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sender.Close()
+	go func() {
+		time.Sleep(10 * time.Millisecond)
+		sender.WriteTo([]byte("early"), pc.LocalAddr())
+	}()
+	if _, err := readWithin(); err != nil {
+		t.Fatalf("read answered before its deadline: %v", err)
+	}
+	pc.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
+	took, err = readWithin()
+	wantTimeout(err)
+	if took < 290*time.Millisecond {
+		t.Fatalf("read timed out after %v: the earlier read's timer ended its 300ms wait", took)
+	}
+
+	// An expired deadline times out even with a datagram queued, and
+	// clearing it lets the datagram through.
+	if _, err := sender.WriteTo([]byte("queued"), pc.LocalAddr()); err != nil {
+		t.Fatal(err)
+	}
+	pc.SetReadDeadline(time.Now().Add(-time.Second))
+	_, _, err = pc.ReadFrom(buf)
+	wantTimeout(err)
+	pc.SetReadDeadline(time.Time{})
+	if n, _, err := pc.ReadFrom(buf); err != nil || string(buf[:n]) != "queued" {
+		t.Fatalf("ReadFrom after clearing the deadline = %q, %v", buf[:n], err)
 	}
 }
 

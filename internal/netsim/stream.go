@@ -10,13 +10,17 @@ import (
 	"spfail/internal/clock"
 )
 
-// stream is one fabric TCP connection: its two ends and the one lock that
-// guards the state of both.
+// stream is one fabric TCP connection: its two ends, the one lock that
+// guards the state of both, and the one deadline timer that serves both.
+// The timer is armed for the earliest deadline an operation on either end
+// waits for, and the first Close stops it: from then on every operation
+// on either end returns at once, so none waits again.
 type stream struct {
 	mu    sync.Mutex
 	clk   clock.Clock
 	addrs [2]Addr // the dialer's and the listener's, indexed by side
 	ends  [2]streamConn
+	timer deadlineTimer // guarded by mu
 }
 
 // streamConn is one end of a fabric TCP connection. It behaves like an end
@@ -25,10 +29,10 @@ type stream struct {
 // of it, and every error value matches net.Pipe's, because error text
 // reaches trace events. Only deadlines differ. net.Pipe arms a fresh timer
 // on every Set*Deadline call and Close never stops it, so each closed
-// connection stays reachable until its last deadline has passed. A
-// streamConn keeps at most one timer for both directions, arms it only
-// when a read or write is about to wait with a deadline set, moves it only
-// earlier, and stops it on Close.
+// connection stays reachable until its last deadline has passed. The
+// stream keeps one timer for both ends and both directions (see
+// deadlineTimer), armed only when a read or write is about to wait with a
+// deadline set.
 type streamConn struct {
 	s    *stream
 	peer *streamConn
@@ -50,9 +54,7 @@ type streamConn struct {
 	offered bool   // guarded by s.mu
 	offer   []byte // guarded by s.mu
 
-	rdAt, wrAt time.Time   // wall-clock deadlines, zero for none; guarded by s.mu
-	due        time.Time   // when timer fires; zero when it is not armed; guarded by s.mu
-	timer      *time.Timer // made by the first wait that needs one; guarded by s.mu
+	rdAt, wrAt time.Time // wall-clock deadlines, zero for none; guarded by s.mu
 }
 
 // newStream connects two stream ends: the dialer's, addressed laddr →
@@ -147,47 +149,30 @@ func (c *streamConn) write(b []byte) (int, error) {
 	return n, err
 }
 
-// passed reports whether the wall-clock deadline at is set and has passed.
-// Every operation asks before it waits and again whenever it wakes, so a
-// deadline that passed while nothing waited still fails the next one.
-func passed(at time.Time) bool {
-	//spfail:allow wallclock deadlines run on the wall clock; see toWall
-	return !at.IsZero() && !time.Now().Before(at)
-}
-
 // wait blocks on c.cond until an operation on c may be able to go on.
-// When at is set and c's timer is not due by then, it first arms the timer
-// for at, so the wait ends by its deadline.
+// When at is set, it first arms the stream's timer for at, unless the
+// timer is already due by then, so the wait ends by its deadline.
 //
 //spfail:locked c.s.mu
 func (c *streamConn) wait(at time.Time) {
-	if !at.IsZero() && (c.due.IsZero() || at.Before(c.due)) {
-		//spfail:allow wallclock deadline timers run on the wall clock; see toWall
-		d := time.Until(at)
-		if c.timer == nil {
-			//spfail:allow wallclock deadline timers run on the wall clock; see toWall
-			c.timer = time.AfterFunc(d, c.fire)
-		} else {
-			c.timer.Reset(d)
-		}
-		c.due = at
-	}
+	c.s.timer.arm(at, c.s)
 	c.cond.Wait()
 }
 
-// fire runs when c's timer goes off. It wakes every operation waiting on
-// c; each checks its own deadline, and one whose deadline lies later
-// re-arms the timer before it waits again.
-func (c *streamConn) fire() {
-	s := c.s
+// fire runs when the stream's timer goes off. It wakes every operation
+// waiting on either end; each checks its own deadline, and one whose
+// deadline lies later re-arms the timer before it waits again.
+func (s *stream) fire() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	c.due = time.Time{}
-	c.cond.Broadcast()
+	s.timer.fired()
+	s.ends[0].cond.Broadcast()
+	s.ends[1].cond.Broadcast()
 }
 
-// Close implements net.Conn. It stops the end's deadline timer, so nothing
-// keeps a closed connection reachable.
+// Close implements net.Conn. It stops the stream's deadline timer, so
+// nothing keeps a closed connection reachable; once either end is closed,
+// no operation on either end waits again.
 func (c *streamConn) Close() error {
 	s := c.s
 	s.mu.Lock()
@@ -196,10 +181,7 @@ func (c *streamConn) Close() error {
 		return nil
 	}
 	c.closed = true
-	if c.timer != nil {
-		c.timer.Stop()
-		c.due = time.Time{}
-	}
+	s.timer.stop()
 	c.cond.Broadcast()
 	c.peer.cond.Broadcast()
 	return nil

@@ -112,6 +112,47 @@ func TestStreamExtendedDeadlineKeepsWaiting(t *testing.T) {
 	}
 }
 
+// TestStreamEndsShareOneTimer blocks a read on each end, the dialer's
+// with the earlier deadline. The connection's one timer is armed for that
+// deadline and wakes both ends when it fires: the dialer's read times out,
+// and the listener's re-arms the timer and waits out its own deadline. The
+// first Close stops the timer.
+func TestStreamEndsShareOneTimer(t *testing.T) {
+	c, s := streamPair(t, NewFabric())
+	start := time.Now()
+	c.SetReadDeadline(start.Add(50 * time.Millisecond))
+	s.SetReadDeadline(start.Add(250 * time.Millisecond))
+	cr, sr := readAsync(c), readAsync(s)
+	checkTimeout(t, "read", await(t, cr).err)
+	if waited := time.Since(start); waited < 50*time.Millisecond || waited >= 240*time.Millisecond {
+		t.Fatalf("dialer's read timed out after %v, want between its 50ms deadline and the listener's", waited)
+	}
+	checkTimeout(t, "read", await(t, sr).err)
+	if waited := time.Since(start); waited < 240*time.Millisecond {
+		t.Fatalf("listener's read timed out after %v, at the dialer's deadline", waited)
+	}
+
+	st := c.(*streamConn).s
+	s.SetReadDeadline(time.Now().Add(time.Hour))
+	sr = readAsync(s)
+	for armed := false; !armed; { // until the listener's read waits
+		time.Sleep(time.Millisecond)
+		st.mu.Lock()
+		armed = !st.timer.due.IsZero()
+		st.mu.Unlock()
+	}
+	c.Close()
+	if r := await(t, sr); r.err != io.EOF {
+		t.Fatalf("listener's read after the dialer closed = %v, want EOF", r.err)
+	}
+	st.mu.Lock()
+	due, pending := st.timer.due, st.timer.t.Stop()
+	st.mu.Unlock()
+	if !due.IsZero() || pending {
+		t.Fatalf("timer after the first Close: due %v, pending %v; want stopped", due, pending)
+	}
+}
+
 func TestStreamEarlierDeadlineWakesBlockedOps(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
