@@ -14,9 +14,8 @@ import (
 type Collector struct {
 	zone *dnsserver.SPFTestZone
 
-	mu    sync.Mutex
-	byID  map[string][]dnsserver.QueryEvent
-	total int
+	mu   sync.Mutex
+	byID map[string][]dnsserver.QueryEvent
 }
 
 // NewCollector builds a collector for the given zone.
@@ -32,13 +31,7 @@ func (c *Collector) Observe(ev dnsserver.QueryEvent) {
 	}
 	c.mu.Lock()
 	c.byID[id] = append(c.byID[id], ev)
-	c.total++
 	c.mu.Unlock()
-}
-
-// QueriesFor returns a copy of the events recorded for a probe id.
-func (c *Collector) QueriesFor(id string) []dnsserver.QueryEvent {
-	return c.AppendQueriesFor(nil, id)
 }
 
 // AppendQueriesFor appends the events recorded for a probe id to dst and
@@ -48,13 +41,6 @@ func (c *Collector) AppendQueriesFor(dst []dnsserver.QueryEvent, id string) []dn
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append(dst, c.byID[id]...)
-}
-
-// Total returns the number of in-zone queries observed.
-func (c *Collector) Total() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.total
 }
 
 // Forget releases the evidence for a probe id (campaigns drop evidence

@@ -326,14 +326,14 @@ func TestCollectorIndexesAndForgets(t *testing.T) {
 		Name: dnsmsg.MustParseName("example.com"),
 		Type: dnsmsg.TypeTXT,
 	})
-	if got := len(c.QueriesFor("xk")); got != 1 {
-		t.Fatalf("QueriesFor = %d", got)
+	if got := len(c.AppendQueriesFor(nil, "xk")); got != 1 {
+		t.Fatalf("AppendQueriesFor = %d", got)
 	}
-	if c.Total() != 1 {
-		t.Fatalf("Total = %d", c.Total())
+	if len(c.byID) != 1 {
+		t.Fatalf("collector indexed %d probe ids, want 1 (the out-of-zone query is ignored)", len(c.byID))
 	}
 	c.Forget("xk")
-	if got := len(c.QueriesFor("xk")); got != 0 {
+	if got := len(c.AppendQueriesFor(nil, "xk")); got != 0 {
 		t.Fatal("Forget did not clear")
 	}
 }

@@ -20,8 +20,8 @@ func TestCollectorForgottenEvidenceDoesNotResurface(t *testing.T) {
 			Type: dnsmsg.TypeA,
 		})
 	}
-	if got := len(c.QueriesFor("aaaa")); got != 3 {
-		t.Fatalf("QueriesFor(aaaa) = %d, want 3", got)
+	if got := len(c.AppendQueriesFor(nil, "aaaa")); got != 3 {
+		t.Fatalf("AppendQueriesFor(aaaa) = %d, want 3", got)
 	}
 	c.Forget("aaaa")
 
@@ -31,14 +31,14 @@ func TestCollectorForgottenEvidenceDoesNotResurface(t *testing.T) {
 		Name: dnsmsg.MustParseName("fresh.bbbb.s01.spf-test.dns-lab.org"),
 		Type: dnsmsg.TypeA,
 	})
-	got := c.QueriesFor("bbbb")
+	got := c.AppendQueriesFor(nil, "bbbb")
 	if len(got) != 1 {
-		t.Fatalf("QueriesFor(bbbb) = %d events, want 1", len(got))
+		t.Fatalf("AppendQueriesFor(bbbb) = %d events, want 1", len(got))
 	}
 	if got[0].Name.String() != "fresh.bbbb.s01.spf-test.dns-lab.org." {
 		t.Fatalf("forgotten evidence resurfaced under another id: %s", got[0].Name)
 	}
-	if leak := c.QueriesFor("aaaa"); len(leak) != 0 {
+	if leak := c.AppendQueriesFor(nil, "aaaa"); len(leak) != 0 {
 		t.Fatalf("forgotten id still has %d events", len(leak))
 	}
 }
@@ -59,7 +59,7 @@ func TestCollectorAppendQueriesForUsesCallerScratch(t *testing.T) {
 		t.Fatalf("AppendQueriesFor = %d events, want 1", len(out))
 	}
 	out[0].Name = dnsmsg.MustParseName("scribbled.example.com")
-	if got := c.QueriesFor("cccc"); got[0].Name.String() != "x.cccc.s01.spf-test.dns-lab.org." {
+	if got := c.AppendQueriesFor(nil, "cccc"); got[0].Name.String() != "x.cccc.s01.spf-test.dns-lab.org." {
 		t.Fatal("mutating the returned scratch corrupted the collector's record")
 	}
 }

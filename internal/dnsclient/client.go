@@ -168,33 +168,6 @@ func (c *Client) Close() error {
 // Query sends one query and returns the validated response, implementing
 // Querier over the wire (UDP with TCP fallback on truncation).
 func (c *Client) Query(ctx context.Context, name dnsmsg.Name, typ dnsmsg.Type) (*dnsmsg.Message, error) {
-	return c.query(ctx, name, typ)
-}
-
-// QueryBatch implements BatchQuerier: the questions are exchanged strictly
-// in order (see BatchQuerier for why serialized order is load-bearing),
-// each on a socket from the idle list, so unless another exchange takes it
-// in between, the whole batch rides the one socket. Per-question contexts
-// keep trace attribution; per-question failures fall back to the usual
-// retry/TCP machinery independently.
-func (c *Client) QueryBatch(ctx context.Context, qs []BatchQuestion) []BatchResult {
-	out := make([]BatchResult, len(qs))
-	if len(qs) > 1 {
-		c.Metrics.Counter("dns.client.batches").Inc()
-		c.Metrics.Counter("dns.client.batch_questions").Add(int64(len(qs)))
-	}
-	for i, bq := range qs {
-		qctx := ctx
-		if bq.Ctx != nil {
-			qctx = bq.Ctx
-		}
-		out[i].Msg, out[i].Err = c.query(qctx, bq.Name, bq.Type)
-	}
-	return out
-}
-
-// query is the shared transaction body.
-func (c *Client) query(ctx context.Context, name dnsmsg.Name, typ dnsmsg.Type) (*dnsmsg.Message, error) {
 	c.Metrics.Counter("dns.client.lookups").Inc()
 	start := c.clock().Now()
 	ctx, qsp := trace.StartSpan(ctx, "dns.query")
@@ -370,11 +343,6 @@ func NewResolver(q Querier) *Resolver {
 	return &Resolver{Querier: q}
 }
 
-// do performs one transaction via the configured path.
-func (r *Resolver) do(ctx context.Context, name dnsmsg.Name, typ dnsmsg.Type) (*dnsmsg.Message, error) {
-	return r.Querier.Query(ctx, name, typ)
-}
-
 // rcodeErr maps response codes to the error taxonomy; nil means usable.
 func rcodeErr(r *dnsmsg.Message) error {
 	switch r.Header.RCode {
@@ -394,7 +362,7 @@ func (r *Resolver) LookupTXT(ctx context.Context, name string) ([]string, error)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := r.do(ctx, n, dnsmsg.TypeTXT)
+	resp, err := r.Querier.Query(ctx, n, dnsmsg.TypeTXT)
 	if err != nil {
 		return nil, err
 	}
@@ -412,40 +380,42 @@ func (r *Resolver) LookupTXT(ctx context.Context, name string) ([]string, error)
 
 // LookupIP returns A and/or AAAA addresses for name. network is "ip",
 // "ip4", or "ip6".
+//
+// For "ip" the A question is asked first and the AAAA question after it
+// has finished, both on the caller's goroutine, never concurrently: the
+// fault engine counts each host's datagrams in order, so overlapping
+// exchanges would make faulty runs depend on scheduling. The addresses of
+// every family that answers are returned in question order. The lookup
+// fails only when that leaves none and the last question failed; the
+// error is the first one since the last usable answer, so A's when both
+// fail and AAAA's when an empty A answer precedes a failing AAAA.
 func (r *Resolver) LookupIP(ctx context.Context, network, name string) ([]netip.Addr, error) {
 	n, err := dnsmsg.ParseName(name)
 	if err != nil {
 		return nil, err
 	}
-	var results []BatchResult
+	ask := []dnsmsg.Type{dnsmsg.TypeA, dnsmsg.TypeAAAA}
 	switch network {
 	case "ip4":
-		results = r.lookupTypes(ctx, n, dnsmsg.TypeA)
+		ask = ask[:1]
 	case "ip6":
-		results = r.lookupTypes(ctx, n, dnsmsg.TypeAAAA)
-	default:
-		// Dual-family lookups travel as one batch — a single virtual
-		// round-trip through any batching layer in the stack — instead of
-		// an A transaction followed by a AAAA transaction.
-		results = r.lookupTypes(ctx, n, dnsmsg.TypeA, dnsmsg.TypeAAAA)
+		ask = ask[1:]
 	}
 	var out []netip.Addr
 	var firstErr error
-	for _, res := range results {
-		if res.Err != nil {
-			if firstErr == nil {
-				firstErr = res.Err
-			}
-			continue
+	for _, typ := range ask {
+		resp, err := r.Querier.Query(ctx, n, typ)
+		if err == nil {
+			err = rcodeErr(resp)
 		}
-		if err := rcodeErr(res.Msg); err != nil {
+		if err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
 		firstErr = nil
-		for _, rr := range res.Msg.Answers {
+		for _, rr := range resp.Answers {
 			switch d := rr.Data.(type) {
 			case dnsmsg.A:
 				out = append(out, d.Addr)
@@ -460,20 +430,6 @@ func (r *Resolver) LookupIP(ctx context.Context, network, name string) ([]netip.
 	return out, nil
 }
 
-// lookupTypes queries name for each type, batching when more than one type
-// is requested. Results are in types order regardless of transport.
-func (r *Resolver) lookupTypes(ctx context.Context, name dnsmsg.Name, types ...dnsmsg.Type) []BatchResult {
-	if len(types) == 1 {
-		msg, err := r.do(ctx, name, types[0])
-		return []BatchResult{{Msg: msg, Err: err}}
-	}
-	qs := make([]BatchQuestion, len(types))
-	for i, typ := range types {
-		qs[i] = BatchQuestion{Name: name, Type: typ, Ctx: ctx}
-	}
-	return queryAll(ctx, r.Querier, qs)
-}
-
 // MXRecord is one mail exchanger.
 type MXRecord struct {
 	Preference uint16
@@ -486,7 +442,7 @@ func (r *Resolver) LookupMX(ctx context.Context, name string) ([]MXRecord, error
 	if err != nil {
 		return nil, err
 	}
-	resp, err := r.do(ctx, n, dnsmsg.TypeMX)
+	resp, err := r.Querier.Query(ctx, n, dnsmsg.TypeMX)
 	if err != nil {
 		return nil, err
 	}
@@ -509,7 +465,7 @@ func (r *Resolver) LookupPTR(ctx context.Context, addr netip.Addr) ([]string, er
 	if err != nil {
 		return nil, err
 	}
-	resp, err := r.do(ctx, n, dnsmsg.TypePTR)
+	resp, err := r.Querier.Query(ctx, n, dnsmsg.TypePTR)
 	if err != nil {
 		return nil, err
 	}
@@ -538,17 +494,4 @@ func ReverseName(addr netip.Addr) string {
 		out = append(out, hex[b[i]&0xF], '.', hex[b[i]>>4], '.')
 	}
 	return string(out) + "ip6.arpa"
-}
-
-// IsNotFound reports whether err is the NXDOMAIN taxonomy error.
-func IsNotFound(err error) bool { return errors.Is(err, ErrNotFound) }
-
-// IsTemporary reports whether err is a temporary resolution failure; net
-// timeouts and dial errors count.
-func IsTemporary(err error) bool {
-	if errors.Is(err, ErrTemporary) {
-		return true
-	}
-	var ne net.Error
-	return errors.As(err, &ne)
 }

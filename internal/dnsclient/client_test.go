@@ -2,8 +2,10 @@ package dnsclient
 
 import (
 	"context"
+	"errors"
 	"net"
 	"net/netip"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -76,27 +78,99 @@ func TestLookupTXT(t *testing.T) {
 func TestLookupTXTNXDomain(t *testing.T) {
 	r, _ := newResolver(t)
 	_, err := r.LookupTXT(context.Background(), "missing.example.com")
-	if !IsNotFound(err) {
+	if !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want NXDOMAIN taxonomy", err)
 	}
 }
 
+// scriptedQuerier answers each question type from a script and records
+// the types it is asked, in order.
+type scriptedQuerier struct {
+	script map[dnsmsg.Type]scriptedAnswer
+	asked  []dnsmsg.Type
+}
+
+// scriptedAnswer is either a transport error or a response carrying addrs
+// (A or AAAA records, by the question's type) under rcode.
+type scriptedAnswer struct {
+	err   error
+	rcode dnsmsg.RCode
+	addrs []string
+}
+
+func (q *scriptedQuerier) Query(_ context.Context, n dnsmsg.Name, typ dnsmsg.Type) (*dnsmsg.Message, error) {
+	q.asked = append(q.asked, typ)
+	a := q.script[typ]
+	if a.err != nil {
+		return nil, a.err
+	}
+	r := dnsmsg.NewQuery(1, n, typ).Reply()
+	r.Header.RCode = a.rcode
+	for _, s := range a.addrs {
+		addr := netip.MustParseAddr(s)
+		var d dnsmsg.RData = dnsmsg.A{Addr: addr}
+		if typ == dnsmsg.TypeAAAA {
+			d = dnsmsg.AAAA{Addr: addr}
+		}
+		r.Answers = append(r.Answers, dnsmsg.Record{Name: n, Class: dnsmsg.ClassIN, TTL: 60, Data: d})
+	}
+	return r, nil
+}
+
+// LookupIP asks for one family per question, A before AAAA, and merges
+// the answers: a family that answers clears the error of the one before
+// it, and a lookup left with no address fails with the first error since
+// the last usable answer.
 func TestLookupIPBothFamilies(t *testing.T) {
-	r, _ := newResolver(t)
-	addrs, err := r.LookupIP(context.Background(), "ip", "mail.example.com")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(addrs) != 2 {
-		t.Fatalf("addrs = %v", addrs)
-	}
-	a4, err := r.LookupIP(context.Background(), "ip4", "mail.example.com")
-	if err != nil || len(a4) != 1 || !a4[0].Is4() {
-		t.Fatalf("ip4 = %v, %v", a4, err)
-	}
-	a6, err := r.LookupIP(context.Background(), "ip6", "mail.example.com")
-	if err != nil || len(a6) != 1 || !a6[0].Is6() {
-		t.Fatalf("ip6 = %v, %v", a6, err)
+	errA := errors.New("A exchange failed")
+	errAAAA := errors.New("AAAA exchange failed")
+	v4 := scriptedAnswer{addrs: []string{"192.0.2.10"}}
+	v6 := scriptedAnswer{addrs: []string{"2001:db8::10"}}
+	a, aaaa := dnsmsg.TypeA, dnsmsg.TypeAAAA
+	for _, tc := range []struct {
+		name    string
+		network string
+		script  map[dnsmsg.Type]scriptedAnswer
+		asked   []dnsmsg.Type
+		want    []string
+		wantErr error
+	}{
+		{"ip asks A then AAAA", "ip", map[dnsmsg.Type]scriptedAnswer{a: v4, aaaa: v6},
+			[]dnsmsg.Type{a, aaaa}, []string{"192.0.2.10", "2001:db8::10"}, nil},
+		{"ip4 asks once", "ip4", map[dnsmsg.Type]scriptedAnswer{a: v4, aaaa: v6},
+			[]dnsmsg.Type{a}, []string{"192.0.2.10"}, nil},
+		{"ip6 asks once", "ip6", map[dnsmsg.Type]scriptedAnswer{a: v4, aaaa: v6},
+			[]dnsmsg.Type{aaaa}, []string{"2001:db8::10"}, nil},
+		{"A fails, AAAA answers", "ip", map[dnsmsg.Type]scriptedAnswer{a: {err: errA}, aaaa: v6},
+			[]dnsmsg.Type{a, aaaa}, []string{"2001:db8::10"}, nil},
+		{"A answers, AAAA fails", "ip", map[dnsmsg.Type]scriptedAnswer{a: v4, aaaa: {err: errAAAA}},
+			[]dnsmsg.Type{a, aaaa}, []string{"192.0.2.10"}, nil},
+		{"both fail: A's error", "ip", map[dnsmsg.Type]scriptedAnswer{a: {err: errA}, aaaa: {err: errAAAA}},
+			[]dnsmsg.Type{a, aaaa}, nil, errA},
+		{"empty A, failing AAAA: AAAA's error", "ip", map[dnsmsg.Type]scriptedAnswer{a: {}, aaaa: {err: errAAAA}},
+			[]dnsmsg.Type{a, aaaa}, nil, errAAAA},
+		{"both NXDOMAIN", "ip", map[dnsmsg.Type]scriptedAnswer{a: {rcode: dnsmsg.RCodeNXDomain}, aaaa: {rcode: dnsmsg.RCodeNXDomain}},
+			[]dnsmsg.Type{a, aaaa}, nil, ErrNotFound},
+		{"SERVFAIL A, empty AAAA", "ip", map[dnsmsg.Type]scriptedAnswer{a: {rcode: dnsmsg.RCodeServFail}, aaaa: {}},
+			[]dnsmsg.Type{a, aaaa}, nil, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := &scriptedQuerier{script: tc.script}
+			got, err := NewResolver(q).LookupIP(context.Background(), tc.network, "mail.example.com")
+			if !slices.Equal(q.asked, tc.asked) {
+				t.Errorf("asked %v, want %v", q.asked, tc.asked)
+			}
+			if !errors.Is(err, tc.wantErr) {
+				t.Errorf("err = %v, want %v", err, tc.wantErr)
+			}
+			var addrs []string
+			for _, g := range got {
+				addrs = append(addrs, g.String())
+			}
+			if !slices.Equal(addrs, tc.want) {
+				t.Errorf("addrs = %v, want %v", addrs, tc.want)
+			}
+		})
 	}
 }
 
@@ -130,7 +204,7 @@ func TestExchangeTimeoutIsTemporary(t *testing.T) {
 	if err == nil {
 		t.Fatal("lookup against absent server should fail")
 	}
-	if !IsTemporary(err) {
+	if !errors.Is(err, ErrTemporary) {
 		t.Fatalf("err = %v, want temporary taxonomy", err)
 	}
 }
@@ -321,7 +395,7 @@ func TestServFailIsTemporary(t *testing.T) {
 	defer srv.Stop()
 	r := stubResolver(fabric.Host("10.0.2.2"), "10.0.2.53:53", time.Second)
 	_, err := r.LookupTXT(context.Background(), "example.com")
-	if !IsTemporary(err) {
+	if !errors.Is(err, ErrTemporary) {
 		t.Fatalf("SERVFAIL should map to temporary, got %v", err)
 	}
 }

@@ -3,53 +3,55 @@ package dnsclient
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"spfail/internal/dnsmsg"
 	"spfail/internal/telemetry"
 )
 
-// countingBatcher answers every question with a TXT record echoing its own
-// name, recording how the questions arrived.
-type countingBatcher struct {
-	mu        sync.Mutex
-	batches   int
-	questions int
-	maxBatch  int
+// countingQuerier answers every question with a TXT record echoing its own
+// name and records the names in the order it is asked. When gate is
+// non-nil, the first question closes entered and waits until gate closes.
+type countingQuerier struct {
+	gate, entered chan struct{}
+
+	mu    sync.Mutex
+	asked []string
 }
 
-func (c *countingBatcher) Query(ctx context.Context, name dnsmsg.Name, typ dnsmsg.Type) (*dnsmsg.Message, error) {
-	res := c.QueryBatch(ctx, []BatchQuestion{{Name: name, Type: typ, Ctx: ctx}})
-	return res[0].Msg, res[0].Err
-}
-
-func (c *countingBatcher) QueryBatch(ctx context.Context, qs []BatchQuestion) []BatchResult {
+func (c *countingQuerier) Query(ctx context.Context, name dnsmsg.Name, typ dnsmsg.Type) (*dnsmsg.Message, error) {
 	c.mu.Lock()
-	c.batches++
-	c.questions += len(qs)
-	if len(qs) > c.maxBatch {
-		c.maxBatch = len(qs)
-	}
+	c.asked = append(c.asked, name.String())
+	first := len(c.asked) == 1
 	c.mu.Unlock()
-	out := make([]BatchResult, len(qs))
-	for i, q := range qs {
-		r := dnsmsg.NewQuery(1, q.Name, q.Type).Reply()
-		r.Answers = append(r.Answers, dnsmsg.Record{
-			Name: q.Name, Class: dnsmsg.ClassIN, TTL: 60,
-			Data: dnsmsg.TXT{Strings: []string{q.Name.String()}},
-		})
-		out[i] = BatchResult{Msg: r}
+	if first && c.gate != nil {
+		close(c.entered)
+		<-c.gate
 	}
-	return out
+	r := dnsmsg.NewQuery(1, name, typ).Reply()
+	r.Answers = append(r.Answers, dnsmsg.Record{
+		Name: name, Class: dnsmsg.ClassIN, TTL: 60,
+		Data: dnsmsg.TXT{Strings: []string{name.String()}},
+	})
+	return r, nil
+}
+
+func (c *countingQuerier) questions() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return slices.Clone(c.asked)
 }
 
 // Concurrent callers hammering one Pipeline: every caller must get exactly
 // its own answer back (no cross-wiring between coalesced questions), every
-// question must reach the upstream exactly once, and no batch may exceed
-// MaxBatch. Run with -race (CI does) to verify the queue handoff.
+// question must reach the upstream exactly once, and the dispatches must
+// carry them at most MaxBatch at a time. Run with -race to verify the
+// queue handoff.
 func TestPipelineConcurrentQueries(t *testing.T) {
-	up := &countingBatcher{}
+	up := &countingQuerier{}
 	reg := telemetry.New()
 	p := &Pipeline{Upstream: up, MaxBatch: 4, Metrics: reg}
 
@@ -84,53 +86,94 @@ func TestPipelineConcurrentQueries(t *testing.T) {
 		t.Error(err)
 	}
 
-	if up.questions != workers*perWorker {
-		t.Fatalf("upstream saw %d questions, want %d", up.questions, workers*perWorker)
+	const total = workers * perWorker
+	asked := up.questions()
+	seen := make(map[string]bool, len(asked))
+	for _, q := range asked {
+		if seen[q] {
+			t.Fatalf("upstream was asked %s twice", q)
+		}
+		seen[q] = true
 	}
-	if up.maxBatch > 4 {
-		t.Fatalf("upstream saw a batch of %d, MaxBatch is 4", up.maxBatch)
+	if len(asked) != total {
+		t.Fatalf("upstream saw %d questions, want %d", len(asked), total)
 	}
-	if up.batches > up.questions {
-		t.Fatalf("batches (%d) exceed questions (%d)", up.batches, up.questions)
+	batches := reg.Counter("dns.pipeline.batches").Value()
+	if batches < (total+3)/4 || batches > total {
+		t.Fatalf("dns.pipeline.batches = %d, want between %d and %d", batches, (total+3)/4, total)
 	}
-	if got := reg.Counter("dns.pipeline.questions").Value(); got != int64(workers*perWorker) {
-		t.Fatalf("dns.pipeline.questions = %d, want %d", got, workers*perWorker)
+	if got := reg.Counter("dns.pipeline.questions").Value(); got != total {
+		t.Fatalf("dns.pipeline.questions = %d, want %d", got, total)
+	}
+	if got := reg.Counter("dns.pipeline.coalesced").Value(); got != total-batches {
+		t.Fatalf("dns.pipeline.coalesced = %d, want %d", got, total-batches)
 	}
 }
 
 // A lone query must dispatch immediately as a batch of one — natural
 // batching adds no artificial latency.
 func TestPipelineLoneQueryDispatchesAlone(t *testing.T) {
-	up := &countingBatcher{}
-	p := &Pipeline{Upstream: up}
+	up := &countingQuerier{}
+	reg := telemetry.New()
+	p := &Pipeline{Upstream: up, Metrics: reg}
 	if _, err := p.Query(context.Background(), name("solo.example.com"), dnsmsg.TypeA); err != nil {
 		t.Fatal(err)
 	}
-	if up.batches != 1 || up.questions != 1 {
-		t.Fatalf("batches=%d questions=%d, want 1/1", up.batches, up.questions)
+	batches := reg.Counter("dns.pipeline.batches").Value()
+	if asked := up.questions(); batches != 1 || len(asked) != 1 {
+		t.Fatalf("batches=%d questions=%d, want 1/1", batches, len(asked))
 	}
 }
 
-// Explicit batches pass through untouched and preserve index order.
-func TestPipelineQueryBatchPreservesOrder(t *testing.T) {
-	up := &countingBatcher{}
-	p := &Pipeline{Upstream: up}
-	qs := []BatchQuestion{
-		{Name: name("a.example.com"), Type: dnsmsg.TypeA},
-		{Name: name("b.example.com"), Type: dnsmsg.TypeAAAA},
-		{Name: name("c.example.com"), Type: dnsmsg.TypeTXT},
+// Questions that queue behind an in-flight dispatch go upstream one after
+// the other in queue order, at most MaxBatch per dispatch.
+func TestPipelineDispatchesInQueueOrder(t *testing.T) {
+	up := &countingQuerier{gate: make(chan struct{}), entered: make(chan struct{})}
+	reg := telemetry.New()
+	p := &Pipeline{Upstream: up, MaxBatch: 4, Metrics: reg}
+
+	var wg sync.WaitGroup
+	ask := func(n string) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := p.Query(context.Background(), name(n), dnsmsg.TypeTXT); err != nil {
+				t.Error(err)
+			}
+		}()
 	}
-	res := p.QueryBatch(context.Background(), qs)
-	if len(res) != len(qs) {
-		t.Fatalf("results = %d, want %d", len(res), len(qs))
+	ask("first.example.com")
+	<-up.entered
+	// The first dispatch holds the upstream; these nine queue behind it.
+	const queued = 9
+	for i := 0; i < queued; i++ {
+		ask(fmt.Sprintf("q%d.example.com", i))
 	}
-	for i, r := range res {
-		txt := r.Msg.Answers[0].Data.(dnsmsg.TXT)
-		if txt.Strings[0] != qs[i].Name.String() {
-			t.Fatalf("index %d: answer %q, want %q", i, txt.Strings[0], qs[i].Name)
+	want := []string{"first.example.com."}
+	for {
+		p.mu.Lock()
+		if len(p.queue) == queued {
+			for _, c := range p.queue {
+				want = append(want, c.name.String())
+			}
 		}
+		p.mu.Unlock()
+		if len(want) > 1 {
+			break
+		}
+		time.Sleep(time.Millisecond)
 	}
-	if up.batches != 1 || up.questions != 3 {
-		t.Fatalf("batches=%d questions=%d, want 1/3", up.batches, up.questions)
+	close(up.gate)
+	wg.Wait()
+
+	if got := up.questions(); !slices.Equal(got, want) {
+		t.Fatalf("upstream asked\n%v\nwant queue order\n%v", got, want)
+	}
+	// 1 + 4 + 4 + 1 questions.
+	if got := reg.Counter("dns.pipeline.batches").Value(); got != 4 {
+		t.Fatalf("dns.pipeline.batches = %d, want 4", got)
+	}
+	if got := reg.Counter("dns.pipeline.coalesced").Value(); got != 6 {
+		t.Fatalf("dns.pipeline.coalesced = %d, want 6", got)
 	}
 }

@@ -2,6 +2,7 @@ package dnsclient
 
 import (
 	"context"
+	"errors"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -186,7 +187,7 @@ func TestReusedSocketSkipsStaleAnswer(t *testing.T) {
 	cn := &countingNet{Network: fabric.Host("10.7.0.2")}
 	r := NewResolver(&Client{Net: cn, Server: "10.7.0.53:53", Timeout: 50 * time.Millisecond})
 	ctx := context.Background()
-	if _, err := r.LookupTXT(ctx, "one.example.com"); !IsTemporary(err) {
+	if _, err := r.LookupTXT(ctx, "one.example.com"); !errors.Is(err, ErrTemporary) {
 		t.Fatalf("unanswered lookup = %v, want a temporary failure", err)
 	}
 	txts, err := r.LookupTXT(ctx, "two.example.com")

@@ -140,8 +140,9 @@ func New(cfg Config) *Host {
 		h.flaky = rand.New(rand.NewSource(cfg.FlakySeed))
 	}
 	// Client → CachingClient → Resolver: the wire client under the MTA's
-	// local TTL cache. Dual-family (A+AAAA) lookups pass through the cache
-	// as one batch, exchanged back to back by Client.QueryBatch.
+	// local TTL cache. check_host asks for the client IP's address family
+	// in a and mx (RFC 7208 §5.3–5.4) and for A in exists (§5.7), so every
+	// lookup through the cache is one question.
 	h.wire = &dnsclient.Client{
 		Net:     cfg.Net,
 		Server:  cfg.DNSServer,

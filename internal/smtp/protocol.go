@@ -48,9 +48,6 @@ func (r *Reply) Positive() bool { return r.Code >= 200 && r.Code < 400 }
 // Transient reports a 4xx temporary failure (greylisting, load shedding).
 func (r *Reply) Transient() bool { return r.Code >= 400 && r.Code < 500 }
 
-// Permanent reports a 5xx rejection.
-func (r *Reply) Permanent() bool { return r.Code >= 500 }
-
 // String renders the reply's wire form without trailing CRLF on the last
 // line.
 func (r *Reply) String() string {

@@ -417,10 +417,10 @@ func TestReplyPredicates(t *testing.T) {
 	if !NewReply(250, "x").Positive() || !NewReply(354, "x").Positive() {
 		t.Error("positive predicates")
 	}
-	if !ReplyGreylisted.Transient() || ReplyGreylisted.Permanent() {
+	if !ReplyGreylisted.Transient() || ReplyGreylisted.Positive() {
 		t.Error("450 classification")
 	}
-	if !ReplyNoSuchUser.Permanent() || ReplyNoSuchUser.Transient() {
+	if ReplyNoSuchUser.Transient() || ReplyNoSuchUser.Positive() {
 		t.Error("550 classification")
 	}
 }

@@ -15,9 +15,9 @@ import (
 )
 
 // runner threads the study's per-run state — rig, campaign, checkpoint
-// store — through the stage machinery. Everything except capture and
-// killed is touched only from the run goroutine, the one sleeper on the
-// shared simulated clock clk.
+// store — through the stage machinery. Everything except capture is
+// touched only from the goroutine that called Run, which drives the study
+// and is the one sleeper on the shared simulated clock clk.
 type runner struct {
 	cfg       Config
 	res       *Results

@@ -207,7 +207,8 @@ type Results struct {
 // Run executes the complete study on a simulated clock starting at the
 // paper's initial measurement date. With Config.CheckpointDir set, every
 // completed stage is durably committed, and with Config.Resume the run
-// restarts from those commitments instead of re-probing.
+// restarts from those commitments instead of re-probing. When ctx ends
+// first, Run returns ctx.Err() once the stage in progress has unwound.
 func Run(ctx context.Context, cfg Config) (*Results, error) {
 	norm, err := cfg.Normalize()
 	if err != nil {
@@ -298,25 +299,22 @@ func Run(ctx context.Context, cfg Config) (*Results, error) {
 		}
 	}
 
-	done := make(chan error, 1)
-	go func() {
-		done <- r.run(runCtx)
-	}()
-	select {
-	case err := <-done:
-		res.CampaignResources = r.campaign.Resources()
-		if r.killed {
-			return res, ErrKilled
-		}
-		if cause := context.Cause(runCtx); errors.Is(cause, obs.ErrBudgetExceeded) {
-			// The hard breach cancelled the run context; the unwind error
-			// is just the cancellation echo — report the cause.
-			return res, fmt.Errorf("study: %w", cause)
-		}
-		return res, err
-	case <-ctx.Done():
-		return res, ctx.Err()
+	// The driver runs on this goroutine, so the deferred stops above wait
+	// for it to unwind, and nothing writes into res once Run returns it.
+	err = r.run(runCtx)
+	res.CampaignResources = r.campaign.Resources()
+	if r.killed {
+		return res, ErrKilled
 	}
+	if cause := context.Cause(runCtx); errors.Is(cause, obs.ErrBudgetExceeded) {
+		// The hard breach cancelled the run context; the unwind error is
+		// just the cancellation echo — report the cause.
+		return res, fmt.Errorf("study: %w", cause)
+	}
+	if ctxErr := ctx.Err(); ctxErr != nil {
+		return res, ctxErr
+	}
+	return res, err
 }
 
 // run is the study driver and the one sleeper on the shared simulated

@@ -2,8 +2,12 @@ package study
 
 import (
 	"context"
+	"errors"
 	"io"
+	"net/netip"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -74,6 +78,47 @@ func TestStudyEndToEnd(t *testing.T) {
 	}
 	if !r.SnapshotTime.Equal(population.TEnd) {
 		t.Errorf("snapshot at %v, want %v", r.SnapshotTime, population.TEnd)
+	}
+}
+
+// When the caller's context ends mid-stage, Run must wait for its driver
+// to unwind before it returns: otherwise its deferred stops tear down the
+// rig, tracker and collector under the driver, and the driver keeps
+// delivering outcomes into the Results Run has already handed back. The
+// Observe hook cancels on the first outcome and then holds the driver for
+// 500 ms; Run must not have returned when it lets go.
+func TestRunReturnsAfterItsDriver(t *testing.T) {
+	spec := population.DefaultSpec()
+	spec.Scale = 0.002
+	spec.Seed = 1
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var returned, returnedEarly atomic.Bool
+	var once sync.Once
+	held := make(chan struct{})
+	res, err := Run(ctx, Config{
+		Config:   measure.Config{Concurrency: 8, BatchSize: 400},
+		Spec:     spec,
+		Interval: 4 * 24 * time.Hour,
+		Observe: func(string, netip.Addr, core.Outcome) {
+			once.Do(func() {
+				cancel()
+				time.Sleep(500 * time.Millisecond)
+				returnedEarly.Store(returned.Load())
+				close(held)
+			})
+		},
+	})
+	returned.Store(true)
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	if res == nil || len(res.Initial) == 0 {
+		t.Fatal("no outcome was delivered before Run returned")
+	}
+	<-held
+	if returnedEarly.Load() {
+		t.Fatal("Run returned while its driver was still delivering outcomes")
 	}
 }
 

@@ -206,17 +206,6 @@ func TestSnapshotDeterminism(t *testing.T) {
 	}
 }
 
-func TestCounterNamesSorted(t *testing.T) {
-	r := New()
-	for _, n := range []string{"z", "a", "m"} {
-		r.Counter(n).Inc()
-	}
-	names := r.CounterNames()
-	if len(names) != 3 || names[0] != "a" || names[1] != "m" || names[2] != "z" {
-		t.Fatalf("names = %v", names)
-	}
-}
-
 func TestEvents(t *testing.T) {
 	r := New()
 	var got []Event
@@ -248,8 +237,5 @@ func TestNilSafety(t *testing.T) {
 	s := r.Snapshot()
 	if len(s.Counters) != 0 || len(s.Gauges) != 0 || len(s.Histograms) != 0 {
 		t.Fatalf("nil snapshot = %+v", s)
-	}
-	if r.CounterNames() != nil {
-		t.Fatal("nil CounterNames must be nil")
 	}
 }

@@ -210,7 +210,8 @@ func (t *Tracer) FlushBuffer(b *Buffer) {
 }
 
 // HostSpan returns the span currently adopted for host, or nil. The host
-// key is the bare IP string (no port).
+// key is the bare IP string (no port). It is the hook for layers that know
+// the subject host but have no context (the fault engine, the DNS server).
 func (t *Tracer) HostSpan(host string) *Span {
 	if t == nil {
 		return nil
@@ -219,13 +220,6 @@ func (t *Tracer) HostSpan(host string) *Span {
 	sp := t.routes[host]
 	t.routeMu.RUnlock()
 	return sp
-}
-
-// HostEvent records an instantaneous event on the span adopted for host,
-// if any — the hook for layers that know the subject host but have no
-// context (the fault engine, the DNS server's fast path).
-func (t *Tracer) HostEvent(host, name string, attrs ...Attr) {
-	t.HostSpan(host).Event(name, attrs...)
 }
 
 // traceHash mixes (seed, scope, index) with FNV-1a.
@@ -400,7 +394,7 @@ func (sp *Span) End() {
 	sp.b.mu.Unlock()
 }
 
-// Adopt routes host-keyed events (Tracer.HostSpan/HostEvent) to this span
+// Adopt routes host-keyed events (Tracer.HostSpan) to this span
 // until the returned release function runs. Nested adoptions restore the
 // previous route on release, so a transaction span can temporarily shadow
 // the probe root.

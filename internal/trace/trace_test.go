@@ -120,7 +120,7 @@ func TestNilSafety(t *testing.T) {
 	release := sp.Adopt("192.0.2.1")
 	release()
 	tr.FlushBuffer(b)
-	tr.HostEvent("192.0.2.1", "evt")
+	tr.HostSpan("192.0.2.1").Event("evt")
 	if tr.HostSpan("192.0.2.1") != nil {
 		t.Fatal("nil tracer should route no hosts")
 	}
@@ -165,7 +165,7 @@ func TestHostRoutingIsLIFO(t *testing.T) {
 	if got := tr.HostSpan("192.0.2.9"); got != nil {
 		t.Fatal("final release should clear the route")
 	}
-	tr.HostEvent("192.0.2.9", "dropped") // routes to nobody; must not panic
+	tr.HostSpan("192.0.2.9").Event("dropped") // routes to nobody; must not panic
 }
 
 func TestClosedBufferDropsLateWrites(t *testing.T) {
@@ -242,7 +242,7 @@ func TestConcurrentBuffersDoNotShareState(t *testing.T) {
 			release := root.Adopt(host)
 			for j := 0; j < 50; j++ {
 				sp := root.Child("op", Int("j", j))
-				tr.HostEvent(host, "hostev", Int("j", j))
+				tr.HostSpan(host).Event("hostev", Int("j", j))
 				sp.End()
 			}
 			release()
