@@ -45,6 +45,12 @@ var (
 // means a Client keeps its OS socket, and so its source port, across
 // lookups; matching is unchanged.
 //
+// Query Unpacks each response, so its caller may keep it. A Resolver
+// whose Querier is a bare *Client instead reads each response in place:
+// the socket the lookup holds keeps a dnsmsg.Decoder, made the first time
+// it decodes a response, and lends the decoded message to the lookup
+// until the lookup has copied out its answer.
+//
 // Close closes the idle sockets. Whoever builds a long-lived Client closes
 // it when done: mta.Host.Stop does for its host's resolver, and
 // measure.Rig.Close for the probe-side one.
@@ -71,9 +77,18 @@ type Client struct {
 	Clk clock.Clock
 
 	mu     sync.Mutex
-	nextID uint16     // guarded by mu
-	idle   []net.Conn // UDP sockets no exchange holds; guarded by mu
-	closed bool       // set by Close; guarded by mu
+	nextID uint16      // guarded by mu
+	idle   []udpSocket // sockets no exchange holds; guarded by mu
+	closed bool        // set by Close; guarded by mu
+}
+
+// udpSocket is a UDP socket a Client keeps between exchanges, with the
+// decoder that in-place lookups on it read their responses with: nil
+// until the first one does, so a socket that only serves Query never
+// makes one.
+type udpSocket struct {
+	conn net.Conn
+	dec  *dnsmsg.Decoder
 }
 
 func (c *Client) clock() clock.Clock {
@@ -123,29 +138,30 @@ var queryBufPool = sync.Pool{New: func() any {
 }}
 
 // socket takes an idle UDP socket, or dials one when none is idle.
-func (c *Client) socket(ctx context.Context) (net.Conn, error) {
+func (c *Client) socket(ctx context.Context) (udpSocket, error) {
 	c.mu.Lock()
 	if n := len(c.idle); n > 0 {
-		conn := c.idle[n-1]
-		c.idle[n-1] = nil
+		s := c.idle[n-1]
+		c.idle[n-1] = udpSocket{}
 		c.idle = c.idle[:n-1]
 		c.mu.Unlock()
-		return conn, nil
+		return s, nil
 	}
 	c.mu.Unlock()
-	return c.Net.DialContext(ctx, "udp", c.Server)
+	conn, err := c.Net.DialContext(ctx, "udp", c.Server)
+	return udpSocket{conn: conn}, err
 }
 
-// release returns conn to the idle list, or closes it once c is closed.
-func (c *Client) release(conn net.Conn) {
+// release returns s to the idle list, or closes it once c is closed.
+func (c *Client) release(s udpSocket) {
 	c.mu.Lock()
 	if !c.closed {
-		c.idle = append(c.idle, conn)
+		c.idle = append(c.idle, s)
 		c.mu.Unlock()
 		return
 	}
 	c.mu.Unlock()
-	_ = conn.Close()
+	_ = s.conn.Close()
 }
 
 // Close closes the idle UDP sockets and makes every socket an exchange
@@ -157,8 +173,8 @@ func (c *Client) Close() error {
 	c.idle, c.closed = nil, true
 	c.mu.Unlock()
 	var first error
-	for _, conn := range idle {
-		if err := conn.Close(); err != nil && first == nil {
+	for _, s := range idle {
+		if err := s.conn.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -166,8 +182,19 @@ func (c *Client) Close() error {
 }
 
 // Query sends one query and returns the validated response, implementing
-// Querier over the wire (UDP with TCP fallback on truncation).
+// Querier over the wire (UDP with TCP fallback on truncation). The
+// response is Unpacked into memory of its own, so the caller may keep it.
 func (c *Client) Query(ctx context.Context, name dnsmsg.Name, typ dnsmsg.Type) (*dnsmsg.Message, error) {
+	return c.query(ctx, name, typ, nil)
+}
+
+// query runs one lookup's attempts. With read nil, it Unpacks the
+// response and returns it. Otherwise it decodes the response in place,
+// with the decoder of the UDP socket the answering attempt holds (over
+// TCP too, after a truncated answer), hands it to read, and returns nil:
+// the message is valid only until read returns, and the socket goes back
+// to the idle list only after that.
+func (c *Client) query(ctx context.Context, name dnsmsg.Name, typ dnsmsg.Type, read func(*dnsmsg.Message)) (*dnsmsg.Message, error) {
 	c.Metrics.Counter("dns.client.lookups").Inc()
 	start := c.clock().Now()
 	ctx, qsp := trace.StartSpan(ctx, "dns.query")
@@ -201,8 +228,27 @@ func (c *Client) Query(ctx context.Context, name dnsmsg.Name, typ dnsmsg.Type) (
 				}
 			}
 		}
-		resp, err := c.exchangeUDP(ctx, q, frame[2:])
+		sock, err := c.socket(ctx)
 		if err != nil {
+			lastErr = err
+			continue
+		}
+		var dec *dnsmsg.Decoder // nil: Unpack
+		if read != nil {
+			if sock.dec == nil {
+				sock.dec = dnsmsg.NewDecoder()
+			}
+			dec = sock.dec
+		}
+		resp, err := c.roundTrip(ctx, sock.conn, dec, q, frame[2:])
+		if err != nil {
+			// A timed-out socket is kept: a late answer left in it is
+			// skipped by the next exchange's matching.
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				c.release(sock)
+			} else {
+				_ = sock.conn.Close()
+			}
 			lastErr = err
 			continue
 		}
@@ -211,8 +257,9 @@ func (c *Client) Query(ctx context.Context, name dnsmsg.Name, typ dnsmsg.Type) (
 			if qsp != nil {
 				qsp.Event("dns.client.tcp_fallback")
 			}
-			resp, err = c.exchangeTCP(ctx, q, frame)
+			resp, err = c.exchangeTCP(ctx, dec, q, frame)
 			if err != nil {
+				c.release(sock)
 				lastErr = err
 				continue
 			}
@@ -225,6 +272,11 @@ func (c *Client) Query(ctx context.Context, name dnsmsg.Name, typ dnsmsg.Type) (
 			)
 			qsp.End()
 		}
+		if read != nil {
+			read(resp)
+			resp = nil
+		}
+		c.release(sock)
 		return resp, nil
 	}
 	c.Metrics.Counter("dns.client.failures").Inc()
@@ -237,26 +289,18 @@ func (c *Client) Query(ctx context.Context, name dnsmsg.Name, typ dnsmsg.Type) (
 	return nil, fmt.Errorf("%w: %v", ErrTemporary, lastErr)
 }
 
-// exchangeUDP sends pkt, the packed q, on a socket from the idle list and
-// waits for the matching response. The socket goes back to the list when
-// the exchange is answered or times out; any other failure closes it.
-func (c *Client) exchangeUDP(ctx context.Context, q *dnsmsg.Message, pkt []byte) (*dnsmsg.Message, error) {
-	conn, err := c.socket(ctx)
-	if err != nil {
-		return nil, err
+// decode decodes pkt in place with dec, or Unpacks it when dec is nil.
+func decode(dec *dnsmsg.Decoder, pkt []byte) (*dnsmsg.Message, error) {
+	if dec == nil {
+		return dnsmsg.Unpack(pkt)
 	}
-	resp, err := c.roundTrip(ctx, conn, q, pkt)
-	if ne, ok := err.(net.Error); err == nil || ok && ne.Timeout() {
-		c.release(conn)
-	} else {
-		_ = conn.Close()
-	}
-	return resp, err
+	return dec.Decode(pkt)
 }
 
-// roundTrip writes pkt to conn and reads until the response to q arrives,
-// skipping datagrams that answer anything else.
-func (c *Client) roundTrip(ctx context.Context, conn net.Conn, q *dnsmsg.Message, pkt []byte) (*dnsmsg.Message, error) {
+// roundTrip writes pkt, the packed q, to conn and reads until the
+// response to q arrives, skipping datagrams that answer anything else. It
+// decodes with dec, or Unpacks when dec is nil.
+func (c *Client) roundTrip(ctx context.Context, conn net.Conn, dec *dnsmsg.Decoder, q *dnsmsg.Message, pkt []byte) (*dnsmsg.Message, error) {
 	deadline := c.clock().Now().Add(c.timeout())
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
@@ -278,7 +322,7 @@ func (c *Client) roundTrip(ctx context.Context, conn net.Conn, q *dnsmsg.Message
 		if n == len(buf) {
 			continue // longer than any answer to this query may be; keep waiting
 		}
-		resp, err := dnsmsg.Unpack(buf[:n])
+		resp, err := decode(dec, buf[:n])
 		if err != nil {
 			continue // garbage datagram; keep waiting
 		}
@@ -289,8 +333,9 @@ func (c *Client) roundTrip(ctx context.Context, conn net.Conn, q *dnsmsg.Message
 }
 
 // exchangeTCP sends frame, q behind its length prefix, over a fresh
-// connection and reads the response.
-func (c *Client) exchangeTCP(ctx context.Context, q *dnsmsg.Message, frame []byte) (*dnsmsg.Message, error) {
+// connection and reads the response, decoding it with dec, or Unpacking
+// it when dec is nil.
+func (c *Client) exchangeTCP(ctx context.Context, dec *dnsmsg.Decoder, q *dnsmsg.Message, frame []byte) (*dnsmsg.Message, error) {
 	conn, err := c.Net.DialContext(ctx, "tcp", c.Server)
 	if err != nil {
 		return nil, err
@@ -312,7 +357,7 @@ func (c *Client) exchangeTCP(ctx context.Context, q *dnsmsg.Message, frame []byt
 	if err != nil {
 		return nil, err
 	}
-	resp, err := dnsmsg.Unpack(raw)
+	resp, err := decode(dec, raw)
 	if err != nil {
 		return nil, err
 	}
@@ -332,7 +377,10 @@ func (c *Client) matches(q, r *dnsmsg.Message) bool {
 }
 
 // Resolver provides typed lookups with the RFC 7208 error taxonomy on top
-// of any Querier — a bare Client or a CachingClient stack.
+// of any Querier — a bare Client or a CachingClient stack. Every lookup
+// copies out what it returns, so when the Querier is a bare *Client (the
+// probe side, measure.Rig) the lookups read each response in place on the
+// socket that received it instead of through Query's Unpack.
 type Resolver struct {
 	// Querier performs transactions; required.
 	Querier Querier
@@ -355,6 +403,32 @@ func rcodeErr(r *dnsmsg.Message) error {
 	}
 }
 
+// ask asks one question and hands a usable response to read, or returns
+// the error the query or its response code maps to. read must copy out
+// whatever it keeps: on a bare *Client the message is decoded in place
+// and valid only until read returns. The call on the concrete type keeps
+// read and what it captures off the heap.
+func (r *Resolver) ask(ctx context.Context, name dnsmsg.Name, typ dnsmsg.Type, read func(*dnsmsg.Message)) error {
+	var rerr error
+	usable := func(m *dnsmsg.Message) {
+		if rerr = rcodeErr(m); rerr == nil {
+			read(m)
+		}
+	}
+	if c, ok := r.Querier.(*Client); ok {
+		if _, err := c.query(ctx, name, typ, usable); err != nil {
+			return err
+		}
+		return rerr
+	}
+	resp, err := r.Querier.Query(ctx, name, typ)
+	if err != nil {
+		return err
+	}
+	usable(resp)
+	return rerr
+}
+
 // LookupTXT returns the text of each TXT record for name, with each
 // record's character strings concatenated (RFC 7208 §3.3).
 func (r *Resolver) LookupTXT(ctx context.Context, name string) ([]string, error) {
@@ -362,18 +436,16 @@ func (r *Resolver) LookupTXT(ctx context.Context, name string) ([]string, error)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := r.Querier.Query(ctx, n, dnsmsg.TypeTXT)
+	var out []string
+	err = r.ask(ctx, n, dnsmsg.TypeTXT, func(m *dnsmsg.Message) {
+		for _, rr := range m.Answers {
+			if txt, ok := rr.Data.(dnsmsg.TXT); ok {
+				out = append(out, txt.Joined())
+			}
+		}
+	})
 	if err != nil {
 		return nil, err
-	}
-	if err := rcodeErr(resp); err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, rr := range resp.Answers {
-		if txt, ok := rr.Data.(dnsmsg.TXT); ok {
-			out = append(out, txt.Joined())
-		}
 	}
 	return out, nil
 }
@@ -404,10 +476,16 @@ func (r *Resolver) LookupIP(ctx context.Context, network, name string) ([]netip.
 	var out []netip.Addr
 	var firstErr error
 	for _, typ := range ask {
-		resp, err := r.Querier.Query(ctx, n, typ)
-		if err == nil {
-			err = rcodeErr(resp)
-		}
+		err := r.ask(ctx, n, typ, func(m *dnsmsg.Message) {
+			for _, rr := range m.Answers {
+				switch d := rr.Data.(type) {
+				case dnsmsg.A:
+					out = append(out, d.Addr)
+				case dnsmsg.AAAA:
+					out = append(out, d.Addr)
+				}
+			}
+		})
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -415,14 +493,6 @@ func (r *Resolver) LookupIP(ctx context.Context, network, name string) ([]netip.
 			continue
 		}
 		firstErr = nil
-		for _, rr := range resp.Answers {
-			switch d := rr.Data.(type) {
-			case dnsmsg.A:
-				out = append(out, d.Addr)
-			case dnsmsg.AAAA:
-				out = append(out, d.Addr)
-			}
-		}
 	}
 	if len(out) == 0 && firstErr != nil {
 		return nil, firstErr
@@ -442,18 +512,16 @@ func (r *Resolver) LookupMX(ctx context.Context, name string) ([]MXRecord, error
 	if err != nil {
 		return nil, err
 	}
-	resp, err := r.Querier.Query(ctx, n, dnsmsg.TypeMX)
+	var out []MXRecord
+	err = r.ask(ctx, n, dnsmsg.TypeMX, func(m *dnsmsg.Message) {
+		for _, rr := range m.Answers {
+			if mx, ok := rr.Data.(dnsmsg.MX); ok {
+				out = append(out, MXRecord{Preference: mx.Preference, Host: mx.Host.String()})
+			}
+		}
+	})
 	if err != nil {
 		return nil, err
-	}
-	if err := rcodeErr(resp); err != nil {
-		return nil, err
-	}
-	var out []MXRecord
-	for _, rr := range resp.Answers {
-		if mx, ok := rr.Data.(dnsmsg.MX); ok {
-			out = append(out, MXRecord{Preference: mx.Preference, Host: mx.Host.String()})
-		}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Preference < out[j].Preference })
 	return out, nil
@@ -465,18 +533,16 @@ func (r *Resolver) LookupPTR(ctx context.Context, addr netip.Addr) ([]string, er
 	if err != nil {
 		return nil, err
 	}
-	resp, err := r.Querier.Query(ctx, n, dnsmsg.TypePTR)
+	var out []string
+	err = r.ask(ctx, n, dnsmsg.TypePTR, func(m *dnsmsg.Message) {
+		for _, rr := range m.Answers {
+			if p, ok := rr.Data.(dnsmsg.PTR); ok {
+				out = append(out, p.Target.String())
+			}
+		}
+	})
 	if err != nil {
 		return nil, err
-	}
-	if err := rcodeErr(resp); err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, rr := range resp.Answers {
-		if p, ok := rr.Data.(dnsmsg.PTR); ok {
-			out = append(out, p.Target.String())
-		}
 	}
 	return out, nil
 }

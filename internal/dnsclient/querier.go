@@ -17,6 +17,10 @@ import (
 //	NewResolver(&Client{...})                       // probe side (measure.Rig)
 //	NewResolver(NewCachingClient(&Client{...}, clk)) // each simulated MTA
 //
+// A Querier returns messages its caller may keep, as CachingClient does.
+// A Resolver over a bare *Client bypasses Query: its lookups read each
+// response in place on the socket that received it (see Client).
+//
 // SingleFlight and Pipeline implement Querier too, but neither stack uses
 // them: every probe's names are fresh (paper §5.1), so there is never an
 // identical query in flight to coalesce. The benchmark ladder under bench/

@@ -3,7 +3,9 @@ package dnsclient
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -199,5 +201,103 @@ func TestReusedSocketSkipsStaleAnswer(t *testing.T) {
 	}
 	if n := cn.dials.Load(); n != 1 {
 		t.Fatalf("the lookups dialed %d sockets, want 1: the stale answers never met the reused socket", n)
+	}
+}
+
+// TestLentResponsesStayWithTheirLookup: GOMAXPROCS×4 goroutines look up
+// distinct names through one Client's Resolver, and the server answers
+// each name with TXT records of its own. Each lookup reads its response
+// in place, in the decoder of the socket it holds, so a socket that went
+// back to the idle list before the lookup had copied its answer out would
+// let another lookup decode over it: a goroutine would get another's
+// records, or the race detector would see the decoder shared. CI runs
+// this with -race -count=10.
+func TestLentResponsesStayWithTheirLookup(t *testing.T) {
+	fabric := netsim.NewFabric()
+	const records = 10
+	answer := func(host string, i int) string { return fmt.Sprintf("%d %s", i, host) }
+	startServer(t, fabric, "192.0.2.53", dnsserver.HandlerFunc(func(q *dnsmsg.Message, _ net.Addr) *dnsmsg.Message {
+		host := q.Questions[0].Name.String()
+		r := q.Reply()
+		for i := 0; i < records; i++ {
+			r.Answers = append(r.Answers, dnsmsg.Record{
+				Name: q.Questions[0].Name, Class: dnsmsg.ClassIN, TTL: 1,
+				Data: dnsmsg.TXT{Strings: []string{answer(host, i)}},
+			})
+		}
+		return r
+	}))
+	r := NewResolver(&Client{Net: fabric.Host("198.51.100.1"), Server: "192.0.2.53:53", Timeout: 2 * time.Second})
+	ctx := context.Background()
+	workers := 4 * runtime.GOMAXPROCS(0)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				host := fmt.Sprintf("w%d-%d.example.com.", w, i)
+				txts, err := r.LookupTXT(ctx, host)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(txts) != records {
+					t.Errorf("LookupTXT(%s) = %d records, want %d", host, len(txts), records)
+					return
+				}
+				for j, txt := range txts {
+					if want := answer(host, j); txt != want {
+						t.Errorf("LookupTXT(%s)[%d] = %q, want %q", host, j, txt, want)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestQueryResponsesOutliveLaterLookups: Query Unpacks, so the message it
+// returns stays intact while in-place lookups and further queries reuse
+// the socket, and with it the decoder, that received it. CachingClient
+// keeps such messages.
+func TestQueryResponsesOutliveLaterLookups(t *testing.T) {
+	fabric := netsim.NewFabric()
+	startServer(t, fabric, "192.0.2.53", dnsserver.HandlerFunc(func(q *dnsmsg.Message, _ net.Addr) *dnsmsg.Message {
+		return txtAnswer(q, "v=spf1 a:"+q.Questions[0].Name.String()+" -all")
+	}))
+	c := &Client{Net: fabric.Host("198.51.100.1"), Server: "192.0.2.53:53", Timeout: 2 * time.Second}
+	r := NewResolver(c)
+	ctx := context.Background()
+	if _, err := r.LookupTXT(ctx, "warm.example.com"); err != nil {
+		t.Fatal(err)
+	}
+	kept, err := c.Query(ctx, name("kept.example.com"), dnsmsg.TypeTXT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		host := fmt.Sprintf("later%d.example.com", i)
+		if _, err := r.LookupTXT(ctx, host); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Query(ctx, name(host), dnsmsg.TypeTXT); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := kept.Questions[0].Name.String(); got != "kept.example.com." {
+		t.Errorf("kept response's question became %s", got)
+	}
+	if len(kept.Answers) != 1 {
+		t.Fatalf("kept response has %d answers, want 1", len(kept.Answers))
+	}
+	if got := kept.Answers[0].Data.(dnsmsg.TXT).Joined(); got != "v=spf1 a:kept.example.com. -all" {
+		t.Errorf("kept response's answer became %q", got)
+	}
+	// One socket served every exchange, so each Query ran on the socket
+	// whose decoder the lookups use.
+	if n := len(c.idle); n != 1 {
+		t.Errorf("sequential exchanges left %d idle sockets, want 1", n)
 	}
 }

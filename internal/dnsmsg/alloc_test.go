@@ -58,3 +58,18 @@ func TestEncodeZeroAllocs(t *testing.T) {
 		t.Errorf("Append of SPF TXT exchange allocates %.1f objects/op, want 0", allocs)
 	}
 }
+
+// TestParseNameAllocatesOnce: ParseName keeps the slice strings.Split
+// returns, whose labels share the input's bytes, instead of copying it,
+// so a name costs one allocation however many labels it has.
+func TestParseNameAllocatesOnce(t *testing.T) {
+	const s = "a.b.example.com"
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := ParseName(s); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("ParseName(%q) makes %.1f allocations, want 1", s, allocs)
+	}
+}

@@ -24,6 +24,11 @@ const (
 // only until the next Decode or PutDecoder call. Callers that need to
 // retain the message indefinitely should use Unpack instead.
 //
+// A Decoder pays off for an owner that decodes many messages: the DNS
+// server's UDP read loop, each UDP socket a dnsclient.Client keeps (for
+// the lookups that read their responses in place), and, drawn from the
+// pool, each DNS-over-TCP server connection.
+//
 // A Decoder is not safe for concurrent use.
 type Decoder struct {
 	//spfail:allow poolhygiene message slots and label arrays are the warm cache; recycling them is the point
@@ -44,11 +49,12 @@ type Decoder struct {
 
 var decoderPool = sync.Pool{New: func() any { return new(Decoder) }}
 
-// NewDecoder returns a fresh Decoder for a long-lived owner (for example a
-// server read loop). Most callers should pair GetDecoder with PutDecoder.
+// NewDecoder returns a fresh Decoder for a long-lived owner, such as a
+// server read loop or a client's kept socket.
 func NewDecoder() *Decoder { return new(Decoder) }
 
-// GetDecoder fetches a pooled Decoder.
+// GetDecoder fetches a pooled Decoder, for an owner as short-lived as one
+// DNS-over-TCP server connection; pair it with PutDecoder.
 func GetDecoder() *Decoder {
 	//spfail:allow poolhygiene Decode truncates every reused slot before filling it; the warm caches are the product
 	return decoderPool.Get().(*Decoder)

@@ -179,7 +179,7 @@ func appendRecord(buf []byte, rr Record, cmp *compressor) ([]byte, error) {
 
 // Unpack decodes a complete DNS message into freshly-allocated structures
 // that the caller may retain indefinitely. Hot paths that can bound the
-// message's lifetime should use a pooled Decoder instead.
+// message's lifetime should decode with a Decoder they own instead.
 func Unpack(msg []byte) (*Message, error) {
 	d := &Decoder{retained: true}
 	return d.Decode(msg)

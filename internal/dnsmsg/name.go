@@ -58,8 +58,13 @@ func ParseName(s string) (Name, error) {
 	if s == "" {
 		return Name{}, nil
 	}
-	labels := strings.Split(s, ".")
-	return NewName(labels...)
+	// Split's slice is the name's own: validate it in place rather than
+	// have NewName copy it.
+	n := Name{labels: strings.Split(s, ".")}
+	if err := n.validate(); err != nil {
+		return Name{}, err
+	}
+	return n, nil
 }
 
 // MustParseName is ParseName that panics on error, for constants in tests

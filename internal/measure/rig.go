@@ -189,7 +189,8 @@ func (r *Rig) Close() {
 
 // Resolver returns a stub resolver from the probe vantage, carrying the
 // rig's DNS retry policy. Every resolver it returns wraps the rig's one
-// probe-side client, so they share its idle sockets. The policy's backoff
+// probe-side client, so they share its idle sockets, and each lookup reads
+// its response in place on the socket it holds. The policy's backoff
 // sleeps on the rig clock, and a shared simulated clock has one sleeper,
 // the study driver, so the rig's DNS walks (fanOut) use the resolver from
 // one goroutine whenever the policy is enabled. They do the same whenever

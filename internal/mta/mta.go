@@ -142,7 +142,9 @@ func New(cfg Config) *Host {
 	// Client → CachingClient → Resolver: the wire client under the MTA's
 	// local TTL cache. check_host asks for the client IP's address family
 	// in a and mx (RFC 7208 §5.3–5.4) and for A in exists (§5.7), so every
-	// lookup through the cache is one question.
+	// lookup through the cache is one question. The cache keeps what Query
+	// returns, so this client Unpacks every response instead of reading it
+	// in place.
 	h.wire = &dnsclient.Client{
 		Net:     cfg.Net,
 		Server:  cfg.DNSServer,

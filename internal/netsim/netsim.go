@@ -410,7 +410,7 @@ func (f *Fabric) bindPacket(addr Addr) (*fabricPacketConn, error) {
 	if _, ok := f.packet[addr]; ok {
 		return nil, &net.OpError{Op: "listen", Net: "udp", Addr: addr, Err: ErrAddrInUse}
 	}
-	pc := &fabricPacketConn{f: f, addr: addr}
+	pc := &fabricPacketConn{f: f, addr: addr, box: addr}
 	pc.cond.L = &pc.mu
 	f.packet[addr] = pc
 	return pc, nil
@@ -426,7 +426,7 @@ func (f *Fabric) deliver(d datagram) {
 		case VerdictDrop:
 			return
 		case VerdictReflect:
-			d = datagram{from: d.to, to: d.from, data: payload}
+			d = datagram{from: d.to, sender: d.to, to: d.from, data: payload}
 		default:
 			if payload != nil {
 				d.data = payload
@@ -481,7 +481,10 @@ func (l *fabricListener) Addr() net.Addr { return l.addr }
 
 type datagram struct {
 	from, to Addr
-	data     []byte
+	// sender is from boxed as a net.Addr for ReadFrom to return: the
+	// sending endpoint's own box, so no datagram boxes its sender anew.
+	sender net.Addr
+	data   []byte
 }
 
 // inboxLimit is how many unread datagrams an endpoint holds before deliver
@@ -496,6 +499,9 @@ const inboxLimit = 1024
 type fabricPacketConn struct {
 	f    *Fabric
 	addr Addr
+	// box is addr boxed once, at bind, as a net.Addr: LocalAddr returns it
+	// and every datagram the endpoint sends carries it.
+	box net.Addr
 
 	mu sync.Mutex
 	// cond, on mu, is signalled once for each datagram queued and
@@ -554,43 +560,44 @@ func (p *fabricPacketConn) pop() datagram {
 	return d
 }
 
-// ReadFrom implements net.PacketConn.
+// ReadFrom implements net.PacketConn. The sender address it returns is
+// the sending endpoint's box, shared by every datagram that endpoint sends.
 func (p *fabricPacketConn) ReadFrom(b []byte) (int, net.Addr, error) {
-	n, from, err := p.read(b)
+	n, d, err := p.read(b)
 	if err != nil {
 		return 0, nil, err
 	}
-	return n, from, nil
+	return n, d.sender, nil
 }
 
-// read returns the oldest queued datagram, waiting for one while the inbox
-// is empty. The deadline is interpreted on the fabric clock's timeline: the
-// remaining budget is measured against the fabric clock once, when the read
-// starts, then waited out in wall time on the endpoint's deadline timer.
-// Fabric datagrams are delivered in real microseconds regardless of
-// virtual time, so waiting on the virtual clock instead would turn every
-// virtual-time jump (politeness sleeps, window gaps) into a scheduling
-// race against in-flight reads.
-func (p *fabricPacketConn) read(b []byte) (int, Addr, error) {
+// read copies the oldest queued datagram into b and returns it, waiting
+// for one while the inbox is empty. The deadline is interpreted on the
+// fabric clock's timeline: the remaining budget is measured against the
+// fabric clock once, when the read starts, then waited out in wall time on
+// the endpoint's deadline timer. Fabric datagrams are delivered in real
+// microseconds regardless of virtual time, so waiting on the virtual clock
+// instead would turn every virtual-time jump (politeness sleeps, window
+// gaps) into a scheduling race against in-flight reads.
+func (p *fabricPacketConn) read(b []byte) (int, datagram, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var at time.Time
 	if !p.deadline.IsZero() {
 		budget := p.deadline.Sub(p.f.clock().Now())
 		if budget <= 0 {
-			return 0, Addr{}, timeoutError{}
+			return 0, datagram{}, timeoutError{}
 		}
 		at = time.Now().Add(budget) //spfail:allow wallclock virtual budget waited out in wall time; see comment above
 	}
 	for {
 		switch {
 		case p.closed:
-			return 0, Addr{}, &net.OpError{Op: "read", Net: "udp", Addr: p.addr, Err: ErrClosed}
+			return 0, datagram{}, &net.OpError{Op: "read", Net: "udp", Addr: p.addr, Err: ErrClosed}
 		case p.queued > 0:
 			d := p.pop()
-			return copy(b, d.data), d.from, nil
+			return copy(b, d.data), d, nil
 		case passed(at):
-			return 0, Addr{}, timeoutError{}
+			return 0, datagram{}, timeoutError{}
 		}
 		p.timer.arm(at, p)
 		p.cond.Wait()
@@ -628,7 +635,7 @@ func (p *fabricPacketConn) writeTo(b []byte, to Addr) (int, error) {
 		return 0, &net.OpError{Op: "write", Net: "udp", Addr: p.addr, Err: ErrClosed}
 	}
 	to.Net = "udp"
-	p.f.deliver(datagram{from: p.addr, to: to, data: append([]byte(nil), b...)})
+	p.f.deliver(datagram{from: p.addr, sender: p.box, to: to, data: append([]byte(nil), b...)})
 	return len(b), nil
 }
 
@@ -651,7 +658,7 @@ func (p *fabricPacketConn) Close() error {
 }
 
 // LocalAddr implements net.PacketConn.
-func (p *fabricPacketConn) LocalAddr() net.Addr { return p.addr }
+func (p *fabricPacketConn) LocalAddr() net.Addr { return p.box }
 
 // SetDeadline implements net.PacketConn.
 func (p *fabricPacketConn) SetDeadline(t time.Time) error { return p.SetReadDeadline(t) }
@@ -677,11 +684,11 @@ type connectedPacketConn struct {
 // Read implements net.Conn, discarding datagrams from other sources.
 func (c *connectedPacketConn) Read(b []byte) (int, error) {
 	for {
-		n, from, err := c.pc.read(b)
+		n, d, err := c.pc.read(b)
 		if err != nil {
 			return 0, err
 		}
-		if from.Host == c.remote.Host && from.Port == c.remote.Port {
+		if d.from.Host == c.remote.Host && d.from.Port == c.remote.Port {
 			return n, nil
 		}
 	}
