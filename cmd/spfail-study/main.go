@@ -47,7 +47,7 @@ func main() {
 	var (
 		scale       = flag.Float64("scale", 0.02, "population scale relative to the paper")
 		concurrency = flag.Int("concurrency", def.Concurrency, "max concurrent SMTP probes")
-		batch       = flag.Int("batch", def.BatchSize, "simulated hosts brought up per wave")
+		batch       = flag.Int("batch", def.BatchSize, "probe outcomes and trace buffers held before each in-order delivery (-concurrency caps live simulated hosts)")
 		interval    = flag.Duration("interval", 48*time.Hour, "longitudinal cadence (virtual)")
 		ioTimeout   = flag.Duration("io-timeout", 5*time.Second, "per-probe SMTP I/O timeout (spent in real time; shrink it under fault plans)")
 		faultsName  = flag.String("faults", "none", "fault-injection preset: "+strings.Join(faults.PresetNames, "|"))

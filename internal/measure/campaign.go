@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"spfail/internal/clock"
@@ -43,9 +44,9 @@ type Campaign struct {
 	// serially), so a plain field suffices.
 	probeSeq uint64
 
-	// shardScratch holds probeBatch's per-shard outcome slices, reused
+	// slots holds probeBatch's outcomes, one per sequence number, reused
 	// across batches (entry points are serial, like probeSeq).
-	shardScratch [][]stampedOutcome
+	slots []probeSlot
 }
 
 // NewCampaign builds a campaign for rig from a validated config.
@@ -143,11 +144,13 @@ func (c *Campaign) ResumeRound(probeSeq uint64, breakers []retry.BreakerSnapshot
 // batch at a time so callers can checkpoint incrementally instead of
 // holding the full result map. fn is invoked serially (no locking needed
 // inside) and in input order: probes run concurrently across shards, but
-// each batch's outcomes are merged by sequence stamp before delivery.
-// Every address passed in is reported to fn exactly once — a probe that
-// cannot complete yields a StatusInconclusive outcome rather than
-// disappearing — unless ctx is cancelled or host setup fails, both of
-// which surface in the returned error.
+// each batch's outcomes are delivered by sequence number once the batch
+// is done. Every address passed in is reported to fn exactly once — a
+// probe that cannot complete yields a StatusInconclusive outcome rather
+// than disappearing — unless ctx is cancelled or a host fails to start,
+// both of which surface in the returned error. A batch whose host fails
+// to start delivers nothing. Addresses must be distinct: the shard that
+// starts an address's host stops it when that probe ends.
 func (c *Campaign) MeasureAddrsFunc(ctx context.Context, addrs []netip.Addr, rcptDomain map[netip.Addr]string, fn func(netip.Addr, core.Outcome)) error {
 	reg := c.metrics()
 	// All batches of a round share one effective time, so host behaviour
@@ -159,14 +162,13 @@ func (c *Campaign) MeasureAddrsFunc(ctx context.Context, addrs []netip.Addr, rcp
 			end = len(addrs)
 		}
 		batch := addrs[start:end]
-		if err := c.Rig.Manager.EnsureAt(ctx, batch, asOf); err != nil {
-			return fmt.Errorf("measure: starting batch hosts [%d:%d]: %w", start, end, err)
-		}
-		c.probeBatch(ctx, batch, asOf, rcptDomain, func(a netip.Addr, o core.Outcome) {
+		err := c.probeBatch(ctx, batch, asOf, rcptDomain, func(a netip.Addr, o core.Outcome) {
 			fn(a, o)
 			reg.Counter("campaign.probes_done").Inc()
 		})
-		c.Rig.Manager.Stop(batch)
+		if err != nil {
+			return fmt.Errorf("measure: starting batch hosts [%d:%d]: %w", start, end, err)
+		}
 		reg.Counter("campaign.batches_done").Inc()
 		reg.Emit("campaign.batch", map[string]any{
 			"suite": c.suite(),
@@ -194,23 +196,31 @@ func (c *Campaign) MeasureAddrs(ctx context.Context, addrs []netip.Addr, rcptDom
 	return results, err
 }
 
-// stampedOutcome is one probe result tagged with its batch sequence number
-// so per-shard slices can be merged back into input order. buf carries the
-// probe's trace buffer (nil when untraced) so spans flush in the same
-// merged order the outcomes are delivered in.
-type stampedOutcome struct {
-	seq int
+// probeSlot is one probe's result in its batch: the outcome, the probe's
+// trace buffer (nil when untraced), so spans flush in the order outcomes
+// are delivered, and the error that kept its host from starting.
+type probeSlot struct {
 	out core.Outcome
 	buf *trace.Buffer
+	err error
 }
 
-// probeBatch shards the batch over min(concurrency, len(batch)) worker
-// loops: shard s probes sequence numbers s, s+shards, s+2·shards, …
-// strictly in order, appending into its own outcome slice — no semaphore,
-// no shared mutable state between workers. After every shard drains, the
-// per-shard slices are merged by sequence stamp and record is called
-// serially in input order, which is what keeps same-seed campaigns
-// byte-deterministic regardless of how the shards interleave.
+// probeBatch runs the batch on min(concurrency, len(batch)) shards, which
+// claim sequence numbers from one atomic counter in ascending order. A
+// shard starts the target's host right before the probe and stops it
+// right after, so at most one host per shard is live, and writes the
+// result into the probe's own slot — no semaphore, no other shared
+// mutable state between shards. Once every shard drains, record is
+// called serially in input order and trace buffers flush in that order,
+// which is what keeps same-seed campaigns byte-deterministic regardless
+// of how the shards interleave.
+//
+// A host that fails to start stops the shards from claiming more probes
+// and fails the batch: probeBatch then delivers nothing and returns the
+// start error of the first failing address in input order. Every address
+// before a claimed one has been claimed too, so that error does not
+// depend on scheduling. A host that was already running (the
+// notification stage's Ensure) is probed as it is and left up.
 //
 // Each probe runs on its own timeline (clock.NewFrame) anchored at the
 // batch's shared asOf, and carries it on its context (clock.NewContext) so
@@ -221,11 +231,12 @@ type stampedOutcome struct {
 // shared clock, whose one sleeper is the study driver. SMTP I/O deadlines
 // stay on the rig clock (see core.Prober.IOClock) so the fabric spends
 // exactly the configured budget.
-func (c *Campaign) probeBatch(ctx context.Context, batch []netip.Addr, asOf time.Time, rcptDomain map[netip.Addr]string, record func(netip.Addr, core.Outcome)) {
+func (c *Campaign) probeBatch(ctx context.Context, batch []netip.Addr, asOf time.Time, rcptDomain map[netip.Addr]string, record func(netip.Addr, core.Outcome)) error {
 	if len(batch) == 0 {
-		return
+		return nil
 	}
 	clk := c.Rig.Clock
+	hosts := c.Rig.Manager
 	inflight := c.metrics().Gauge("campaign.inflight")
 	tr := c.tracer()
 	suite := c.suite()
@@ -241,19 +252,17 @@ func (c *Campaign) probeBatch(ctx context.Context, batch []netip.Addr, asOf time
 	if shards < 1 {
 		shards = 1
 	}
-	if len(c.shardScratch) < shards {
-		old := c.shardScratch
-		c.shardScratch = make([][]stampedOutcome, shards)
-		copy(c.shardScratch, old)
+	if cap(c.slots) < len(batch) {
+		c.slots = make([]probeSlot, len(batch))
 	}
-	results := c.shardScratch[:shards]
+	slots := c.slots[:len(batch)]
 	shardWork := make([]shardDelta, shards)
 	labelSeed := c.labelSeed()
+	var next atomic.Int64
+	var failed atomic.Bool
 	var wg sync.WaitGroup
+	wg.Add(shards)
 	for s := 0; s < shards; s++ {
-		s := s
-		results[s] = results[s][:0]
-		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			inflight.Add(1)
@@ -264,21 +273,33 @@ func (c *Campaign) probeBatch(ctx context.Context, batch []netip.Addr, asOf time
 			// the shard's probes instead of reallocated per probe.
 			stream := core.NewLabelStream(labelSeed, c.allocator())
 			p := c.newProber(stream)
-			for seq := s; seq < len(batch); seq += shards {
+			for !failed.Load() {
+				seq := int(next.Add(1)) - 1
+				if seq >= len(batch) {
+					break
+				}
 				a := batch[seq]
+				started, err := hosts.StartHost(ctx, a, asOf)
+				if err != nil {
+					slots[seq].err = err
+					failed.Store(true)
+					break
+				}
 				dom := rcptDomain[a]
 				if dom == "" {
 					dom = "example.com"
 				}
 				index := probeBase + uint64(seq)
 				// Per-probe deterministic labels: assignment depends only
-				// on (seed, suite, probe index), never on how the shards
-				// interleave their draws — required for byte-identical
-				// traced runs (labels appear in traced DNS query names).
+				// on (seed, suite, probe index), never on which shard runs
+				// the probe — required for byte-identical traced runs
+				// (labels appear in traced DNS query names).
 				stream.Reset(index)
 				p.Clock = clock.NewFrame(clk, asOf)
-				out, buf := c.probeOne(clock.NewContext(ctx, p.Clock), tr, p, suite, index, a, dom)
-				results[s] = append(results[s], stampedOutcome{seq: seq, out: out, buf: buf})
+				slots[seq].out, slots[seq].buf = c.probeOne(clock.NewContext(ctx, p.Clock), tr, p, suite, index, a, dom)
+				if started {
+					hosts.StopHost(a)
+				}
 				shardWork[s].probes++
 			}
 			shardWork[s].wall = clock.Real{}.Now().Sub(wallStart)
@@ -286,22 +307,23 @@ func (c *Campaign) probeBatch(ctx context.Context, batch []netip.Addr, asOf time
 	}
 	wg.Wait()
 	c.stats.absorb(shardWork, c.sampler.Sample().Sub(allocMark))
-	// Merge by sequence stamp: shard seq%shards holds seq at index
-	// seq/shards, so this walks every shard slice in lockstep. Trace
-	// buffers flush here, in the same serial order, so traced runs stay
-	// byte-deterministic.
-	for seq := 0; seq < len(batch); seq++ {
-		st := results[seq%shards][seq/shards]
-		record(batch[st.seq], st.out)
-		tr.FlushBuffer(st.buf)
-	}
-	// Drop buffer/outcome references so the reused scratch does not pin
-	// flushed trace buffers across batches.
-	for s := range results {
-		for i := range results[s] {
-			results[s][i] = stampedOutcome{}
+	// Clearing drops outcome and buffer references, so the reused slots do
+	// not pin flushed trace buffers across batches.
+	defer clear(slots)
+	if failed.Load() {
+		// Nothing of the batch counts, the probe counter included.
+		c.probeSeq = probeBase
+		for i := range slots {
+			if err := slots[i].err; err != nil {
+				return err
+			}
 		}
 	}
+	for seq := range slots {
+		record(batch[seq], slots[seq].out)
+		tr.FlushBuffer(slots[seq].buf)
+	}
+	return nil
 }
 
 // probeOne runs a single probe, wrapped in its trace buffer when tracing

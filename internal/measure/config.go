@@ -23,10 +23,13 @@ import (
 type Config struct {
 	// Suite labels all probes of the campaign.
 	Suite string
-	// Concurrency caps simultaneous SMTP probes (paper: 250).
+	// Concurrency caps simultaneous SMTP probes (paper: 250), and so
+	// the simulated hosts live at once: each host runs only for its own
+	// probe.
 	Concurrency int
-	// BatchSize bounds how many simulated hosts run at once; hosts come
-	// up and down in waves (memory control at full scale).
+	// BatchSize is the delivery window: how many outcomes, and trace
+	// buffers, a campaign holds before it hands them on in input order.
+	// It does not bound live hosts; Concurrency does.
 	BatchSize int
 	// GreylistWait is the pause before retrying a 450 (paper: 8 min).
 	GreylistWait time.Duration

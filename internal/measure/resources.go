@@ -7,17 +7,17 @@ import (
 	"spfail/internal/obs"
 )
 
-// shardDelta is one shard worker's contribution to a single batch wave:
-// how many probes it ran and how long it held a CPU in wall time. Workers
-// fill their own slot and the batch merges them serially, so no locking
-// happens on the probe path.
+// shardDelta is one shard worker's contribution to a single batch: how
+// many probes it ran and how long it was live in wall time, host starts
+// and stops included. Workers fill their own slot and the batch merges
+// them serially, so no locking happens on the probe path.
 type shardDelta struct {
 	probes int64
 	wall   time.Duration
 }
 
 // ShardStats is the cumulative work one shard index has done across all
-// batch waves of the campaign so far.
+// batches of the campaign so far.
 type ShardStats struct {
 	// Shard is the shard index (0 ≤ Shard < Concurrency).
 	Shard int
@@ -28,24 +28,25 @@ type ShardStats struct {
 }
 
 // Resources is the campaign's resource side table: per-shard work and
-// heap-allocation deltas attributed to batch waves. It exists purely for
+// heap-allocation deltas attributed to batches. It exists purely for
 // observability — nothing in it feeds report or trace bytes — and shows
 // where a scaled-up world will spend memory first.
 type Resources struct {
 	// Shards holds cumulative per-shard work, indexed by shard.
 	Shards []ShardStats
 	// AllocBytes and AllocObjects are the heap allocations the process
-	// performed while batch waves were in flight. The Go runtime has no
-	// per-goroutine allocation accounting, so these are process-wide
-	// deltas sampled at wave boundaries — concurrent non-campaign work
-	// is included, which is the honest bound.
+	// performed while batches were in flight, host starts and stops
+	// included. The Go runtime has no per-goroutine allocation
+	// accounting, so these are process-wide deltas sampled at batch
+	// boundaries — concurrent non-campaign work is included, which is
+	// the honest bound.
 	AllocBytes   uint64
 	AllocObjects uint64
-	// Batches is how many batch waves contributed to the numbers above.
+	// Batches is how many batches contributed to the numbers above.
 	Batches int64
 }
 
-// campaignStats accumulates Resources across batch waves.
+// campaignStats accumulates Resources across batches.
 type campaignStats struct {
 	mu      sync.Mutex
 	shards  []shardDelta    // guarded by mu
@@ -53,7 +54,7 @@ type campaignStats struct {
 	batches int64           // guarded by mu
 }
 
-// absorb folds one batch wave's shard work and allocation delta into the
+// absorb folds one batch's shard work and allocation delta into the
 // running totals.
 func (cs *campaignStats) absorb(work []shardDelta, alloc obs.AllocCounts) {
 	cs.mu.Lock()
@@ -74,7 +75,7 @@ func (cs *campaignStats) absorb(work []shardDelta, alloc obs.AllocCounts) {
 
 // Resources returns a snapshot of the campaign's resource side table. It
 // is safe to call while a measurement is running; numbers are consistent
-// as of the last completed batch wave.
+// as of the last completed batch.
 func (c *Campaign) Resources() Resources {
 	c.stats.mu.Lock()
 	defer c.stats.mu.Unlock()

@@ -204,7 +204,7 @@ func (r *Rig) Resolver() *dnsclient.Resolver {
 // has returned. Workers claim indices from a shared counter in ascending
 // order. fn may write only state owned by its index; callers merge
 // counters and trace buffers afterwards, in index order, as
-// Campaign.probeBatch merges its shards.
+// Campaign.probeBatch delivers its probe slots.
 //
 // Each call is a chain of DNS round trips from the vantage, and the
 // authoritative server answers every query on its one read loop, so one

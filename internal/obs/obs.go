@@ -58,7 +58,7 @@ func (a AllocCounts) Sub(b AllocCounts) AllocCounts {
 
 // AllocSampler reads cumulative allocation counters with reusable sample
 // storage: after the first call, Sample performs no heap allocations, so
-// hot paths (the campaign samples at every batch-wave boundary) can use it
+// hot paths (the campaign samples at every batch boundary) can use it
 // freely. The zero value is ready to use; a sampler must not be shared
 // between goroutines without external locking.
 type AllocSampler struct {

@@ -17,9 +17,10 @@ import (
 // goroutines and memory.
 const releaseDeadline = 10 * time.Second
 
-// startStopWaves starts and stops 300 hosts in waves of 100 under ctx, as a
-// campaign does across its batches and rounds, and hands each started host
-// to started before its wave stops. It returns the number of hosts.
+// startStopWaves starts and stops 300 hosts in waves of 100 under ctx
+// through StartHost and StopHost, the pair a campaign's shards call around
+// each probe, and hands each started host to started before its wave
+// stops. It returns the number of hosts.
 func startStopWaves(t *testing.T, ctx context.Context, started func(*mta.Host)) int {
 	t.Helper()
 	const waves, perWave = 3, 100
@@ -38,15 +39,19 @@ func startStopWaves(t *testing.T, ctx context.Context, started func(*mta.Host)) 
 	m := &HostManager{World: w, Fabric: netsim.NewFabric(), Clock: clock.Real{}, DNSServer: "192.0.2.53:53"}
 	for i := 0; i < waves; i++ {
 		wave := addrs[i*perWave : (i+1)*perWave]
-		if err := m.EnsureAt(ctx, wave, time.Unix(0, 0)); err != nil {
-			t.Fatal(err)
+		for _, a := range wave {
+			if up, err := m.StartHost(ctx, a, time.Unix(0, 0)); err != nil || !up {
+				t.Fatalf("StartHost(%s) = %v, %v; want true, nil", a, up, err)
+			}
 		}
 		m.mu.Lock()
 		for _, h := range m.running {
 			started(h)
 		}
 		m.mu.Unlock()
-		m.Stop(wave)
+		for _, a := range wave {
+			m.StopHost(a)
+		}
 	}
 	if n := m.RunningCount(); n != 0 {
 		t.Fatalf("RunningCount = %d after stopping every wave", n)

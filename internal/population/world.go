@@ -349,8 +349,9 @@ func (w *World) BuildZones() *dnsserver.ZoneSet {
 }
 
 // HostManager instantiates mta.Hosts from HostSpecs on demand, applying
-// the spec's patch state as of the supplied clock. The measurement
-// campaign brings hosts up in waves to bound memory at large scales.
+// the spec's patch state as of a given instant. A measurement campaign
+// starts each host right before its probe and stops it right after
+// (StartHost, StopHost), so at most one host per concurrent probe is live.
 type HostManager struct {
 	World     *World
 	Fabric    *netsim.Fabric
@@ -363,74 +364,90 @@ type HostManager struct {
 	Trace *trace.Tracer
 
 	mu      sync.Mutex
-	running map[netip.Addr]*mta.Host
+	running map[netip.Addr]*mta.Host // guarded by mu
 }
 
 // Ensure starts hosts for every listening address in addrs that is not
 // already running, with behaviour effective at the current clock time.
 func (m *HostManager) Ensure(ctx context.Context, addrs []netip.Addr) error {
-	return m.EnsureAt(ctx, addrs, m.Clock.Now())
+	now := m.Clock.Now()
+	for _, a := range addrs {
+		if _, err := m.StartHost(ctx, a, now); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// EnsureAt is Ensure with an explicit effective time. Campaigns pass the
-// instant their measurement pass began, so every batch of the pass brings
-// its hosts up with the same behaviour and flakiness seed. Probes sleep on
-// their own timelines and the shared clock's one sleeper, the study
-// driver, waits for the pass, so the live clock reads that instant too;
-// passing it keeps host behaviour a function of the pass alone.
-func (m *HostManager) EnsureAt(ctx context.Context, addrs []netip.Addr, now time.Time) error {
+// StartHost starts the host at a with behaviour effective at asOf, unless
+// a does not listen or its host is already running. It reports whether it
+// started one; only then is the host the caller's to stop with StopHost.
+// Campaigns pass the instant their measurement pass began, so every probe
+// of the pass meets its host with the same behaviour and flakiness seed.
+// Probes sleep on their own timelines, and the shared clock's one sleeper,
+// the study's round loop, waits for the pass, so the live clock reads
+// that instant too; passing it keeps host behaviour a function of the
+// pass alone.
+func (m *HostManager) StartHost(ctx context.Context, a netip.Addr, asOf time.Time) (bool, error) {
+	spec := m.World.Hosts[a]
+	if spec == nil || !spec.Listens {
+		return false, nil
+	}
+	m.mu.Lock()
+	_, up := m.running[a]
+	m.mu.Unlock()
+	if up {
+		return false, nil
+	}
+	behaviors := spec.BehaviorsAt(asOf)
+	validateAt := spec.ValidateAt
+	if len(behaviors) == 0 {
+		validateAt = mta.ValidateNever
+	}
+	h := mta.New(mta.Config{
+		Hostname:             "mx-" + a.String(),
+		IP:                   a,
+		Net:                  m.Fabric.Host(a.String()),
+		Clock:                m.Clock,
+		DNSServer:            m.DNSServer,
+		DNSTimeout:           m.DNSTimeout,
+		Trace:                m.Trace,
+		Behaviors:            behaviors,
+		ValidateAt:           validateAt,
+		RejectOnFail:         spec.RejectOnFail,
+		Greylist:             spec.Greylist,
+		RefuseSMTP:           spec.RefuseSMTP,
+		RejectData:           spec.BlankMsgFails,
+		EnforceDMARC:         spec.EnforceDMARC,
+		BlacklistProbesAt:    spec.BlacklistProbesAt,
+		BlacklistProbesUntil: spec.BlacklistProbesUntil,
+		FlakyRate:            spec.FlakyRate,
+		// Hosts are recreated for every probe; folding the virtual time
+		// into the seed varies the failure pattern across rounds while
+		// staying reproducible.
+		FlakySeed: spec.FlakySeed ^ asOf.UnixNano(),
+	})
+	if err := h.Start(ctx); err != nil {
+		return false, fmt.Errorf("population: starting host %s: %w", a, err)
+	}
 	m.mu.Lock()
 	if m.running == nil {
 		m.running = make(map[netip.Addr]*mta.Host)
 	}
+	m.running[a] = h
 	m.mu.Unlock()
-	for _, a := range addrs {
-		spec := m.World.Hosts[a]
-		if spec == nil || !spec.Listens {
-			continue
-		}
-		m.mu.Lock()
-		_, up := m.running[a]
-		m.mu.Unlock()
-		if up {
-			continue
-		}
-		behaviors := spec.BehaviorsAt(now)
-		validateAt := spec.ValidateAt
-		if len(behaviors) == 0 {
-			validateAt = mta.ValidateNever
-		}
-		h := mta.New(mta.Config{
-			Hostname:             "mx-" + a.String(),
-			IP:                   a,
-			Net:                  m.Fabric.Host(a.String()),
-			Clock:                m.Clock,
-			DNSServer:            m.DNSServer,
-			DNSTimeout:           m.DNSTimeout,
-			Trace:                m.Trace,
-			Behaviors:            behaviors,
-			ValidateAt:           validateAt,
-			RejectOnFail:         spec.RejectOnFail,
-			Greylist:             spec.Greylist,
-			RefuseSMTP:           spec.RefuseSMTP,
-			RejectData:           spec.BlankMsgFails,
-			EnforceDMARC:         spec.EnforceDMARC,
-			BlacklistProbesAt:    spec.BlacklistProbesAt,
-			BlacklistProbesUntil: spec.BlacklistProbesUntil,
-			FlakyRate:            spec.FlakyRate,
-			// Hosts are recreated each measurement wave; folding the
-			// virtual time into the seed varies the failure pattern
-			// across rounds while staying reproducible.
-			FlakySeed: spec.FlakySeed ^ now.UnixNano(),
-		})
-		if err := h.Start(ctx); err != nil {
-			return fmt.Errorf("population: starting host %s: %w", a, err)
-		}
-		m.mu.Lock()
-		m.running[a] = h
-		m.mu.Unlock()
+	return true, nil
+}
+
+// StopHost shuts down the host at a, if one is running.
+func (m *HostManager) StopHost(a netip.Addr) {
+	m.mu.Lock()
+	h := m.running[a]
+	delete(m.running, a)
+	m.mu.Unlock()
+	if h != nil {
+		h.Stop()
 	}
-	return nil
 }
 
 // StopAll shuts down every running host.
@@ -446,17 +463,8 @@ func (m *HostManager) StopAll() {
 
 // Stop shuts down the hosts for the given addresses only.
 func (m *HostManager) Stop(addrs []netip.Addr) {
-	m.mu.Lock()
-	var toStop []*mta.Host
 	for _, a := range addrs {
-		if h, ok := m.running[a]; ok {
-			toStop = append(toStop, h)
-			delete(m.running, a)
-		}
-	}
-	m.mu.Unlock()
-	for _, h := range toStop {
-		h.Stop()
+		m.StopHost(a)
 	}
 }
 
