@@ -19,11 +19,13 @@ func (discardSink) Observe(dnsserver.QueryEvent) {}
 
 // TestLookupTXTAllocBytes gates what one SPF record fetch costs both ends
 // of the wire: a warm Client's Resolver.LookupTXT against a started Server
-// that wraps its zones the way the measurement rig does (LoggingHandler
-// over a Mux over a ZoneSet), so the server's decode, dispatch and encode
-// count too. The client reuses its idle socket, so no lookup dials, and
-// reads each response in place with that socket's decoder. A lookup
-// measured 413 B in 10 allocations; the gates leave about 20% headroom.
+// that logs the query as the measurement rig logs a test-zone query
+// (LoggingHandler over a Mux over a ZoneSet), so the server's decode,
+// dispatch, query event and encode count too. The client reuses its idle socket, so no lookup dials, and
+// reads each response in place with that socket's decoder. The server
+// answers on the lookup's goroutine and reads the query in the client's
+// own buffer, so the fabric copies only the reply. A lookup measured
+// 381 B in 9 allocations; the gates leave about 20% headroom.
 // Skipped under -race, which instruments allocation.
 func TestLookupTXTAllocBytes(t *testing.T) {
 	fabric := netsim.NewFabric()
@@ -52,10 +54,10 @@ func TestLookupTXTAllocBytes(t *testing.T) {
 	per := (after.TotalAlloc - before.TotalAlloc) / runs
 	allocs := float64(after.Mallocs-before.Mallocs) / runs
 	t.Logf("%d B, %.1f allocs per lookup", per, allocs)
-	if per >= 500 {
-		t.Errorf("one LookupTXT exchange allocates %d B, want < 500 B", per)
+	if per >= 460 {
+		t.Errorf("one LookupTXT exchange allocates %d B, want < 460 B", per)
 	}
-	if allocs > 12 {
-		t.Errorf("one LookupTXT exchange makes %.1f allocations, want at most 12", allocs)
+	if allocs > 11 {
+		t.Errorf("one LookupTXT exchange makes %.1f allocations, want at most 11", allocs)
 	}
 }

@@ -25,9 +25,10 @@ const (
 // retain the message indefinitely should use Unpack instead.
 //
 // A Decoder pays off for an owner that decodes many messages: the DNS
-// server's UDP read loop, each UDP socket a dnsclient.Client keeps (for
-// the lookups that read their responses in place), and, drawn from the
-// pool, each DNS-over-TCP server connection.
+// server's UDP read loop on an OS socket, each UDP socket a
+// dnsclient.Client keeps (for the lookups that read their responses in
+// place), and, drawn from the pool, each UDP answer the DNS server runs
+// on a fabric sender's goroutine and each DNS-over-TCP server connection.
 //
 // A Decoder is not safe for concurrent use.
 type Decoder struct {
@@ -54,7 +55,8 @@ var decoderPool = sync.Pool{New: func() any { return new(Decoder) }}
 func NewDecoder() *Decoder { return new(Decoder) }
 
 // GetDecoder fetches a pooled Decoder, for an owner as short-lived as one
-// DNS-over-TCP server connection; pair it with PutDecoder.
+// UDP answer or one DNS-over-TCP server connection; pair it with
+// PutDecoder.
 func GetDecoder() *Decoder {
 	//spfail:allow poolhygiene Decode truncates every reused slot before filling it; the warm caches are the product
 	return decoderPool.Get().(*Decoder)

@@ -27,16 +27,17 @@ import (
 const MaxUDPPayload = 512
 
 // Handler answers DNS queries. Implementations must be safe for concurrent
-// use.
+// use: on the fabric every UDP query is answered on its sender's goroutine.
 type Handler interface {
 	// ServeDNS produces a response for the query. from identifies the
 	// client (used for query logging and attribution). A nil return is
 	// answered with SERVFAIL.
 	//
-	// The server decodes q into a reused dnsmsg.Decoder and encodes the
-	// response before it decodes the next query, so the response may
-	// share q's memory, but nothing may keep q or any part of it (a
-	// question's Name, say) once ServeDNS returns; clone what you keep.
+	// Each answer decodes q into a dnsmsg.Decoder of its own, which a
+	// later answer reuses, and encodes the response before it lets the
+	// Decoder go, so the response may share q's memory, but nothing may
+	// keep q or any part of it (a question's Name, say) once ServeDNS
+	// returns; clone what you keep.
 	ServeDNS(q *dnsmsg.Message, from net.Addr) *dnsmsg.Message
 }
 
@@ -70,7 +71,9 @@ type Server struct {
 }
 
 // Start begins serving on both transports. It returns once listeners are
-// bound; serving continues until Stop or ctx cancellation.
+// bound; serving continues until Stop or ctx cancellation. A fabric UDP
+// endpoint answers each query on the goroutine that sent it
+// (netsim.Respond); an OS socket gets a read loop.
 func (s *Server) Start(ctx context.Context) error {
 	pc, err := s.Net.ListenPacket("udp", s.Addr)
 	if err != nil {
@@ -81,23 +84,31 @@ func (s *Server) Start(ctx context.Context) error {
 		_ = pc.Close()
 		return err
 	}
+	loop := !netsim.Respond(pc, func(pkt []byte, from net.Addr) { s.answerInline(pc, pkt, from) })
 	// Add before the lock: a Stop fired by an already-cancelled ctx waits
 	// only after Start releases mu.
-	s.wg.Add(2)
+	s.wg.Add(1)
+	if loop {
+		s.wg.Add(1)
+	}
 	s.mu.Lock()
 	s.pc, s.l, s.run = pc, l, true
 	if ctx != nil {
 		s.unwatch = context.AfterFunc(ctx, s.Stop)
 	}
 	s.mu.Unlock()
-	go s.serveUDP(pc)
+	if loop {
+		go s.serveUDP(pc)
+	}
 	go s.serveTCP(l)
 	return nil
 }
 
-// Stop closes the listeners and waits for in-flight handlers. It also
-// deregisters Start's ctx watcher, so a stopped server holds no goroutine
-// and ctx keeps no reference to it.
+// Stop closes the listeners and waits for in-flight handlers: closing a
+// fabric endpoint waits out the answers running on their senders'
+// goroutines, and no answer starts after it. Stop also deregisters
+// Start's ctx watcher, so a stopped server holds no goroutine and ctx
+// keeps no reference to it.
 func (s *Server) Stop() {
 	s.mu.Lock()
 	if !s.run {
@@ -116,9 +127,9 @@ func (s *Server) Stop() {
 	s.wg.Wait()
 }
 
-// serveUDP answers every datagram inline on the read loop, which owns one
-// Decoder and one response buffer: while a query is served the next ones
-// wait in the endpoint's receive queue.
+// serveUDP reads an OS socket's datagrams and answers each in turn with
+// one Decoder and one response buffer: while a query is served the next
+// ones wait in the socket's receive queue.
 func (s *Server) serveUDP(pc net.PacketConn) {
 	defer s.wg.Done()
 	d := dnsmsg.NewDecoder()
@@ -129,16 +140,42 @@ func (s *Server) serveUDP(pc net.PacketConn) {
 		if err != nil {
 			return
 		}
-		// Template fast path: answer from precompiled wire bytes, with no
-		// decode/encode.
-		var ok bool
-		if out, ok = s.ServeQuery(out[:0], buf[:n], from); !ok {
-			if out, ok = s.appendUDPResponse(out[:0], d, buf[:n], from); !ok {
-				continue
-			}
-		}
-		_, _ = pc.WriteTo(out, from)
+		out = s.answer(d, pc, out, buf[:n], from)
 	}
+}
+
+// answerBufPool recycles the response buffers of the answers that run on
+// fabric senders' goroutines.
+var answerBufPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, MaxUDPPayload)
+	return &b
+}}
+
+// answerInline answers a fabric datagram on its sender's goroutine with a
+// pooled Decoder and a pooled response buffer, so concurrent answers never
+// share either.
+func (s *Server) answerInline(pc net.PacketConn, pkt []byte, from net.Addr) {
+	d := dnsmsg.GetDecoder()
+	outp := answerBufPool.Get().(*[]byte)
+	s.answer(d, pc, (*outp)[:0], pkt, from)
+	answerBufPool.Put(outp)
+	dnsmsg.PutDecoder(d)
+}
+
+// answer answers the query pkt from from and writes the response to pc:
+// from a precompiled template when the handler has one, with no decode or
+// encode, else decoded with d through appendUDPResponse. The response is
+// built in out's backing array, which answer returns for the next answer;
+// WriteTo copies it, so it is free again at once.
+func (s *Server) answer(d *dnsmsg.Decoder, pc net.PacketConn, out, pkt []byte, from net.Addr) []byte {
+	out, ok := s.ServeQuery(out[:0], pkt, from)
+	if !ok {
+		if out, ok = s.appendUDPResponse(out[:0], d, pkt, from); !ok {
+			return out
+		}
+	}
+	_, _ = pc.WriteTo(out, from)
+	return out
 }
 
 // appendUDPResponse answers pkt and appends the response to dst. A

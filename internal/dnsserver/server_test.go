@@ -9,6 +9,7 @@ import (
 	"net/netip"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -81,41 +82,198 @@ func TestZoneSetServeDNSNXDomain(t *testing.T) {
 	}
 }
 
+// readLoopNet is a netsim.Network whose ListenPacket hides the fabric
+// endpoint's type, so a Server on it answers from its read loop, as it
+// does on an OS socket.
+type readLoopNet struct{ netsim.Network }
+
+func (n readLoopNet) ListenPacket(network, address string) (net.PacketConn, error) {
+	pc, err := n.Network.ListenPacket(network, address)
+	if err != nil {
+		return nil, err
+	}
+	return struct{ net.PacketConn }{pc}, nil
+}
+
+// TestServerUDPEndToEnd answers a query on both UDP paths: inline on the
+// sender's goroutine, as on a fabric endpoint, and from the read loop.
 func TestServerUDPEndToEnd(t *testing.T) {
+	for _, path := range []struct {
+		name string
+		net  func(netsim.Network) netsim.Network
+	}{
+		{"inline", func(n netsim.Network) netsim.Network { return n }},
+		{"read-loop", func(n netsim.Network) netsim.Network { return readLoopNet{n} }},
+	} {
+		t.Run(path.name, func(t *testing.T) {
+			fabric := netsim.NewFabric()
+			srv := &Server{Net: path.net(fabric.Host("192.0.2.53")), Addr: ":53", Handler: newTestZone()}
+			if err := srv.Start(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Stop()
+
+			conn, err := fabric.Host("198.51.100.1").DialContext(context.Background(), "udp", "192.0.2.53:53")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			q := dnsmsg.NewQuery(99, name("example.com"), dnsmsg.TypeTXT)
+			pkt, _ := q.Pack()
+			conn.SetDeadline(time.Now().Add(2 * time.Second))
+			conn.Write(pkt)
+			buf := make([]byte, 4096)
+			n, err := conn.Read(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := dnsmsg.Unpack(buf[:n])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Header.ID != 99 || !resp.Header.Response || !resp.Header.Authoritative {
+				t.Errorf("header = %+v", resp.Header)
+			}
+			if len(resp.Answers) != 1 {
+				t.Fatalf("answers = %v", resp.Answers)
+			}
+			if got := resp.Answers[0].Data.(dnsmsg.TXT).Joined(); !strings.HasPrefix(got, "v=spf1") {
+				t.Errorf("TXT = %q", got)
+			}
+		})
+	}
+}
+
+// exchange sends q on conn and returns the decoded reply, or the read's
+// error once timeout has passed.
+func exchange(conn net.Conn, q *dnsmsg.Message, timeout time.Duration) (*dnsmsg.Message, error) {
+	pkt, err := q.Pack()
+	if err != nil {
+		return nil, err
+	}
+	conn.SetDeadline(time.Now().Add(timeout))
+	if _, err := conn.Write(pkt); err != nil {
+		return nil, err
+	}
+	buf := make([]byte, MaxUDPPayload)
+	n, err := conn.Read(buf)
+	if err != nil {
+		return nil, err
+	}
+	return dnsmsg.Unpack(buf[:n])
+}
+
+// TestServerStopWaitsForAnswerInFlight: Stop closes the UDP endpoint
+// first, so a later query goes unanswered and times out, and returns only
+// once an answer already running on its sender's goroutine has returned.
+func TestServerStopWaitsForAnswerInFlight(t *testing.T) {
 	fabric := netsim.NewFabric()
-	srv := &Server{Net: fabric.Host("192.0.2.53"), Addr: ":53", Handler: newTestZone()}
+	entered, release := make(chan struct{}), make(chan struct{})
+	srv := &Server{Net: fabric.Host("192.0.2.53"), Addr: ":53", Handler: HandlerFunc(func(q *dnsmsg.Message, _ net.Addr) *dnsmsg.Message {
+		if q.Questions[0].Name.Equal(name("hold.example.com")) {
+			close(entered)
+			<-release
+		}
+		return q.Reply()
+	})}
+	if err := srv.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	dial := func() net.Conn {
+		conn, err := fabric.Host("198.51.100.1").DialContext(context.Background(), "udp", "192.0.2.53:53")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		return conn
+	}
+	held := dial()
+	go exchange(held, dnsmsg.NewQuery(1, name("hold.example.com"), dnsmsg.TypeA), 5*time.Second)
+	<-entered
+
+	stopped := make(chan struct{})
+	go func() {
+		srv.Stop()
+		close(stopped)
+	}()
+	// Once Stop has closed the endpoint, a query goes unanswered.
+	late := dial()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		_, err := exchange(late, dnsmsg.NewQuery(2, name("example.com"), dnsmsg.TypeA), 20*time.Millisecond)
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			break
+		}
+		if err != nil {
+			t.Fatalf("query while stopping: %v", err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Stop never closed the UDP endpoint")
+		}
+	}
+	select {
+	case <-stopped:
+		t.Fatal("Stop returned while an answer was running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop did not return once the answer returned")
+	}
+	if _, err := exchange(late, dnsmsg.NewQuery(3, name("example.com"), dnsmsg.TypeA), 50*time.Millisecond); err == nil {
+		t.Fatal("a stopped server answered a query")
+	}
+}
+
+// TestServerConcurrentQueriesGetTheirOwnAnswers has 4×GOMAXPROCS clients
+// query one fabric server at once. Each answer runs on its client's
+// goroutine with a Decoder and a buffer of its own, so every client must
+// get its own ID and question back, with the answer made for it. Run it
+// with -race.
+func TestServerConcurrentQueriesGetTheirOwnAnswers(t *testing.T) {
+	fabric := netsim.NewFabric()
+	srv := &Server{Net: fabric.Host("192.0.2.53"), Addr: ":53", Handler: HandlerFunc(func(q *dnsmsg.Message, _ net.Addr) *dnsmsg.Message {
+		r := q.Reply()
+		r.Answers = append(r.Answers, dnsmsg.Record{Name: q.Questions[0].Name, Class: dnsmsg.ClassIN, TTL: 1,
+			Data: dnsmsg.TXT{Strings: []string{q.Questions[0].Name.String()}}})
+		return r
+	})}
 	if err := srv.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Stop()
-
-	conn, err := fabric.Host("198.51.100.1").DialContext(context.Background(), "udp", "192.0.2.53:53")
-	if err != nil {
-		t.Fatal(err)
+	clients := 4 * runtime.GOMAXPROCS(0)
+	const each = 50
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		conn, err := fabric.Host(fmt.Sprintf("198.51.%d.%d", 100+c/250, 1+c%250)).DialContext(context.Background(), "udp", "192.0.2.53:53")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				qn := fmt.Sprintf("q%d-%d.example.com.", c, i)
+				id := uint16(c*each + i)
+				resp, err := exchange(conn, dnsmsg.NewQuery(id, name(qn), dnsmsg.TypeTXT), 5*time.Second)
+				if err != nil {
+					t.Errorf("client %d query %d: %v", c, i, err)
+					return
+				}
+				if resp.Header.ID != id || len(resp.Questions) != 1 || resp.Questions[0].Name.String() != qn ||
+					len(resp.Answers) != 1 || resp.Answers[0].Data.(dnsmsg.TXT).Joined() != qn {
+					t.Errorf("client %d asked %s with ID %d, got ID %d, %v, %v", c, qn, id, resp.Header.ID, resp.Questions, resp.Answers)
+					return
+				}
+			}
+		}()
 	}
-	defer conn.Close()
-	q := dnsmsg.NewQuery(99, name("example.com"), dnsmsg.TypeTXT)
-	pkt, _ := q.Pack()
-	conn.SetDeadline(time.Now().Add(2 * time.Second))
-	conn.Write(pkt)
-	buf := make([]byte, 4096)
-	n, err := conn.Read(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := dnsmsg.Unpack(buf[:n])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Header.ID != 99 || !resp.Header.Response || !resp.Header.Authoritative {
-		t.Errorf("header = %+v", resp.Header)
-	}
-	if len(resp.Answers) != 1 {
-		t.Fatalf("answers = %v", resp.Answers)
-	}
-	if got := resp.Answers[0].Data.(dnsmsg.TXT).Joined(); !strings.HasPrefix(got, "v=spf1") {
-		t.Errorf("TXT = %q", got)
-	}
+	wg.Wait()
 }
 
 func TestServerTCPEndToEnd(t *testing.T) {

@@ -155,7 +155,7 @@ func TestUDPCloseWakesReaderAndDropsLateDatagrams(t *testing.T) {
 	}
 
 	// A deliver that looked the endpoint up before Close lands after it.
-	p.enqueue(datagram{from: Addr{Net: "udp", Host: "10.7.1.2", Port: 40001}, to: p.addr, data: []byte("late")})
+	p.receive(datagram{from: Addr{Net: "udp", Host: "10.7.1.2", Port: 40001}, to: p.addr, data: []byte("late")})
 	p.mu.Lock()
 	queued := p.queued
 	p.mu.Unlock()

@@ -14,7 +14,9 @@
 // doubles with the traffic it actually holds, so an endpoint that receives
 // one reply at a time pays for one datagram, not for the bound, and a busy
 // server pops its oldest datagram in constant time. Readers wait on one
-// condition variable over the endpoint's mutex; there are no channels.
+// condition variable over the endpoint's mutex; there are no channels. An
+// endpoint with a responder (Respond) queues nothing: each datagram is
+// answered on the goroutine that sent it.
 //
 // A fabric TCP connection is one struct: both stream ends and the one lock
 // they share. It keeps net.Pipe's synchronous semantics and error values,
@@ -125,6 +127,8 @@ type FaultInjector interface {
 	DialTCP(src, dst Addr) DialFault
 	// Datagram is consulted for every delivered datagram and may rewrite
 	// the payload. Returning (nil, VerdictPass) keeps the original bytes.
+	// payload may be the sender's own buffer: read it during the call, and
+	// return new bytes rather than change it.
 	Datagram(from, to Addr, payload []byte) ([]byte, DatagramVerdict)
 }
 
@@ -416,9 +420,13 @@ func (f *Fabric) bindPacket(addr Addr) (*fabricPacketConn, error) {
 	return pc, nil
 }
 
-// deliver routes a datagram to its destination endpoint, if any. Datagrams
-// to absent endpoints or overflowing inboxes are dropped, as on a real
-// network. d.to.Net must be "udp", the network every endpoint is keyed on.
+// deliver routes a datagram to its destination endpoint, if any, on the
+// sender's goroutine. The fault injector's verdict comes first; then an
+// endpoint with a responder answers at once, and any other endpoint
+// queues the datagram. Datagrams to absent endpoints or overflowing
+// inboxes are dropped, as on a real network. d.to.Net must be "udp", the
+// network every endpoint is keyed on. d.data may be the sender's own
+// buffer: an inbox keeps a copy, and a responder must not keep it.
 func (f *Fabric) deliver(d datagram) {
 	if f.Faults != nil {
 		payload, verdict := f.Faults.Datagram(d.from, d.to, d.data)
@@ -437,8 +445,38 @@ func (f *Fabric) deliver(d datagram) {
 	pc := f.packet[d.to]
 	f.mu.Unlock()
 	if pc != nil {
-		pc.enqueue(d)
+		pc.receive(d)
 	}
+}
+
+// Respond makes fn the responder of pc and reports whether pc is a fabric
+// UDP endpoint; an OS socket is left alone and needs a read loop. A
+// responder answers each datagram on the goroutine that sent it, after the
+// fault injector's verdict, instead of queueing it for ReadFrom, and
+// datagrams already queued are handed to fn before Respond returns. fn
+// gets the datagram's bytes and its sender; it must not keep b once it
+// returns, and it must be safe for concurrent use, as every sender calls
+// it. A reply it writes to from reaches the sender's inbox before the
+// sender's write returns. Close waits for the calls in flight, and
+// datagrams after it are dropped, so fn must not close pc itself.
+func Respond(pc net.PacketConn, fn func(b []byte, from net.Addr)) bool {
+	p, ok := pc.(*fabricPacketConn)
+	if !ok {
+		return false
+	}
+	p.mu.Lock()
+	p.respond = fn
+	var queued []datagram
+	for p.queued > 0 {
+		queued = append(queued, p.pop())
+	}
+	p.calls.Add(len(queued))
+	p.mu.Unlock()
+	for _, d := range queued {
+		fn(d.data, d.sender)
+		p.calls.Done()
+	}
+	return true
 }
 
 // fabricListener implements net.Listener on the fabric.
@@ -488,11 +526,13 @@ type datagram struct {
 }
 
 // inboxLimit is how many unread datagrams an endpoint holds before deliver
-// drops new ones, like a socket receive buffer. It is sized for the busiest
-// endpoint, the authoritative DNS server, which answers every query on its
-// one read loop, so a burst of concurrent probes' queries waits here; peaks
-// measured up to 133 at the paper's 250 probes and 188 at 1000 (see
-// docs/performance.md). It must be a power of two: the ring masks with it.
+// drops new ones, like a socket receive buffer. An endpoint with a
+// responder queues nothing, and a client endpoint holds one reply at a
+// time; the bound is for an endpoint that a server reads in a loop, whose
+// backlog is a burst of concurrent probes' queries. When the DNS server
+// answered from such a loop its backlog peaked at 133 at the paper's 250
+// probes and 188 at 1000 (see docs/performance.md). It must be a power of
+// two: the ring masks with it.
 const inboxLimit = 1024
 
 // fabricPacketConn implements net.PacketConn on the fabric.
@@ -516,14 +556,27 @@ type fabricPacketConn struct {
 	inbox  []datagram // guarded by mu
 	head   int        // guarded by mu
 	queued int        // guarded by mu
+	// respond, when set (Respond), answers each datagram in place of the
+	// inbox. calls counts its calls in flight; one is added only while
+	// the endpoint is open, so Close can wait them out.
+	respond func(b []byte, from net.Addr) // guarded by mu
+	calls   sync.WaitGroup
 }
 
-// enqueue appends d to the inbox, or drops it when the endpoint is closed
-// or already holds inboxLimit datagrams. It wakes one waiting reader: a
-// woken reader takes a queued datagram before it looks at its deadline,
+// receive hands d to the endpoint's responder, or appends a copy of it to
+// the inbox. It drops d when the endpoint is closed or its inbox already
+// holds inboxLimit datagrams. A queued datagram wakes one waiting reader:
+// a woken reader takes a queued datagram before it looks at its deadline,
 // so the datagram is never left behind while a reader waits.
-func (p *fabricPacketConn) enqueue(d datagram) {
+func (p *fabricPacketConn) receive(d datagram) {
 	p.mu.Lock()
+	if fn := p.respond; fn != nil && !p.closed {
+		p.calls.Add(1)
+		p.mu.Unlock()
+		defer p.calls.Done()
+		fn(d.data, d.sender)
+		return
+	}
 	if p.closed || p.queued >= inboxLimit {
 		p.mu.Unlock()
 		return
@@ -531,6 +584,7 @@ func (p *fabricPacketConn) enqueue(d datagram) {
 	if p.queued == len(p.inbox) {
 		p.grow()
 	}
+	d.data = append([]byte(nil), d.data...)
 	p.inbox[(p.head+p.queued)&(len(p.inbox)-1)] = d
 	p.queued++
 	p.mu.Unlock()
@@ -626,7 +680,9 @@ func (p *fabricPacketConn) WriteTo(b []byte, addr net.Addr) (int, error) {
 	return p.writeTo(b, to)
 }
 
-// writeTo sends a copy of b to the endpoint at to, if one is bound.
+// writeTo sends b to the endpoint at to, if one is bound. It holds no lock
+// while deliver runs, so the destination's responder may write back to
+// this endpoint.
 func (p *fabricPacketConn) writeTo(b []byte, to Addr) (int, error) {
 	p.mu.Lock()
 	closed := p.closed
@@ -635,25 +691,26 @@ func (p *fabricPacketConn) writeTo(b []byte, to Addr) (int, error) {
 		return 0, &net.OpError{Op: "write", Net: "udp", Addr: p.addr, Err: ErrClosed}
 	}
 	to.Net = "udp"
-	p.f.deliver(datagram{from: p.addr, sender: p.box, to: to, data: append([]byte(nil), b...)})
+	p.f.deliver(datagram{from: p.addr, sender: p.box, to: to, data: b})
 	return len(b), nil
 }
 
 // Close implements net.PacketConn. It wakes every waiting reader and stops
-// the deadline timer, so nothing keeps a closed endpoint reachable.
+// the deadline timer, so nothing keeps a closed endpoint reachable, and
+// returns once no responder call is running.
 func (p *fabricPacketConn) Close() error {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return nil
+	if !p.closed {
+		p.closed = true
+		p.inbox, p.head, p.queued = nil, 0, 0
+		p.timer.stop()
+		p.f.mu.Lock()
+		delete(p.f.packet, p.addr)
+		p.f.mu.Unlock()
 	}
-	p.closed = true
-	p.inbox, p.head, p.queued = nil, 0, 0
-	p.timer.stop()
-	p.f.mu.Lock()
-	delete(p.f.packet, p.addr)
-	p.f.mu.Unlock()
+	p.mu.Unlock()
 	p.cond.Broadcast()
+	p.calls.Wait()
 	return nil
 }
 
