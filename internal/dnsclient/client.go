@@ -189,11 +189,12 @@ func (c *Client) Query(ctx context.Context, name dnsmsg.Name, typ dnsmsg.Type) (
 }
 
 // query runs one lookup's attempts. With read nil, it Unpacks the
-// response and returns it. Otherwise it decodes the response in place,
-// with the decoder of the UDP socket the answering attempt holds (over
-// TCP too, after a truncated answer), hands it to read, and returns nil:
-// the message is valid only until read returns, and the socket goes back
-// to the idle list only after that.
+// response and returns it. Otherwise it decodes the response's header,
+// question and answers in place, with the decoder of the UDP socket the
+// answering attempt holds (over TCP too, after a truncated answer), hands
+// it to read, and returns nil: the message is valid only until read
+// returns, its authority and additional sections are empty, and the
+// socket goes back to the idle list only after read returns.
 func (c *Client) query(ctx context.Context, name dnsmsg.Name, typ dnsmsg.Type, read func(*dnsmsg.Message)) (*dnsmsg.Message, error) {
 	c.Metrics.Counter("dns.client.lookups").Inc()
 	start := c.clock().Now()
@@ -289,12 +290,14 @@ func (c *Client) query(ctx context.Context, name dnsmsg.Name, typ dnsmsg.Type, r
 	return nil, fmt.Errorf("%w: %v", ErrTemporary, lastErr)
 }
 
-// decode decodes pkt in place with dec, or Unpacks it when dec is nil.
+// decode decodes pkt in place with dec, or Unpacks it when dec is nil. A
+// lookup that reads in place reads only the answers, so dec frames the
+// authority and additional records without decoding them.
 func decode(dec *dnsmsg.Decoder, pkt []byte) (*dnsmsg.Message, error) {
 	if dec == nil {
 		return dnsmsg.Unpack(pkt)
 	}
-	return dec.Decode(pkt)
+	return dec.DecodeAnswers(pkt)
 }
 
 // roundTrip writes pkt, the packed q, to conn and reads until the
@@ -405,8 +408,9 @@ func rcodeErr(r *dnsmsg.Message) error {
 
 // ask asks one question and hands a usable response to read, or returns
 // the error the query or its response code maps to. read must copy out
-// whatever it keeps: on a bare *Client the message is decoded in place
-// and valid only until read returns. The call on the concrete type keeps
+// whatever it keeps: on a bare *Client the message is decoded in place,
+// without its authority and additional sections, and valid only until
+// read returns. The call on the concrete type keeps
 // read and what it captures off the heap.
 func (r *Resolver) ask(ctx context.Context, name dnsmsg.Name, typ dnsmsg.Type, read func(*dnsmsg.Message)) error {
 	var rerr error

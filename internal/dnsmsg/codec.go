@@ -20,9 +20,10 @@ const (
 // types (A, AAAA, TXT — types whose RDATA never embeds compression
 // pointers into the surrounding message).
 //
-// The *Message returned by Decode is owned by the Decoder: it is valid
-// only until the next Decode or PutDecoder call. Callers that need to
-// retain the message indefinitely should use Unpack instead.
+// The *Message returned by Decode or DecodeAnswers is owned by the
+// Decoder: it is valid only until the Decoder's next decode or PutDecoder
+// call. Callers that need to retain the message indefinitely should use
+// Unpack instead.
 //
 // A Decoder pays off for an owner that decodes many messages: the DNS
 // server's UDP read loop on an OS socket, each UDP socket a
@@ -80,10 +81,21 @@ func (d *Decoder) scrub() {
 }
 
 // Decode decodes a complete DNS message. The returned Message is valid
-// until the next Decode or PutDecoder call on this Decoder.
+// until the next Decode, DecodeAnswers or PutDecoder call on this Decoder.
+func (d *Decoder) Decode(msg []byte) (*Message, error) { return d.decode(msg, true) }
+
+// DecodeAnswers decodes msg as Decode does, except that it only frames the
+// authority and additional records: each must fit in msg, but none is
+// decoded, and the Message comes back with empty Authority and Additional
+// sections. It is for a reader of the answers alone, such as a Resolver
+// lookup, which would otherwise decode the SOA that every negative answer
+// carries in its authority section.
+func (d *Decoder) DecodeAnswers(msg []byte) (*Message, error) { return d.decode(msg, false) }
+
+// decode is Decode, or DecodeAnswers when extra is false.
 //
 //spfail:hotpath
-func (d *Decoder) Decode(msg []byte) (*Message, error) {
+func (d *Decoder) decode(msg []byte, extra bool) (*Message, error) {
 	if len(d.labels) > maxInternedLabels {
 		d.labels = nil
 	}
@@ -140,6 +152,12 @@ func (d *Decoder) Decode(msg []byte) (*Message, error) {
 	if off, err = d.readRecordsInto(&m.Answers, msg, off, an); err != nil {
 		return nil, err
 	}
+	if !extra {
+		if _, err = skipRecords(msg, off, ns+ar); err != nil {
+			return nil, err
+		}
+		return m, nil
+	}
 	if off, err = d.readRecordsInto(&m.Authority, msg, off, ns); err != nil {
 		return nil, err
 	}
@@ -147,6 +165,40 @@ func (d *Decoder) Decode(msg []byte) (*Message, error) {
 		return nil, err
 	}
 	return m, nil
+}
+
+// skipRecords frames count records starting at off in msg without decoding
+// them: it walks each owner name up to its root byte or first pointer,
+// checks that the fixed fields and the RDATA fit in msg, and returns the
+// offset just past the last record.
+func skipRecords(msg []byte, off, count int) (int, error) {
+	for i := 0; i < count; i++ {
+		for {
+			if off >= len(msg) {
+				return 0, ErrTruncatedMessage
+			}
+			b := msg[off]
+			if b == 0 {
+				off++
+				break
+			}
+			if b&0xC0 == 0xC0 {
+				off += 2 // a pointer ends the name
+				break
+			}
+			if b&0xC0 != 0 {
+				return 0, errReservedLabelType
+			}
+			off += 1 + int(b)
+		}
+		if off+10 > len(msg) {
+			return 0, ErrTruncatedMessage
+		}
+		if off += 10 + int(binary.BigEndian.Uint16(msg[off+8:])); off > len(msg) {
+			return 0, ErrTruncatedMessage
+		}
+	}
+	return off, nil
 }
 
 // growQuestions extends s by one reusable slot without clearing the slot's

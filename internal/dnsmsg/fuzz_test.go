@@ -52,7 +52,10 @@ func FuzzUnpack(f *testing.F) {
 // read loop reuses its Decoder for every datagram it receives. Whatever a
 // left in the Decoder's slots, interning table and RData caches, b must
 // decode exactly as Unpack decodes it: the same error-ness and, when b
-// decodes, the same bytes from Pack, or a Pack error on both sides.
+// decodes, the same bytes from Pack, or a Pack error on both sides. The
+// same holds for DecodeAnswers on every section it decodes (header,
+// questions, answers): when Unpack accepts b, so does DecodeAnswers, with
+// those sections packing as Unpack's do and the other two left empty.
 func FuzzDecoderReuse(f *testing.F) {
 	q := NewQuery(0x1234, MustParseName("x7k2.s01.spf-test.dns-lab.org"), TypeTXT)
 	qb, _ := q.Pack()
@@ -70,6 +73,13 @@ func FuzzDecoderReuse(f *testing.F) {
 	f.Add(q2b, rb)
 	f.Add(rb[:len(rb)-3], rb)
 	f.Add([]byte{0xC0, 0x00}, qb)
+	nx := q.Reply()
+	nx.Header.RCode = RCodeNXDomain
+	nx.Authority = append(nx.Authority, Record{Name: MustParseName("spf-test.dns-lab.org"), Class: ClassIN, TTL: 60,
+		Data: SOA{MName: MustParseName("ns1.dns-lab.org"), RName: MustParseName("hostmaster.dns-lab.org"), Serial: 1}})
+	nxb, _ := nx.Pack()
+	f.Add(rb, nxb)
+	f.Add(nxb, nxb[:len(nxb)-4])
 
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		d := NewDecoder()
@@ -89,6 +99,19 @@ func FuzzDecoderReuse(f *testing.F) {
 		}
 		if !bytes.Equal(gotPkt, wantPkt) {
 			t.Fatalf("reused Decoder packs %x, Unpack packs %x", gotPkt, wantPkt)
+		}
+
+		ans, err := d.DecodeAnswers(b)
+		if err != nil {
+			t.Fatalf("DecodeAnswers error = %v where Unpack succeeds", err)
+		}
+		if len(ans.Authority)+len(ans.Additional) != 0 {
+			t.Fatalf("DecodeAnswers decoded %d authority and %d additional records", len(ans.Authority), len(ans.Additional))
+		}
+		ansPkt, ansErr := (&Message{Header: ans.Header, Questions: ans.Questions, Answers: ans.Answers}).Pack()
+		wantPkt, wantErr = (&Message{Header: want.Header, Questions: want.Questions, Answers: want.Answers}).Pack()
+		if (ansErr != nil) != (wantErr != nil) || !bytes.Equal(ansPkt, wantPkt) {
+			t.Fatalf("DecodeAnswers sections pack %x (%v), Unpack's %x (%v)", ansPkt, ansErr, wantPkt, wantErr)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package dnsmsg
 
 import (
+	"bytes"
 	"math/rand"
 	"net/netip"
 	"strings"
@@ -255,5 +256,86 @@ func TestPropertyUnpackNeverPanics(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCompressorMatchesAppend builds random responses both ways: with
+// Message.Append, and from wire parts as a zone answers, the question
+// through Compressor.AppendName and each record stored by AppendRecord
+// and written by Compressor.AppendRecord. The bytes must be equal.
+func TestCompressorMatchesAppend(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 500; i++ {
+		names := []Name{quickName(r), quickName(r), quickName(r)}
+		pick := func() Name {
+			n := names[r.Intn(len(names))]
+			if r.Intn(2) == 0 {
+				if c, err := n.Child("sub"); err == nil {
+					return c
+				}
+			}
+			return n
+		}
+		m := NewQuery(uint16(i), pick(), TypeANY).Reply()
+		for j := r.Intn(6); j >= 0; j-- {
+			var data RData
+			switch r.Intn(7) {
+			case 0:
+				data = A{Addr: netip.AddrFrom4([4]byte{192, 0, 2, byte(j)})}
+			case 1:
+				data = MX{Preference: uint16(j), Host: pick()}
+			case 2:
+				data = NS{Host: pick()}
+			case 3:
+				data = CNAME{Target: pick()}
+			case 4:
+				data = PTR{Target: pick()}
+			case 5:
+				data = SOA{MName: pick(), RName: pick(), Serial: uint32(j), Minimum: 60}
+			default:
+				data = SplitTXT(strings.Repeat("t", r.Intn(300)))
+			}
+			m.Answers = append(m.Answers, Record{Name: pick(), Class: ClassIN, TTL: uint32(j), Data: data})
+		}
+		want, err := m.Append(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var c Compressor
+		got := append([]byte(nil), want[:12]...)
+		qname, err := appendName(nil, m.Questions[0].Name, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = c.AppendName(got, qname)
+		got = append(got, 0, byte(TypeANY), 0, byte(ClassIN))
+		for _, rr := range m.Answers {
+			stored, err := AppendRecord(nil, rr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if one, typ, _, rest := SplitRecord(stored); !bytes.Equal(one, stored) || typ != rr.Data.Type() || len(rest) != 0 {
+				t.Fatalf("SplitRecord(%s) = %x %s, rest %x", rr, one, typ, rest)
+			}
+			got = c.AppendRecord(got, stored)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("message %d: built from wire parts\n%x\nMessage.Append\n%x", i, got, want)
+		}
+	}
+}
+
+// TestAppendRecordRefusesRawCompressibleRDATA: an Unknown payload of a
+// type whose names a zone compresses is refused, since its raw bytes
+// would be read as names; other Unknown payloads are stored as they are.
+func TestAppendRecordRefusesRawCompressibleRDATA(t *testing.T) {
+	owner := MustParseName("example.com")
+	for _, typ := range []Type{TypeMX, TypeNS, TypeCNAME, TypePTR, TypeSOA} {
+		if _, err := AppendRecord(nil, Record{Name: owner, Class: ClassIN, Data: Unknown{T: typ, Data: []byte{0}}}); err == nil {
+			t.Errorf("AppendRecord took raw %s RDATA", typ)
+		}
+	}
+	if _, err := AppendRecord(nil, Record{Name: owner, Class: ClassIN, Data: Unknown{T: 99, Data: []byte{1, 'x'}}}); err != nil {
+		t.Errorf("AppendRecord refused raw TYPE99 RDATA: %v", err)
 	}
 }

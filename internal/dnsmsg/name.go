@@ -129,30 +129,46 @@ func (n Name) String() string {
 	return b.String()
 }
 
-// CanonicalKey returns a case-folded comparison key for map lookups.
-func (n Name) CanonicalKey() string { return strings.ToLower(n.String()) }
+// CanonicalKey returns a case-folded comparison key for map lookups. It
+// folds ASCII letters only, as Equal compares.
+func (n Name) CanonicalKey() string {
+	s := n.String()
+	for i := 0; i < len(s); i++ {
+		if 'A' <= s[i] && s[i] <= 'Z' {
+			b := []byte(s)
+			for j := i; j < len(b); j++ {
+				b[j] = asciiLower(b[j])
+			}
+			return string(b)
+		}
+	}
+	return s
+}
 
-// Equal reports case-insensitive equality.
+// Equal reports case-insensitive equality. Only ASCII letters fold (RFC
+// 4343 §3): other bytes, those of a UTF-8 letter included, compare as
+// they are.
 func (n Name) Equal(o Name) bool {
 	if len(n.labels) != len(o.labels) {
 		return false
 	}
 	for i := range n.labels {
-		if !strings.EqualFold(n.labels[i], o.labels[i]) {
+		if !asciiEqualFold(n.labels[i], o.labels[i]) {
 			return false
 		}
 	}
 	return true
 }
 
-// HasSuffix reports whether n equals suffix or is a subdomain of it.
+// HasSuffix reports whether n equals suffix or is a subdomain of it,
+// comparing as Equal does.
 func (n Name) HasSuffix(suffix Name) bool {
 	if len(suffix.labels) > len(n.labels) {
 		return false
 	}
 	off := len(n.labels) - len(suffix.labels)
 	for i := range suffix.labels {
-		if !strings.EqualFold(n.labels[off+i], suffix.labels[i]) {
+		if !asciiEqualFold(n.labels[off+i], suffix.labels[i]) {
 			return false
 		}
 	}
@@ -183,26 +199,24 @@ func (n Name) TLD() string {
 }
 
 // appendName encodes n at the end of buf. When cmp is non-nil it carries
-// the RFC 1035 §4.1.4 compression state: suffixes already on the wire are
-// replaced by pointers, and newly-written suffix offsets are registered as
-// a side effect. The compressor matches against wire bytes directly, so
+// the RFC 1035 §4.1.4 compression state: cmp.compress replaces a suffix
+// already on the wire by a pointer and registers the offsets of the
+// labels it keeps. The compressor matches against wire bytes directly, so
 // this path performs no allocation.
 func appendName(buf []byte, n Name, cmp *compressor) ([]byte, error) {
 	if err := n.validate(); err != nil {
 		return buf, err
 	}
-	for i := range n.labels {
-		if cmp != nil {
-			if off, ok := cmp.lookup(buf, n.labels[i:]); ok {
-				return append(buf, 0xC0|byte(off>>8), byte(off)), nil
-			}
-			cmp.add(len(buf))
-		}
-		l := n.labels[i]
+	start := len(buf)
+	for _, l := range n.labels {
 		buf = append(buf, byte(len(l)))
 		buf = append(buf, l...)
 	}
-	return append(buf, 0), nil
+	buf = append(buf, 0)
+	if cmp != nil {
+		buf = cmp.compress(buf, start)
+	}
+	return buf, nil
 }
 
 // readName decodes a possibly-compressed name starting at off in msg.

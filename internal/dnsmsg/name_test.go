@@ -1,6 +1,7 @@
 package dnsmsg
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -60,6 +61,50 @@ func TestNameEqualCaseInsensitive(t *testing.T) {
 	}
 	if a.Equal(MustParseName("example.org")) {
 		t.Error("example.com should not equal example.org")
+	}
+}
+
+// TestNameFoldsASCIIOnly: Equal, HasSuffix, CanonicalKey and
+// AppendFoldedName fold ASCII letters only (RFC 4343 §3), as the
+// wire-side comparisons do, so U+017F (long s, which Unicode folds to s)
+// and U+212A (the Kelvin sign, which folds to k) stay themselves.
+func TestNameFoldsASCIIOnly(t *testing.T) {
+	folded := func(s string) []byte {
+		wire, err := appendName(nil, MustParseName(s), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return AppendFoldedName(nil, wire)
+	}
+	for _, tc := range []struct{ foreign, ascii string }{
+		{"\u017Fk.example", "sk.example"},
+		{"\u212Ait.example", "kit.example"},
+	} {
+		f, a := MustParseName(tc.foreign), MustParseName(tc.ascii)
+		if f.Equal(a) {
+			t.Errorf("%s equals %s", f, a)
+		}
+		if MustParseName("x."+tc.foreign).HasSuffix(a) || MustParseName("x."+tc.ascii).HasSuffix(f) {
+			t.Errorf("%s and %s match as suffixes", f, a)
+		}
+		if f.CanonicalKey() == a.CanonicalKey() {
+			t.Errorf("%s and %s share the key %q", f, a, a.CanonicalKey())
+		}
+		if got := MustParseName(strings.ToUpper(tc.ascii)).CanonicalKey(); got != tc.ascii+"." {
+			t.Errorf("CanonicalKey(%s) = %q", strings.ToUpper(tc.ascii), got)
+		}
+		if got := MustParseName("X." + tc.foreign).CanonicalKey(); got != "x."+tc.foreign+"." {
+			t.Errorf("CanonicalKey(X.%s) = %q, want only the ASCII letter folded", tc.foreign, got)
+		}
+		if bytes.Equal(folded(tc.foreign), folded(tc.ascii)) {
+			t.Errorf("%s and %s fold to the same wire key", f, a)
+		}
+		if got, want := folded("X."+strings.ToUpper(tc.ascii)), folded("x."+tc.ascii); !bytes.Equal(got, want) {
+			t.Errorf("AppendFoldedName(X.%s) = %q, want %q", strings.ToUpper(tc.ascii), got, want)
+		}
+		if got, want := folded("X."+tc.foreign), append([]byte{1, 'x'}, folded(tc.foreign)...); !bytes.Equal(got, want) {
+			t.Errorf("AppendFoldedName(X.%s) = %q, want only the ASCII letter folded", tc.foreign, got)
+		}
 	}
 }
 

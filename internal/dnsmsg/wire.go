@@ -1,11 +1,14 @@
 package dnsmsg
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // WireQuery is an allocation-free view of a simple DNS query packet: one
 // question, no other sections, uncompressed qname. It is the input of the
-// dnsserver template fast path, which answers without ever materializing a
-// Message.
+// DNS server's wire path, on which a zone answers from its stored wire
+// records without ever materializing a Message.
 type WireQuery struct {
 	ID               uint16
 	RecursionDesired bool
@@ -16,8 +19,8 @@ type WireQuery struct {
 	NameWire []byte
 }
 
-// ParseWireQuery validates pkt as a plain query eligible for the template
-// fast path. Anything unusual — responses, non-query opcodes, multiple
+// ParseWireQuery validates pkt as a plain query eligible for the wire
+// path. Anything unusual — responses, non-query opcodes, multiple
 // questions, extra sections (e.g. EDNS OPT), compressed or oversized
 // qnames, trailing bytes — returns ok == false so the caller falls back to
 // the full decoder.
@@ -105,4 +108,41 @@ func WireNameHasSuffix(wire []byte, suffix Name) bool {
 // the name and the offset just past its encoding.
 func ReadWireName(wire []byte) (Name, int, error) {
 	return readName(wire, 0)
+}
+
+// AppendFoldedName appends the uncompressed wire name at the start of
+// wire to dst with its ASCII letters folded to lower case, the one case
+// rule of every name comparison in the package: names that compare equal
+// fold to the same bytes, so the result can key a map of names. Length
+// bytes are at most 63, below 'A', so only letters change.
+func AppendFoldedName(dst, wire []byte) []byte {
+	for _, b := range wire[:wireNameLen(wire)] {
+		dst = append(dst, asciiLower(b))
+	}
+	return dst
+}
+
+// AppendRecord appends rr to dst in uncompressed wire form: owner name,
+// type, class, TTL, RDATA length and RDATA, with every name spelled out.
+// A zone stores its records in this form, and Compressor.AppendRecord
+// writes one of them into a message. A record that does not encode is an
+// error, and so is an Unknown payload of a type whose RDATA names
+// Message.Append compresses (rdataNames), since Compressor.AppendRecord
+// would read its raw bytes as names.
+func AppendRecord(dst []byte, rr Record) ([]byte, error) {
+	if u, ok := rr.Data.(Unknown); ok {
+		if _, names := rdataNames(u.T); names > 0 {
+			return nil, fmt.Errorf("dnsmsg: record %s carries %s RDATA as raw bytes", rr.Name, u.T)
+		}
+	}
+	return appendRecord(dst, rr, nil)
+}
+
+// SplitRecord splits the first record off recs, a run of records as
+// AppendRecord writes them: it returns that record, its type, its RDATA,
+// and the records after it.
+func SplitRecord(recs []byte) (rr []byte, typ Type, rdata, rest []byte) {
+	n := wireNameLen(recs)
+	end := n + 10 + int(binary.BigEndian.Uint16(recs[n+8:]))
+	return recs[:end], Type(binary.BigEndian.Uint16(recs[n:])), recs[n+10 : end], recs[end:]
 }

@@ -132,8 +132,7 @@ func (p *zoneParser) line(raw string) error {
 	if err != nil {
 		return err
 	}
-	p.zone.Add(dnsmsg.Record{Name: owner, Class: dnsmsg.ClassIN, TTL: ttl, Data: data})
-	return nil
+	return p.zone.Add(dnsmsg.Record{Name: owner, Class: dnsmsg.ClassIN, TTL: ttl, Data: data})
 }
 
 func (p *zoneParser) rdata(typ string, args []string) (dnsmsg.RData, error) {
@@ -179,18 +178,8 @@ func (p *zoneParser) rdata(typ string, args []string) (dnsmsg.RData, error) {
 		if len(args) == 0 {
 			return nil, fmt.Errorf("TXT wants at least one string")
 		}
-		// Each string goes on the wire behind a one-byte length, and the
-		// whole RDATA behind a two-byte one (RFC 1035 §3.3, §3.2.1).
-		rdlen := 0
-		for _, a := range args {
-			if len(a) > 255 {
-				return nil, fmt.Errorf("TXT string of %d bytes exceeds 255", len(a))
-			}
-			rdlen += 1 + len(a)
-		}
-		if rdlen > 0xFFFF {
-			return nil, fmt.Errorf("TXT data of %d bytes exceeds 65535", rdlen)
-		}
+		// A string over 255 bytes, or RDATA over 65,535, does not encode
+		// (RFC 1035 §3.3, §3.2.1), and ZoneSet.Add refuses it.
 		return dnsmsg.TXT{Strings: args}, nil
 	case "CNAME":
 		if err := need(1); err != nil {

@@ -41,6 +41,18 @@ type Handler interface {
 	ServeDNS(q *dnsmsg.Message, from net.Addr) *dnsmsg.Message
 }
 
+// WireHandler is implemented by handlers that can answer a plain query
+// straight from its wire form, with no decode and no Message. ServeWire
+// appends the complete response to dst, starting at len(dst) (its
+// compression pointers count from there), and reports whether it
+// answered; ok == false leaves dst as it was, and the server decodes the
+// query and calls ServeDNS instead. from identifies the client, as for
+// ServeDNS, and wq.NameWire aliases the query packet: neither may be
+// kept.
+type WireHandler interface {
+	ServeWire(dst []byte, wq dnsmsg.WireQuery, from net.Addr) ([]byte, bool)
+}
+
 // HandlerFunc adapts a function to Handler.
 type HandlerFunc func(q *dnsmsg.Message, from net.Addr) *dnsmsg.Message
 
@@ -163,10 +175,12 @@ func (s *Server) answerInline(pc net.PacketConn, pkt []byte, from net.Addr) {
 }
 
 // answer answers the query pkt from from and writes the response to pc:
-// from a precompiled template when the handler has one, with no decode or
-// encode, else decoded with d through appendUDPResponse. The response is
-// built in out's backing array, which answer returns for the next answer;
-// WriteTo copies it, so it is free again at once.
+// on the wire path (ServeQuery) when the handler answers there, else
+// decoded with d through appendUDPResponse. A response over
+// MaxUDPPayload, from either path, is cut to its header and question with
+// TC set (truncate), telling the client to retry over TCP. The response
+// is built in out's backing array, which answer returns for the next
+// answer; WriteTo copies it, so it is free again at once.
 func (s *Server) answer(d *dnsmsg.Decoder, pc net.PacketConn, out, pkt []byte, from net.Addr) []byte {
 	out, ok := s.ServeQuery(out[:0], pkt, from)
 	if !ok {
@@ -174,14 +188,16 @@ func (s *Server) answer(d *dnsmsg.Decoder, pc net.PacketConn, out, pkt []byte, f
 			return out
 		}
 	}
+	if len(out) > MaxUDPPayload {
+		s.Metrics.Counter("dns.server.truncated").Inc()
+		out = truncate(out)
+	}
 	_, _ = pc.WriteTo(out, from)
 	return out
 }
 
-// appendUDPResponse answers pkt and appends the response to dst. A
-// response over MaxUDPPayload is re-encoded as its header and question
-// with TC set, telling the client to retry over TCP. ok is false when
-// there is nothing to send.
+// appendUDPResponse decodes pkt with d, dispatches it and appends the
+// encoded response to dst. ok is false when there is nothing to send.
 func (s *Server) appendUDPResponse(dst []byte, d *dnsmsg.Decoder, pkt []byte, from net.Addr) (out []byte, ok bool) {
 	resp := s.respond(d, pkt, from)
 	if resp == nil {
@@ -191,19 +207,109 @@ func (s *Server) appendUDPResponse(dst []byte, d *dnsmsg.Decoder, pkt []byte, fr
 	if err != nil {
 		return dst, false
 	}
-	if len(out) > MaxUDPPayload {
-		s.Metrics.Counter("dns.server.truncated").Inc()
-		tr := dnsmsg.Message{Header: resp.Header, Questions: resp.Questions}
-		tr.Header.Truncated = true
-		if out, err = tr.Append(out[:0]); err != nil {
-			return dst, false
+	return out, true
+}
+
+// truncate cuts msg, a response this server encoded, to its header and
+// question section, sets TC and zeroes the answer, authority and
+// additional counts. The questions come first in an encoded message, so
+// the cut leaves exactly the bytes that encoding the header and questions
+// alone would write.
+func truncate(msg []byte) []byte {
+	off := 12
+	for i := binary.BigEndian.Uint16(msg[4:]); i > 0; i-- {
+		for msg[off] != 0 && msg[off]&0xC0 != 0xC0 {
+			off += 1 + int(msg[off])
+		}
+		if msg[off] == 0 {
+			off++
+		} else {
+			off += 2 // a pointer ends the name
+		}
+		off += 4 // type, class
+	}
+	msg[2] |= 0x02 // TC
+	clear(msg[6:12])
+	return msg[:off]
+}
+
+// ServeQuery is the server's wire path: if pkt is a plain query (one
+// question, no other sections, uncompressed qname) and the handler is a
+// WireHandler that answers it, the response is appended to dst without
+// decoding the query or building a Message. It counts and traces the
+// query as the decode path does. ok == false means the caller must take
+// the decode/dispatch/encode path. ServeQuery does not truncate: answer
+// applies the UDP size rule to both paths.
+//
+//spfail:hotpath
+func (s *Server) ServeQuery(dst []byte, pkt []byte, from net.Addr) ([]byte, bool) {
+	wq, ok := dnsmsg.ParseWireQuery(pkt)
+	if !ok {
+		return dst, false
+	}
+	wh, ok := s.Handler.(WireHandler)
+	if !ok {
+		return dst, false
+	}
+	out, ok := wh.ServeWire(dst, wq, from)
+	if !ok {
+		return dst, false
+	}
+	s.Metrics.Counter("dns.server.queries").Inc()
+	//spfail:allow metricnames qtypeCounterName mints only constants from the documented dns.server.qtype.<TYPE> family
+	s.Metrics.Counter(qtypeCounterName(wq.Type)).Inc()
+	rcode := dnsmsg.RCode(out[len(dst)+3] & 0xF)
+	if rcode == dnsmsg.RCodeServFail {
+		s.Metrics.Counter("dns.server.servfail").Inc()
+	}
+	// The qname is decoded from the wire only on traced queries, so the
+	// untraced wire path stays allocation-free.
+	if s.Trace != nil {
+		if sp := s.Trace.HostSpan(clientHost(from)); sp != nil {
+			qname := ""
+			if name, _, err := dnsmsg.ReadWireName(wq.NameWire); err == nil {
+				qname = name.String()
+			}
+			sp.Event("dns.server.query",
+				trace.String("name", qname),
+				trace.String("type", wq.Type.String()),
+				trace.String("rcode", rcode.String()),
+			)
 		}
 	}
 	return out, true
 }
 
-// serveTCP serves each connection on its own goroutine, which decodes
-// with one pooled Decoder and frames every reply in one buffer.
+// qtypeCounterName returns the per-qtype counter name without allocating
+// for the types the probing stack actually queries.
+func qtypeCounterName(t dnsmsg.Type) string {
+	switch t {
+	case dnsmsg.TypeA:
+		return "dns.server.qtype.A"
+	case dnsmsg.TypeAAAA:
+		return "dns.server.qtype.AAAA"
+	case dnsmsg.TypeMX:
+		return "dns.server.qtype.MX"
+	case dnsmsg.TypeTXT:
+		return "dns.server.qtype.TXT"
+	case dnsmsg.TypeNS:
+		return "dns.server.qtype.NS"
+	case dnsmsg.TypeSOA:
+		return "dns.server.qtype.SOA"
+	case dnsmsg.TypePTR:
+		return "dns.server.qtype.PTR"
+	case dnsmsg.TypeCNAME:
+		return "dns.server.qtype.CNAME"
+	case dnsmsg.TypeANY:
+		return "dns.server.qtype.ANY"
+	default:
+		return "dns.server.qtype." + t.String()
+	}
+}
+
+// serveTCP serves each connection on its own goroutine, which answers on
+// the wire path when the handler does, else decodes with one pooled
+// Decoder, and frames every reply in one buffer.
 func (s *Server) serveTCP(l net.Listener) {
 	defer s.wg.Done()
 	for {
@@ -223,11 +329,7 @@ func (s *Server) serveTCP(l net.Listener) {
 				if in, err = ReadTCPMessage(c, in); err != nil {
 					return
 				}
-				resp := s.respond(d, in, c.RemoteAddr())
-				if resp == nil {
-					return
-				}
-				if out, err = AppendTCPMessage(out[:0], resp); err != nil {
+				if out, err = s.appendTCPResponse(out[:0], d, in, c.RemoteAddr()); err != nil {
 					return
 				}
 				if _, err := c.Write(out); err != nil {
@@ -236,6 +338,26 @@ func (s *Server) serveTCP(l net.Listener) {
 			}
 		}(c)
 	}
+}
+
+// appendTCPResponse answers pkt and appends the response to dst behind
+// its two-byte length prefix: from the wire path when the handler answers
+// there, else decoded with d. An error means there is nothing to send.
+func (s *Server) appendTCPResponse(dst []byte, d *dnsmsg.Decoder, pkt []byte, from net.Addr) ([]byte, error) {
+	framed, ok := s.ServeQuery(append(dst, 0, 0), pkt, from)
+	if !ok {
+		resp := s.respond(d, pkt, from)
+		if resp == nil {
+			return nil, errors.New("dnsserver: no response")
+		}
+		return AppendTCPMessage(dst, resp)
+	}
+	n := len(framed) - len(dst) - 2
+	if n > 0xFFFF {
+		return nil, fmt.Errorf("dnsserver: message of %d bytes exceeds the TCP length prefix", n)
+	}
+	binary.BigEndian.PutUint16(framed[len(dst):], uint16(n))
+	return framed, nil
 }
 
 // respond decodes pkt with d and dispatches it. The response may share the

@@ -1,102 +1,215 @@
 package dnsserver
 
 import (
+	"encoding/binary"
+	"fmt"
 	"net"
 	"net/netip"
+	"slices"
 	"sync"
 	"time"
 
 	"spfail/internal/dnsmsg"
 )
 
-// ZoneSet is a Handler serving a static set of records, keyed by canonical
-// owner name. It answers authoritatively: names with no records at all get
-// NXDOMAIN; names with records of other types get an empty NOERROR. CNAMEs
-// are chased within the set.
+// maxCNAMEDepth bounds CNAME chasing: an answer follows at most this many
+// CNAMEs from the question's name.
+const maxCNAMEDepth = 4
+
+// ZoneSet is a Handler serving a static set of records. It answers
+// authoritatively: names with no records at all get NXDOMAIN; names with
+// records of other types get an empty NOERROR; both negative answers carry
+// the last SOA of the closest enclosing owner that has one. CNAMEs are
+// chased within the set, to depth maxCNAMEDepth.
+//
+// Each owner's records are one byte slice, in the uncompressed wire form
+// dnsmsg.AppendRecord writes, keyed by the owner's wire name with its
+// ASCII letters folded to lower case. A zone is then two heap objects per
+// owner for the collector to trace, and ServeWire answers a plain query by
+// copying the stored records into the response through dnsmsg's name
+// compressor, with nothing decoded and nothing built per query.
 type ZoneSet struct {
-	mu      sync.RWMutex
-	records map[string][]dnsmsg.Record
-	soa     map[string]dnsmsg.Record // apex key → SOA for negative answers
-	// templates caches packed responses for the ServeWire fast path, keyed
-	// by case-folded qname wire bytes + qtype (see template.go). Any zone
-	// mutation drops the whole cache and bumps tmplGen so in-flight builds
-	// against the old zone contents are discarded.
-	templates map[string][]byte
-	tmplGen   uint64
+	mu     sync.RWMutex
+	owners map[string][]byte // guarded by mu
+	enc    []byte            // Add's encoding buffer; guarded by mu
 }
 
 // NewZoneSet returns an empty zone set.
 func NewZoneSet() *ZoneSet {
-	return &ZoneSet{
-		records: make(map[string][]dnsmsg.Record),
-		soa:     make(map[string]dnsmsg.Record),
-	}
+	return &ZoneSet{owners: make(map[string][]byte)}
 }
 
-// Add inserts a record.
-func (z *ZoneSet) Add(r dnsmsg.Record) {
+// Add stores r. A record that does not encode (an A record without an
+// IPv4 address, a TXT string over 255 bytes, or any other record
+// dnsmsg.AppendRecord refuses) is refused with that error, and nothing is
+// stored: it could never be served, and a stored one would fail every
+// answer that included it. The zone-file parser returns that error as its
+// line's error, and so it enforces the TXT wire bounds.
+func (z *ZoneSet) Add(r dnsmsg.Record) error {
 	z.mu.Lock()
 	defer z.mu.Unlock()
-	key := r.Name.CanonicalKey()
-	z.records[key] = append(z.records[key], r)
-	if r.Data.Type() == dnsmsg.TypeSOA {
-		z.soa[key] = r
+	enc, err := dnsmsg.AppendRecord(z.enc[:0], r)
+	if err != nil {
+		return fmt.Errorf("dnsserver: zone refuses a record at %s: %w", r.Name, err)
 	}
-	z.invalidateTemplates()
+	z.enc = enc
+	var kb [dnsmsg.MaxNameLen]byte
+	key := dnsmsg.AppendFoldedName(kb[:0], enc)
+	z.owners[string(key)] = slices.Concat(z.owners[string(key)], enc)
+	return nil
 }
 
 // AddA is a convenience for adding an A or AAAA record for name.
-func (z *ZoneSet) AddA(name dnsmsg.Name, addr netip.Addr) {
+func (z *ZoneSet) AddA(name dnsmsg.Name, addr netip.Addr) error {
 	var data dnsmsg.RData
 	if addr.Is4() {
 		data = dnsmsg.A{Addr: addr}
 	} else {
 		data = dnsmsg.AAAA{Addr: addr}
 	}
-	z.Add(dnsmsg.Record{Name: name, Class: dnsmsg.ClassIN, TTL: 300, Data: data})
+	return z.Add(dnsmsg.Record{Name: name, Class: dnsmsg.ClassIN, TTL: 300, Data: data})
 }
 
 // AddMX is a convenience for adding an MX record.
-func (z *ZoneSet) AddMX(name dnsmsg.Name, pref uint16, host dnsmsg.Name) {
-	z.Add(dnsmsg.Record{Name: name, Class: dnsmsg.ClassIN, TTL: 300,
+func (z *ZoneSet) AddMX(name dnsmsg.Name, pref uint16, host dnsmsg.Name) error {
+	return z.Add(dnsmsg.Record{Name: name, Class: dnsmsg.ClassIN, TTL: 300,
 		Data: dnsmsg.MX{Preference: pref, Host: host}})
 }
 
 // AddTXT is a convenience for adding a TXT record, splitting long strings.
-func (z *ZoneSet) AddTXT(name dnsmsg.Name, text string) {
-	z.Add(dnsmsg.Record{Name: name, Class: dnsmsg.ClassIN, TTL: 300,
+func (z *ZoneSet) AddTXT(name dnsmsg.Name, text string) error {
+	return z.Add(dnsmsg.Record{Name: name, Class: dnsmsg.ClassIN, TTL: 300,
 		Data: dnsmsg.SplitTXT(text)})
 }
 
-// Lookup returns records of the given type owned by name, chasing one level
-// of CNAME. exists reports whether the name owns any records at all.
-func (z *ZoneSet) Lookup(name dnsmsg.Name, typ dnsmsg.Type) (rrs []dnsmsg.Record, exists bool) {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	return z.lookupLocked(name, typ, 0)
+// ServeWire implements WireHandler. It answers every plain IN- or
+// ANY-class query from the stored records, with the bytes Message.Append
+// writes for ServeDNS's reply, and declines other classes, which ServeDNS
+// refuses.
+func (z *ZoneSet) ServeWire(dst []byte, wq dnsmsg.WireQuery, _ net.Addr) ([]byte, bool) {
+	if wq.Class != dnsmsg.ClassIN && wq.Class != dnsmsg.ClassANY {
+		return dst, false
+	}
+	return z.appendAnswer(dst, wq.ID, wq.RecursionDesired, wq.NameWire, wq.Type, wq.Class), true
 }
 
-func (z *ZoneSet) lookupLocked(name dnsmsg.Name, typ dnsmsg.Type, depth int) ([]dnsmsg.Record, bool) {
-	owned, ok := z.records[name.CanonicalKey()]
-	if !ok {
+// appendAnswer appends to dst the zone's response to a query with ID id,
+// RD bit rd and the question (qname, qtype, qclass), qname in uncompressed
+// wire form and echoed as asked. The response starts at len(dst), and its
+// compression pointers count from there.
+//
+//spfail:hotpath
+func (z *ZoneSet) appendAnswer(dst []byte, id uint16, rd bool, qname []byte, qtype dnsmsg.Type, qclass dnsmsg.Class) []byte {
+	var kb [dnsmsg.MaxNameLen]byte
+	key := dnsmsg.AppendFoldedName(kb[:0], qname)
+	var c dnsmsg.Compressor
+	msg := append(dst[len(dst):], 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0) // header, filled in below
+	msg = c.AppendName(msg, qname)
+	msg = binary.BigEndian.AppendUint16(msg, uint16(qtype))
+	msg = binary.BigEndian.AppendUint16(msg, uint16(qclass))
+	var an, ns int
+	z.mu.RLock()
+	owned, exists := z.owners[string(key)]
+	if exists {
+		msg, an = appendMatches(z.owners, &c, msg, owned, qtype, 0)
+	}
+	if an == 0 {
+		msg, ns = appendNegativeSOA(z.owners, &c, msg, key)
+	}
+	z.mu.RUnlock()
+	flags := uint16(0x8400) // QR, AA
+	if rd {
+		flags |= 0x0100
+	}
+	if !exists {
+		flags |= uint16(dnsmsg.RCodeNXDomain)
+	}
+	binary.BigEndian.PutUint16(msg[0:], id)
+	binary.BigEndian.PutUint16(msg[2:], flags)
+	binary.BigEndian.PutUint16(msg[4:], 1)
+	binary.BigEndian.PutUint16(msg[6:], uint16(an))
+	binary.BigEndian.PutUint16(msg[8:], uint16(ns))
+	// When msg was built in dst's spare capacity, this copies it onto itself.
+	return append(dst, msg...)
+}
+
+// appendMatches appends the records of owned, one owner's stored records,
+// that answer qtype: those of that type (every one for ANY) and, for other
+// types, each CNAME followed by what its target's records answer, up to
+// maxCNAMEDepth. It returns the extended msg and the records appended.
+func appendMatches(owners map[string][]byte, c *dnsmsg.Compressor, msg, owned []byte, qtype dnsmsg.Type, depth int) ([]byte, int) {
+	n := 0
+	for recs := owned; len(recs) > 0; {
+		rr, typ, rdata, rest := dnsmsg.SplitRecord(recs)
+		recs = rest
+		if typ == qtype || qtype == dnsmsg.TypeANY {
+			msg = c.AppendRecord(msg, rr)
+			n++
+		}
+		if typ == dnsmsg.TypeCNAME && qtype != dnsmsg.TypeCNAME && qtype != dnsmsg.TypeANY && depth < maxCNAMEDepth {
+			msg = c.AppendRecord(msg, rr)
+			n++
+			var kb [dnsmsg.MaxNameLen]byte
+			if target, ok := owners[string(dnsmsg.AppendFoldedName(kb[:0], rdata))]; ok {
+				var m int
+				msg, m = appendMatches(owners, c, msg, target, qtype, depth+1)
+				n += m
+			}
+		}
+	}
+	return msg, n
+}
+
+// appendNegativeSOA appends the last SOA record of the closest owner at or
+// above key, a folded wire name, that has one, for a negative answer. It
+// returns the extended msg and the records appended, 0 or 1.
+func appendNegativeSOA(owners map[string][]byte, c *dnsmsg.Compressor, msg, key []byte) ([]byte, int) {
+	for off := 0; ; off += 1 + int(key[off]) {
+		var soa []byte
+		for recs := owners[string(key[off:])]; len(recs) > 0; {
+			rr, typ, _, rest := dnsmsg.SplitRecord(recs)
+			if typ == dnsmsg.TypeSOA {
+				soa = rr
+			}
+			recs = rest
+		}
+		if soa != nil {
+			return c.AppendRecord(msg, soa), 1
+		}
+		if key[off] == 0 {
+			return msg, 0
+		}
+	}
+}
+
+// decodedAnswer answers (name, typ) as ServeWire answers an IN-class
+// query for it, and decodes the response.
+func (z *ZoneSet) decodedAnswer(name dnsmsg.Name, typ dnsmsg.Type) (*dnsmsg.Message, error) {
+	pkt, err := dnsmsg.NewQuery(0, name, typ).Pack()
+	if err != nil {
+		return nil, err
+	}
+	qname := pkt[12 : len(pkt)-4] // the question's name: Pack writes the first name whole
+	return dnsmsg.Unpack(z.appendAnswer(nil, 0, false, qname, typ, dnsmsg.ClassIN))
+}
+
+// Lookup returns the records an answer for name and type carries (those
+// of the type owned by name, with CNAMEs chased to depth maxCNAMEDepth),
+// and whether name owns any records at all.
+func (z *ZoneSet) Lookup(name dnsmsg.Name, typ dnsmsg.Type) (rrs []dnsmsg.Record, exists bool) {
+	a, err := z.decodedAnswer(name, typ)
+	if err != nil {
 		return nil, false
 	}
-	var out []dnsmsg.Record
-	for _, r := range owned {
-		t := r.Data.Type()
-		if t == typ || typ == dnsmsg.TypeANY {
-			out = append(out, r)
-		}
-		if t == dnsmsg.TypeCNAME && typ != dnsmsg.TypeCNAME && typ != dnsmsg.TypeANY && depth < 4 {
-			out = append(out, r)
-			target, _ := z.lookupLocked(r.Data.(dnsmsg.CNAME).Target, typ, depth+1)
-			out = append(out, target...)
-		}
-	}
-	return out, true
+	return a.Answers, a.Header.RCode != dnsmsg.RCodeNXDomain
 }
 
-// ServeDNS implements Handler.
+// ServeDNS implements Handler by decoding the answer ServeWire writes; it
+// refuses classes other than IN and ANY. It returns nil, which the server
+// answers with SERVFAIL, when that answer does not decode: a record Add
+// took as an Unknown payload that is malformed for its type, say. The
+// server answers plain queries through ServeWire; ServeDNS serves the
+// rest (extra sections, several questions, other classes).
 func (z *ZoneSet) ServeDNS(q *dnsmsg.Message, _ net.Addr) *dnsmsg.Message {
 	resp := q.Reply()
 	resp.Header.Authoritative = true
@@ -105,45 +218,53 @@ func (z *ZoneSet) ServeDNS(q *dnsmsg.Message, _ net.Addr) *dnsmsg.Message {
 		resp.Header.RCode = dnsmsg.RCodeRefused
 		return resp
 	}
-	rrs, exists := z.Lookup(qq.Name, qq.Type)
-	if !exists {
-		resp.Header.RCode = dnsmsg.RCodeNXDomain
-		resp.Authority = z.negativeAuthority(qq.Name)
-		return resp
+	a, err := z.decodedAnswer(qq.Name, qq.Type)
+	if err != nil {
+		return nil
 	}
-	resp.Answers = rrs
-	if len(rrs) == 0 {
-		resp.Authority = z.negativeAuthority(qq.Name)
-	}
+	resp.Header.RCode = a.Header.RCode
+	resp.Answers, resp.Authority = a.Answers, a.Authority
 	return resp
 }
 
-// negativeAuthority finds the closest enclosing SOA for negative responses.
-func (z *ZoneSet) negativeAuthority(name dnsmsg.Name) []dnsmsg.Record {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	for n := name; ; n = n.Parent() {
-		if soa, ok := z.soa[n.CanonicalKey()]; ok {
-			return []dnsmsg.Record{soa}
-		}
-		if n.IsRoot() {
-			return nil
-		}
-	}
-}
-
-// LoggingHandler wraps a Handler, publishing every query to a Sink before
-// dispatch. Now supplies event timestamps (typically clock.Clock.Now). The
-// event carries a clone of the qname, so sinks may keep it.
+// LoggingHandler wraps a Handler, publishing every query it answers to a
+// Sink. Now supplies event timestamps (typically clock.Clock.Now). The
+// event carries a qname of its own, so sinks may keep it.
 type LoggingHandler struct {
 	Inner Handler
 	Sink  Sink
 	Now   func() time.Time
 }
 
-// ServeDNS implements Handler.
+// ServeDNS implements Handler: it publishes the query, then dispatches it.
 func (h *LoggingHandler) ServeDNS(q *dnsmsg.Message, from net.Addr) *dnsmsg.Message {
 	qq := q.Questions[0]
+	h.observe(qq.Name.Clone(), qq.Type, from)
+	return h.Inner.ServeDNS(q, from)
+}
+
+// ServeWire implements WireHandler: it asks Inner for a wire answer and
+// publishes the query only once Inner has given one, so a query Inner
+// declines is published once, by ServeDNS on the decode path.
+func (h *LoggingHandler) ServeWire(dst []byte, wq dnsmsg.WireQuery, from net.Addr) ([]byte, bool) {
+	wh, ok := h.Inner.(WireHandler)
+	if !ok {
+		return dst, false
+	}
+	out, ok := wh.ServeWire(dst, wq, from)
+	if !ok {
+		return dst, false
+	}
+	name, _, err := dnsmsg.ReadWireName(wq.NameWire)
+	if err != nil {
+		return dst, false // unreachable for a parsed query; the decode path answers and logs it
+	}
+	h.observe(name, wq.Type, from)
+	return out, true
+}
+
+// observe publishes one query event for name, which the sink may keep.
+func (h *LoggingHandler) observe(name dnsmsg.Name, typ dnsmsg.Type, from net.Addr) {
 	var at time.Time
 	if h.Now != nil {
 		at = h.Now()
@@ -152,8 +273,7 @@ func (h *LoggingHandler) ServeDNS(q *dnsmsg.Message, from net.Addr) *dnsmsg.Mess
 	if from != nil {
 		fromStr = from.String()
 	}
-	h.Sink.Observe(QueryEvent{Time: at, From: fromStr, Name: qq.Name.Clone(), Type: qq.Type})
-	return h.Inner.ServeDNS(q, from)
+	h.Sink.Observe(QueryEvent{Time: at, From: fromStr, Name: name, Type: typ})
 }
 
 // Mux routes queries by name suffix to registered handlers, falling back to
@@ -180,26 +300,39 @@ func (m *Mux) Handle(suffix dnsmsg.Name, h Handler) {
 	m.routes = append(m.routes, muxRoute{suffix: suffix, handler: h})
 }
 
-// ServeDNS implements Handler.
-func (m *Mux) ServeDNS(q *dnsmsg.Message, from net.Addr) *dnsmsg.Message {
-	qname := q.Questions[0].Name
+// route returns the handler for a query name: the route with the longest
+// suffix that hasSuffix accepts, else the fallback.
+func (m *Mux) route(hasSuffix func(dnsmsg.Name) bool) Handler {
 	m.mu.RLock()
-	var best Handler
+	defer m.mu.RUnlock()
+	best := m.fallback
 	bestLen := -1
 	for _, r := range m.routes {
-		if qname.HasSuffix(r.suffix) && r.suffix.NumLabels() > bestLen {
+		if r.suffix.NumLabels() > bestLen && hasSuffix(r.suffix) {
 			best, bestLen = r.handler, r.suffix.NumLabels()
 		}
 	}
-	fallback := m.fallback
-	m.mu.RUnlock()
-	if best != nil {
-		return best.ServeDNS(q, from)
-	}
-	if fallback != nil {
-		return fallback.ServeDNS(q, from)
+	return best
+}
+
+// ServeDNS implements Handler.
+func (m *Mux) ServeDNS(q *dnsmsg.Message, from net.Addr) *dnsmsg.Message {
+	if h := m.route(q.Questions[0].Name.HasSuffix); h != nil {
+		return h.ServeDNS(q, from)
 	}
 	resp := q.Reply()
 	resp.Header.RCode = dnsmsg.RCodeRefused
 	return resp
+}
+
+// ServeWire implements WireHandler by routing exactly as ServeDNS does
+// (both compare names with ASCII-only case folding) and delegating when
+// the chosen handler is itself wire-capable; otherwise, or with no
+// handler at all, it declines and ServeDNS answers.
+func (m *Mux) ServeWire(dst []byte, wq dnsmsg.WireQuery, from net.Addr) ([]byte, bool) {
+	h := m.route(func(suffix dnsmsg.Name) bool { return dnsmsg.WireNameHasSuffix(wq.NameWire, suffix) })
+	if wh, ok := h.(WireHandler); ok {
+		return wh.ServeWire(dst, wq, from)
+	}
+	return dst, false
 }

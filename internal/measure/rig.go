@@ -180,13 +180,14 @@ func NewRigFromOptions(ctx context.Context, opts RigOptions) (*Rig, error) {
 // zone. Only the test zone's queries are detection evidence (the
 // Collector keeps no other), so only they pass through a LoggingHandler
 // into sink, and a world-zone query pays for no event. The Mux is handed
-// over as a HandlerFunc, which has no template path: probes and the spoof
-// survey ask each name once, so templates would cost more than they save
-// (docs/performance.md), and every query is decoded and answered.
+// over as it is, so the server answers every plain world-zone query on
+// its wire path, from the zone's stored records without decoding it
+// (docs/performance.md, "Zones answer from wire records"). The test zone
+// has no wire path, so its queries are decoded, logged and answered.
 func rigHandler(zones *dnsserver.ZoneSet, zone *dnsserver.SPFTestZone, sink dnsserver.Sink, now func() time.Time) dnsserver.Handler {
 	mux := dnsserver.NewMux(zones)
 	mux.Handle(zone.Base, &dnsserver.LoggingHandler{Inner: zone, Sink: sink, Now: now})
-	return dnsserver.HandlerFunc(mux.ServeDNS)
+	return mux
 }
 
 // Close stops the DNS server and all running hosts, and closes the

@@ -27,7 +27,9 @@ func (s *recordingSink) Observe(ev dnsserver.QueryEvent) {
 
 // TestRigHandlerLogsOnlyTestZoneQueries: the rig's handler answers world
 // and test-zone queries alike, but only a test-zone query reaches the
-// sink, with its client address and time.
+// sink, with its client address and time. A world-zone query is answered
+// on the wire path too, still without an event; a test-zone query
+// declines it, so the decode path logs it once.
 func TestRigHandlerLogsOnlyTestZoneQueries(t *testing.T) {
 	zones := dnsserver.NewZoneSet()
 	zones.AddTXT(dnsmsg.MustParseName("example.com"), "v=spf1 -all")
@@ -55,12 +57,34 @@ func TestRigHandlerLogsOnlyTestZoneQueries(t *testing.T) {
 	if ev := sink.evs[0]; ev.From != "198.51.100.9:40001" || !ev.Time.Equal(at) || ev.Name.String() != qn || ev.Type != dnsmsg.TypeA {
 		t.Errorf("event = %+v", ev)
 	}
+
+	wh, ok := h.(dnsserver.WireHandler)
+	if !ok {
+		t.Fatal("the rig's handler has no wire path")
+	}
+	for _, tc := range []struct {
+		qname  string
+		answer bool
+	}{{"example.com", true}, {qn, false}} {
+		pkt, err := dnsmsg.NewQuery(3, dnsmsg.MustParseName(tc.qname), dnsmsg.TypeTXT).Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wq, _ := dnsmsg.ParseWireQuery(pkt)
+		if _, ok := wh.ServeWire(nil, wq, from); ok != tc.answer {
+			t.Errorf("%s: wire path answered = %v, want %v", tc.qname, ok, tc.answer)
+		}
+	}
+	if len(sink.evs) != 1 {
+		t.Errorf("sink holds %d events after the wire path, want 1", len(sink.evs))
+	}
 }
 
 // TestRigCollectsTestZoneQueries sends a world-zone and a test-zone query
-// to a started rig's server. Both are decoded and answered, none from a
-// template, and the Collector files the test-zone query under its probe
-// ID with the client's address and the rig clock's time.
+// to a started rig's server. Both are answered, the world-zone one from
+// the zone's stored wire records and the test-zone one decoded, and the
+// Collector files the test-zone query under its probe ID with the
+// client's address and the rig clock's time.
 func TestRigCollectsTestZoneQueries(t *testing.T) {
 	clk := clock.NewSim(time.Date(2021, 10, 11, 0, 0, 0, 0, time.UTC))
 	r := newTestRig(t, clk)
@@ -90,9 +114,6 @@ func TestRigCollectsTestZoneQueries(t *testing.T) {
 		if err != nil || resp.Header.ID != q.Header.ID || len(resp.Answers) != 1 {
 			t.Fatalf("%s %s: answers %v, %v", q.Questions[0].Name, q.Questions[0].Type, resp, err)
 		}
-	}
-	if hits := r.Metrics.Counter("dns.server.template_hits").Value(); hits != 0 {
-		t.Errorf("%d queries answered from templates, want 0", hits)
 	}
 	evs := r.Collector.AppendQueriesFor(nil, "x7k2")
 	if len(evs) != 1 {

@@ -296,7 +296,9 @@ func (w *World) DomainsOn(addr netip.Addr) []*Domain {
 // domains), A records for the mail hosts themselves, an SOA per domain
 // for clean negative answers, and — for scenario domains — the apex SPF
 // TXT records, the _dmarc TXT record, and any extra pack-published
-// records.
+// records. ZoneSet.Add refuses only a record that does not encode, and
+// every record here is built from parsed names, valid addresses and split
+// TXT strings, so the Add errors are dropped.
 func (w *World) BuildZones() *dnsserver.ZoneSet {
 	z := dnsserver.NewZoneSet()
 	for _, d := range w.Domains {
