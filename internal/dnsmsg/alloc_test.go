@@ -73,3 +73,17 @@ func TestParseNameAllocatesOnce(t *testing.T) {
 		t.Errorf("ParseName(%q) makes %.1f allocations, want 1", s, allocs)
 	}
 }
+
+// TestChildAllocatesOnce: Child validates the label slice it builds in
+// place, as ParseName does, instead of having NewName copy it again.
+func TestChildAllocatesOnce(t *testing.T) {
+	apex := MustParseName("example.com")
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := apex.Child("mx1"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("Child makes %.1f allocations, want 1", allocs)
+	}
+}

@@ -7,11 +7,14 @@ import (
 
 // FuzzUnpack hammers the wire decoder with arbitrary bytes: it must never
 // panic, and anything it accepts must re-encode and re-decode stably.
+// Whatever ParseWireQuery accepts, the decoder must accept as the same
+// query, with no records but at most one OPT at the root.
 func FuzzUnpack(f *testing.F) {
 	// Seed corpus: real packed messages and adversarial fragments.
 	q := NewQuery(0x1234, MustParseName("x7k2.s01.spf-test.dns-lab.org"), TypeTXT)
 	if b, err := q.Pack(); err == nil {
 		f.Add(b)
+		f.Add(withAdditional(b, optRR...))
 	}
 	resp := q.Reply()
 	resp.Answers = append(resp.Answers, Record{
@@ -27,6 +30,9 @@ func FuzzUnpack(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Unpack(data)
+		if wq, ok := ParseWireQuery(data); ok {
+			checkWireQuery(t, wq, m, err)
+		}
 		if err != nil {
 			return
 		}
@@ -46,6 +52,27 @@ func FuzzUnpack(f *testing.F) {
 				len(m.Questions), len(m.Answers), len(m2.Questions), len(m2.Answers))
 		}
 	})
+}
+
+// checkWireQuery fails unless m, decoded from the packet wq was parsed
+// from (with error err), is the query wq describes.
+func checkWireQuery(t *testing.T, wq WireQuery, m *Message, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatalf("ParseWireQuery accepts a packet Unpack refuses: %v", err)
+	}
+	name, _, err := ReadWireName(wq.NameWire)
+	if err != nil || len(m.Questions) != 1 || !m.Questions[0].Name.Equal(name) ||
+		m.Questions[0].Type != wq.Type || m.Questions[0].Class != wq.Class ||
+		m.Header.ID != wq.ID || m.Header.RecursionDesired != wq.RecursionDesired {
+		t.Fatalf("ParseWireQuery read %+v, Unpack %+v", wq, m)
+	}
+	if len(m.Answers)+len(m.Authority) > 0 || len(m.Additional) > 1 {
+		t.Fatalf("ParseWireQuery accepts a query with records: %+v", m)
+	}
+	if len(m.Additional) == 1 && (m.Additional[0].Data.Type() != typeOPT || !m.Additional[0].Name.IsRoot()) {
+		t.Fatalf("ParseWireQuery accepts an additional %s record at %s", m.Additional[0].Data.Type(), m.Additional[0].Name)
+	}
 }
 
 // FuzzDecoderReuse decodes a and then b on one Decoder, the way a server's

@@ -184,10 +184,16 @@ func (n Name) Parent() Name {
 	return Name{labels: n.labels[1:]}
 }
 
-// Child returns label + "." + n, validating limits.
+// Child returns label + "." + n, validating limits. The new label slice
+// is the child's own, so it is validated in place rather than copied.
 func (n Name) Child(label string) (Name, error) {
-	labels := append([]string{label}, n.labels...)
-	return NewName(labels...)
+	c := Name{labels: make([]string, 1+len(n.labels))}
+	c.labels[0] = label
+	copy(c.labels[1:], n.labels)
+	if err := c.validate(); err != nil {
+		return Name{}, err
+	}
+	return c, nil
 }
 
 // TLD returns the rightmost label, lower-cased, or "" for the root.

@@ -137,6 +137,20 @@ func TestNameParentChildTLD(t *testing.T) {
 	if err != nil || !c.Equal(n) {
 		t.Errorf("Child = %v, %v", c, err)
 	}
+	long := MustParseName(strings.Repeat(strings.Repeat("x", 60)+".", 4) + "com") // 249 bytes on the wire
+	for _, tc := range []struct {
+		parent Name
+		label  string
+		want   error
+	}{
+		{n, "", ErrEmptyLabel},
+		{n, strings.Repeat("l", 64), ErrLabelTooLong},
+		{long, strings.Repeat("w", 63), ErrNameTooLong},
+	} {
+		if c, err := tc.parent.Child(tc.label); err != tc.want || !c.IsRoot() {
+			t.Errorf("Child(%d-byte label) = %v, %v; want the root and %v", len(tc.label), c, err, tc.want)
+		}
+	}
 	if !(Name{}).Parent().IsRoot() {
 		t.Error("parent of root should be root")
 	}

@@ -6,9 +6,10 @@ import (
 )
 
 // WireQuery is an allocation-free view of a simple DNS query packet: one
-// question, no other sections, uncompressed qname. It is the input of the
-// DNS server's wire path, on which a zone answers from its stored wire
-// records without ever materializing a Message.
+// question with an uncompressed qname, and no other records but an
+// optional EDNS OPT pseudo-record. It is the input of the DNS server's
+// wire path, on which a zone answers from its stored wire records without
+// ever materializing a Message.
 type WireQuery struct {
 	ID               uint16
 	RecursionDesired bool
@@ -19,11 +20,18 @@ type WireQuery struct {
 	NameWire []byte
 }
 
+// typeOPT is the type of the EDNS(0) OPT pseudo-record (RFC 6891 §6.1).
+const typeOPT Type = 41
+
 // ParseWireQuery validates pkt as a plain query eligible for the wire
-// path. Anything unusual — responses, non-query opcodes, multiple
-// questions, extra sections (e.g. EDNS OPT), compressed or oversized
-// qnames, trailing bytes — returns ok == false so the caller falls back to
-// the full decoder.
+// path: one question with an uncompressed qname and no other records but
+// at most one EDNS OPT pseudo-record, as recursive resolvers attach: the
+// root as owner, type OPT, and RDATA that ends the packet. The OPT record
+// is not read further; the decode path's reply carries no OPT either, so
+// a wire answer keeps that reply's bytes. Anything else — responses,
+// non-query opcodes, multiple questions, answer or authority records, any
+// other additional record, compressed or oversized qnames, trailing bytes
+// — returns ok == false so the caller falls back to the full decoder.
 func ParseWireQuery(pkt []byte) (wq WireQuery, ok bool) {
 	if len(pkt) < 12 {
 		return WireQuery{}, false
@@ -35,7 +43,7 @@ func ParseWireQuery(pkt []byte) (wq WireQuery, ok bool) {
 	if binary.BigEndian.Uint16(pkt[4:]) != 1 {
 		return WireQuery{}, false
 	}
-	if pkt[6]|pkt[7]|pkt[8]|pkt[9]|pkt[10]|pkt[11] != 0 {
+	if pkt[6]|pkt[7]|pkt[8]|pkt[9]|pkt[10] != 0 || pkt[11] > 1 {
 		return WireQuery{}, false
 	}
 	off := 12
@@ -61,7 +69,10 @@ func ParseWireQuery(pkt []byte) (wq WireQuery, ok bool) {
 		}
 		off += 1 + l
 	}
-	if off+4 != len(pkt) {
+	if off+4 > len(pkt) {
+		return WireQuery{}, false
+	}
+	if rest := pkt[off+4:]; pkt[11] == 0 && len(rest) > 0 || pkt[11] == 1 && !isOPT(rest) {
 		return WireQuery{}, false
 	}
 	return WireQuery{
@@ -71,6 +82,13 @@ func ParseWireQuery(pkt []byte) (wq WireQuery, ok bool) {
 		Class:            Class(binary.BigEndian.Uint16(pkt[off+2:])),
 		NameWire:         pkt[12:off],
 	}, true
+}
+
+// isOPT reports whether rr is exactly one OPT pseudo-record: the root as
+// owner, type OPT, class, TTL, and an RDATA length that ends it.
+func isOPT(rr []byte) bool {
+	return len(rr) >= 11 && rr[0] == 0 && Type(binary.BigEndian.Uint16(rr[1:])) == typeOPT &&
+		11+int(binary.BigEndian.Uint16(rr[9:])) == len(rr)
 }
 
 // WireNameHasSuffix reports whether the uncompressed wire-encoded name

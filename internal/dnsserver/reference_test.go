@@ -156,14 +156,21 @@ func checkAgainstReference(t testing.TB, z *ZoneSet, ref *refZone, pkt []byte) b
 	return wire
 }
 
-// zoneOf builds a ZoneSet and its reference from the same records.
-func zoneOf(t testing.TB, rrs ...dnsmsg.Record) (*ZoneSet, *refZone) {
+// zoneOf builds a ZoneSet and its reference from the same records. The
+// ZoneSet takes them in batches: one Add for all of them, or, when cut is
+// not nil, a new Add at each record i > 0 for which cut(i) is true.
+func zoneOf(t testing.TB, cut func(i int) bool, rrs ...dnsmsg.Record) (*ZoneSet, *refZone) {
 	t.Helper()
 	z := NewZoneSet()
-	for _, r := range rrs {
-		if err := z.Add(r); err != nil {
+	start := 0
+	for i := 1; i <= len(rrs); i++ {
+		if i < len(rrs) && (cut == nil || !cut(i)) {
+			continue
+		}
+		if err := z.Add(rrs[start:i]...); err != nil {
 			t.Fatal(err)
 		}
+		start = i
 	}
 	return z, newRefZone(rrs...)
 }
@@ -291,8 +298,9 @@ $ORIGIN .
 // master file with CNAME chains and a root SOA, and an owner whose answer
 // exceeds 512 bytes (TC over UDP, whole over TCP). It asks every query
 // type and qtype ANY, in the classes IN, ANY and CH (CH is declined by
-// the wire path and refused on the decode path), and a query carrying an
-// additional record, which only the decode path answers.
+// the wire path and refused on the decode path), each also with an EDNS
+// OPT record, which the wire path answers as it answers the plain query,
+// and with an additional A record, which only the decode path answers.
 func TestWireAnswersMatchReference(t *testing.T) {
 	chain, err := ParseZoneString(masterCNAMEChain)
 	if err != nil {
@@ -312,7 +320,7 @@ func TestWireAnswersMatchReference(t *testing.T) {
 		{"over 512 bytes", append(newTestZone().records(t), big...)},
 	} {
 		t.Run(zone.name, func(t *testing.T) {
-			z, ref := zoneOf(t, zone.recs...)
+			z, ref := zoneOf(t, nil, zone.recs...)
 			var owners []dnsmsg.Name
 			for _, r := range zone.recs {
 				owners = append(owners, r.Name)
@@ -331,10 +339,14 @@ func TestWireAnswersMatchReference(t *testing.T) {
 							if wire := checkAgainstReference(t, z, ref, pkt); wire != (class != 3) {
 								t.Fatalf("%s %s class %d: wire path answered = %v", n, typ, class, wire)
 							}
-							pkt[11] = 1 // an additional record: an empty-owner OPT
-							pkt = append(pkt, 0, 0, 41, 2, 0, 0, 0, 0, 0, 0, 0)
-							if checkAgainstReference(t, z, ref, pkt) {
-								t.Fatalf("%s %s: the wire path answered a query with an additional record", n, typ)
+							pkt[11] = 1 // an additional record
+							opt := append(pkt[:len(pkt):len(pkt)], 0, 0, 41, 2, 0, 0, 0, 0, 0, 0, 0)
+							if wire := checkAgainstReference(t, z, ref, opt); wire != (class != 3) {
+								t.Fatalf("%s %s class %d with OPT: wire path answered = %v", n, typ, class, wire)
+							}
+							a := append(pkt[:len(pkt):len(pkt)], 0, 0, 1, 0, 1, 0, 0, 0, 60, 0, 4, 192, 0, 2, 1)
+							if checkAgainstReference(t, z, ref, a) {
+								t.Fatalf("%s %s: the wire path answered a query with an additional A record", n, typ)
 							}
 						}
 					}
@@ -342,7 +354,7 @@ func TestWireAnswersMatchReference(t *testing.T) {
 			}
 		})
 	}
-	z, _ := zoneOf(t, big...)
+	z, _ := zoneOf(t, nil, big...)
 	if got := sent(t, &Server{Handler: z}, packQuery(t, 1, "big.example.com", dnsmsg.TypeTXT), true); got[2]&0x02 == 0 {
 		t.Error("an answer over 512 bytes went out over UDP without TC")
 	}
@@ -389,20 +401,54 @@ func (d *zoneDraw) record() dnsmsg.Record {
 	return r
 }
 
-// FuzzZoneAnswer draws a small zone and a query from its input and checks
-// the server's answer against the reference on both transports.
+// appendOPT draws an additional record for a query from d: none, an EDNS
+// OPT record with drawn options, which the wire path answers, or one the
+// wire path leaves to the decoder (an OPT below the root or with a byte
+// after it, or an A record at the root). It returns the query and
+// whether the wire path may answer it.
+func (d *zoneDraw) appendOPT(pkt []byte) ([]byte, bool) {
+	kind := d.byte() % 5
+	if kind == 0 {
+		return pkt, true
+	}
+	pkt[11] = 1
+	if kind == 4 {
+		return append(pkt, 0, 0, 1, 0, 1, 0, 0, 0, 60, 0, 4, 192, 0, 2, d.byte()), false
+	}
+	if kind == 2 {
+		pkt = append(pkt, 1, 'x')
+	}
+	pkt = append(pkt, 0, 0, 41, d.byte(), d.byte(), d.byte(), 0, d.byte()&0x80, 0)
+	opts := make([]byte, int(d.byte())%12)
+	for i := range opts {
+		opts[i] = d.byte()
+	}
+	pkt = append(append(pkt, 0, byte(len(opts))), opts...)
+	if kind == 3 {
+		return append(pkt, 0), false
+	}
+	return pkt, kind == 1
+}
+
+// FuzzZoneAnswer draws a small zone, the batches the ZoneSet takes it in,
+// and a query, optionally with an EDNS OPT record or another additional
+// record, from its input, and checks the server's answer against the
+// reference on both transports and that the wire path answers what it
+// should.
 func FuzzZoneAnswer(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 0, 7, 1, 1, 2, 1, 0, 4, 3, 1, 4, 3, 0, 0, 0, 1, 0})
 	f.Add([]byte{4, 2, 1, 4, 3, 3, 1, 4, 2, 4, 1, 1, 1, 0, 9, 2, 1, 1})
 	f.Add(bytes.Repeat([]byte{8, 1, 250, 3, 200}, 6))
+	// A CNAME chase in a zone taken in two batches, asked with an OPT
+	// record that carries an option.
+	f.Add([]byte{3, 1, 3, 7, 2, 0, 3, 4, 1, 4, 3, 1, 1, 1, 6, 4, 0, 5, 0, 0, 0, 2, 1, 16, 0, 0, 128, 4, 0, 10, 0, 0})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		d := &zoneDraw{b: in}
 		rrs := make([]dnsmsg.Record, int(d.byte())%9)
 		for i := range rrs {
 			rrs[i] = d.record()
 		}
-		z, ref := zoneOf(t, rrs...)
 		qname := d.name()
 		if flip := d.byte(); flip%3 == 1 {
 			qname = spellings(t, qname)[2]
@@ -412,10 +458,16 @@ func FuzzZoneAnswer(f *testing.F) {
 		q := dnsmsg.NewQuery(uint16(d.byte()), qname, allQueryTypes[int(d.byte())%len(allQueryTypes)])
 		q.Header.RecursionDesired = d.byte()%2 == 0
 		q.Questions[0].Class = []dnsmsg.Class{dnsmsg.ClassIN, dnsmsg.ClassANY, 3}[int(d.byte())%3]
+		cuts := d.byte()
+		z, ref := zoneOf(t, func(i int) bool { return cuts>>(i-1)&1 == 1 }, rrs...)
 		pkt, err := q.Pack()
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkAgainstReference(t, z, ref, pkt)
+		pkt, wire := d.appendOPT(pkt)
+		wire = wire && q.Questions[0].Class != 3
+		if got := checkAgainstReference(t, z, ref, pkt); got != wire {
+			t.Fatalf("the wire path answered %v, want %v, for %x", got, wire, pkt)
+		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -454,28 +455,208 @@ func TestZoneAddRefusesUnencodableRecords(t *testing.T) {
 	}
 }
 
+// txtAt returns the TXT record AddTXT adds at owner.
+func txtAt(owner, s string) dnsmsg.Record { return TXTRecord(name(owner), s) }
+
+// txts returns the texts of the TXT records z answers for owner, in
+// answer order.
+func txts(t *testing.T, z *ZoneSet, owner string) []string {
+	t.Helper()
+	rrs, _ := z.Lookup(name(owner), dnsmsg.TypeTXT)
+	var out []string
+	for _, rr := range rrs {
+		out = append(out, rr.Data.(dnsmsg.TXT).Joined())
+	}
+	return out
+}
+
+// TestZoneAddBatches: a batch keeps each owner's records in call order
+// after those earlier Adds stored for it, for an owner that recurs after
+// another (a, b, a) and for spellings of one owner that differ in case,
+// and every answer equals the reference's.
+func TestZoneAddBatches(t *testing.T) {
+	first := []dnsmsg.Record{txtAt("a.example", "a1"), txtAt("b.example", "b1")}
+	second := []dnsmsg.Record{
+		txtAt("a.example", "a2"), txtAt("B.EXAMPLE", "b2"), txtAt("b.Example", "b3"),
+		txtAt("a.example", "a3"), txtAt("c.example", "c1"), txtAt("A.example", "a4"),
+	}
+	z := NewZoneSet()
+	for _, batch := range [][]dnsmsg.Record{first, second} {
+		if err := z.Add(batch...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for owner, want := range map[string][]string{
+		"a.example": {"a1", "a2", "a3", "a4"},
+		"B.example": {"b1", "b2", "b3"},
+		"c.example": {"c1"},
+	} {
+		if got := txts(t, z, owner); !slices.Equal(got, want) {
+			t.Errorf("%s answers %q, want %q", owner, got, want)
+		}
+	}
+	ref := newRefZone(append(first, second...)...)
+	for _, owner := range []string{"a.example", "b.example", "C.EXAMPLE", "d.example"} {
+		for _, typ := range allQueryTypes {
+			checkAgainstReference(t, z, ref, packQuery(t, 1, owner, typ))
+		}
+	}
+}
+
+// TestZoneAddRefusesWholeBatch: one unencodable record refuses its whole
+// batch. Add returns the error naming that record's owner, and the zone
+// keeps nothing of the batch, not even the valid records before it.
+func TestZoneAddRefusesWholeBatch(t *testing.T) {
+	z := newTestZone()
+	want, _, _ := ZoneDigest(z)
+	err := z.Add(
+		txtAt("example.com", "before"),
+		txtAt("new.example.com", "before"),
+		dnsmsg.Record{Name: name("Bad.Example.com"), Class: dnsmsg.ClassIN, Data: dnsmsg.A{Addr: netip.MustParseAddr("2001:db8::1")}},
+		txtAt("after.example.com", "after"),
+	)
+	if err == nil || !strings.Contains(err.Error(), "Bad.Example.com.") {
+		t.Errorf("Add of a batch with an A record holding an IPv6 address = %v, want an error naming Bad.Example.com.", err)
+	}
+	if got, _, _ := ZoneDigest(z); got != want {
+		t.Error("a refused batch changed the zone")
+	}
+	if got := txts(t, z, "example.com"); len(got) != 1 {
+		t.Errorf("example.com answers %q after a refused batch", got)
+	}
+}
+
+// TestZoneConcurrentBatches has writers Add batches to one ZoneSet while
+// readers ask for their owners through a server on both transports. Each
+// batch gives its owner three records in two runs, the second spelled in
+// another case, around a record of another owner; the zone takes a batch
+// under one lock, so every answer must carry whole batches of its owner's
+// records, in the order they were added. Run it with -race.
+func TestZoneConcurrentBatches(t *testing.T) {
+	z := newTestZone()
+	s := &Server{Handler: z}
+	const writers, batches = 4, 40
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		owner := fmt.Sprintf("w%d.example.com", w)
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < batches; i++ {
+				if err := z.Add(
+					txtAt(owner, fmt.Sprintf("n%d", 3*i)),
+					txtAt("other."+owner, fmt.Sprintf("o%d", i)),
+					txtAt(owner, fmt.Sprintf("n%d", 3*i+1)),
+					txtAt(strings.ToUpper(owner), fmt.Sprintf("n%d", 3*i+2)),
+				); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			pkt := packQuery(t, uint16(w), owner, dnsmsg.TypeTXT)
+			for i := 0; i < batches; i++ {
+				for _, udp := range []bool{true, false} {
+					out := sent(t, s, pkt, udp)
+					if udp && out[2]&0x02 != 0 {
+						continue // truncated: the TCP answer carries the records
+					}
+					m, err := dnsmsg.Unpack(out)
+					if err != nil {
+						t.Errorf("answer does not decode: %v", err)
+						return
+					}
+					if len(m.Answers)%3 != 0 {
+						t.Errorf("%s answer carries %d records, not whole batches", owner, len(m.Answers))
+						return
+					}
+					for j, rr := range m.Answers {
+						if got := rr.Data.(dnsmsg.TXT).Joined(); got != fmt.Sprintf("n%d", j) {
+							t.Errorf("%s answer %d is %q", owner, j, got)
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestEDNSQueriesAnswerAsTheDecodePath: a query carrying an EDNS OPT
+// record, with options or without, takes the wire path and gets, over
+// UDP and TCP, the bytes the decode path sends for it, an answer over 512
+// bytes cut to its question with TC set over UDP included: the decode
+// path's reply carries no OPT either.
+func TestEDNSQueriesAnswerAsTheDecodePath(t *testing.T) {
+	z := newTestZone()
+	for i := 0; i < 8; i++ {
+		if err := z.AddTXT(name("big.example.com"), strings.Repeat(string(rune('a'+i)), 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wire := &Server{Handler: NewMux(z)}
+	dec := &Server{Handler: HandlerFunc(z.ServeDNS)}
+	for _, q := range []struct {
+		qname string
+		typ   dnsmsg.Type
+	}{
+		{"_dmarc.example.com", dnsmsg.TypeTXT}, // NXDOMAIN with the SOA
+		{"Example.com", dnsmsg.TypeTXT},
+		{"www.example.com", dnsmsg.TypeA}, // CNAME chase
+		{"big.example.com", dnsmsg.TypeTXT},
+	} {
+		plain := packQuery(t, 0x0D0D, q.qname, q.typ)
+		for _, opt := range [][]byte{
+			{0, 0, 41, 0x10, 0, 0, 0, 0x80, 0, 0, 0},
+			{0, 0, 41, 0x04, 0xd0, 0, 0, 0, 0, 0, 12, 0, 10, 0, 8, 1, 2, 3, 4, 5, 6, 7, 8},
+		} {
+			pkt := append(append([]byte(nil), plain...), opt...)
+			pkt[11] = 1
+			if _, ok := wire.ServeQuery(nil, pkt, nil); !ok {
+				t.Errorf("%s %s with OPT: the wire path declined", q.qname, q.typ)
+			}
+			for _, udp := range []bool{true, false} {
+				got, want := sent(t, wire, pkt, udp), sent(t, dec, pkt, udp)
+				if !bytes.Equal(got, want) {
+					t.Errorf("udp=%v %s %s with OPT: wire path sends\n%x\ndecode path sends\n%x", udp, q.qname, q.typ, got, want)
+				}
+				if q.qname == "big.example.com" && udp != (got[2]&0x02 != 0) {
+					t.Errorf("udp=%v: an answer over 512 bytes has TC = %v", udp, got[2]&0x02 != 0)
+				}
+			}
+		}
+	}
+}
+
 // wireOnly answers on the wire path only: its decode path fails.
 type wireOnly struct{ *ZoneSet }
 
 func (wireOnly) ServeDNS(*dnsmsg.Message, net.Addr) *dnsmsg.Message { return nil }
 
 // TestServerTriesTheWirePathFirst: over UDP and TCP alike the server
-// answers a plain query on the wire path, and decodes only a query the
-// wire path declines (here one with an additional record, which then
-// gets the failing decode path's SERVFAIL).
+// answers a plain query, and one with an EDNS OPT record, on the wire
+// path, and decodes only a query the wire path declines (here one with an
+// additional A record, which then gets the failing decode path's
+// SERVFAIL).
 func TestServerTriesTheWirePathFirst(t *testing.T) {
 	s := &Server{Handler: wireOnly{newTestZone()}}
 	plain := packQuery(t, 1, "example.com", dnsmsg.TypeTXT)
-	extra := append(append([]byte(nil), plain...), 0, 0, 41, 2, 0, 0, 0, 0, 0, 0, 0)
+	opt := append(append([]byte(nil), plain...), 0, 0, 41, 2, 0, 0, 0, 0, 0, 0, 0)
+	opt[11] = 1
+	extra := append(append([]byte(nil), plain...), 0, 0, 1, 0, 1, 0, 0, 0, 60, 0, 4, 192, 0, 2, 1)
 	extra[11] = 1
 	for _, udp := range []bool{true, false} {
 		for _, tc := range []struct {
+			name  string
 			pkt   []byte
 			rcode dnsmsg.RCode
-		}{{plain, dnsmsg.RCodeNoError}, {extra, dnsmsg.RCodeServFail}} {
+		}{{"plain", plain, dnsmsg.RCodeNoError}, {"OPT", opt, dnsmsg.RCodeNoError}, {"additional A", extra, dnsmsg.RCodeServFail}} {
 			m, err := dnsmsg.Unpack(sent(t, s, tc.pkt, udp))
 			if err != nil || m.Header.RCode != tc.rcode {
-				t.Errorf("udp=%v, %d additional: got %v (%v), want rcode %s", udp, tc.pkt[11], m, err, tc.rcode)
+				t.Errorf("udp=%v, %s: got %v (%v), want rcode %s", udp, tc.name, m, err, tc.rcode)
 			}
 		}
 	}

@@ -1,8 +1,10 @@
 package dnsserver
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"net"
 	"net/netip"
 	"slices"
@@ -24,10 +26,12 @@ const maxCNAMEDepth = 4
 //
 // Each owner's records are one byte slice, in the uncompressed wire form
 // dnsmsg.AppendRecord writes, keyed by the owner's wire name with its
-// ASCII letters folded to lower case. A zone is then two heap objects per
-// owner for the collector to trace, and ServeWire answers a plain query by
-// copying the stored records into the response through dnsmsg's name
-// compressor, with nothing decoded and nothing built per query.
+// ASCII letters folded to lower case. A zone is then at most two heap
+// objects per owner for the collector to trace, its key and its bytes,
+// and the owners one Add stores share one allocation for their bytes.
+// ServeWire answers a plain query by copying the stored records into the
+// response through dnsmsg's name compressor, with nothing decoded and
+// nothing built per query.
 type ZoneSet struct {
 	mu     sync.RWMutex
 	owners map[string][]byte // guarded by mu
@@ -39,47 +43,115 @@ func NewZoneSet() *ZoneSet {
 	return &ZoneSet{owners: make(map[string][]byte)}
 }
 
-// Add stores r. A record that does not encode (an A record without an
-// IPv4 address, a TXT string over 255 bytes, or any other record
-// dnsmsg.AppendRecord refuses) is refused with that error, and nothing is
-// stored: it could never be served, and a stored one would fail every
-// answer that included it. The zone-file parser returns that error as its
-// line's error, and so it enforces the TXT wire bounds.
-func (z *ZoneSet) Add(r dnsmsg.Record) error {
+// Grow sizes the zone's owner map for n more owners, so a build that
+// knows its size in advance stores them without growing the map step by
+// step.
+func (z *ZoneSet) Grow(n int) {
 	z.mu.Lock()
 	defer z.mu.Unlock()
-	enc, err := dnsmsg.AppendRecord(z.enc[:0], r)
-	if err != nil {
-		return fmt.Errorf("dnsserver: zone refuses a record at %s: %w", r.Name, err)
+	owners := make(map[string][]byte, len(z.owners)+n)
+	maps.Copy(owners, z.owners)
+	z.owners = owners
+}
+
+// Add stores rrs, each owner's records in call order after those it
+// already has. A record that does not encode (an A record without an
+// IPv4 address, a TXT string over 255 bytes, or any other record
+// dnsmsg.AppendRecord refuses) refuses the whole call with that error,
+// and nothing from it is stored: such a record could never be served,
+// and a stored one would fail every answer that included it. The
+// zone-file parser adds one record per line and returns that error as
+// the line's error, and so it enforces the TXT wire bounds.
+//
+// Add takes the lock once and copies the encoded records into one
+// slice, so a batch costs one allocation for its bytes and one map write,
+// with a key, for each run of consecutive records whose owners fold to
+// the same name. A batch grouped by owner therefore pays per owner, not
+// per record.
+func (z *ZoneSet) Add(rrs ...dnsmsg.Record) error {
+	z.mu.Lock()
+	defer z.mu.Unlock()
+	enc := z.enc[:0]
+	for _, r := range rrs {
+		next, err := dnsmsg.AppendRecord(enc, r)
+		if err != nil {
+			return fmt.Errorf("dnsserver: zone refuses a record at %s: %w", r.Name, err)
+		}
+		enc = next
 	}
 	z.enc = enc
-	var kb [dnsmsg.MaxNameLen]byte
-	key := dnsmsg.AppendFoldedName(kb[:0], enc)
-	z.owners[string(key)] = slices.Concat(z.owners[string(key)], enc)
+	if len(enc) > 0 {
+		z.store(append(make([]byte, 0, len(enc)), enc...))
+	}
 	return nil
+}
+
+// store writes each run of consecutive records in b, records as
+// dnsmsg.AppendRecord writes them, whose owners fold to the same key to
+// the owner map: as a capacity-clipped subslice of b for a new owner, so
+// that no later append reaches a neighbour's bytes, and appended to the
+// records of an owner the zone has.
+//
+//spfail:locked z.mu
+func (z *ZoneSet) store(b []byte) {
+	var kb, nb [dnsmsg.MaxNameLen]byte
+	for start := 0; start < len(b); {
+		key := dnsmsg.AppendFoldedName(kb[:0], b[start:])
+		end := start
+		for end < len(b) {
+			_, _, _, rest := dnsmsg.SplitRecord(b[end:])
+			end = len(b) - len(rest)
+			if len(rest) > 0 && !bytes.Equal(dnsmsg.AppendFoldedName(nb[:0], rest), key) {
+				break
+			}
+		}
+		run := b[start:end:end]
+		if old := z.owners[string(key)]; len(old) > 0 {
+			run = slices.Concat(old, run)
+		}
+		z.owners[string(key)] = run
+		start = end
+	}
 }
 
 // AddA is a convenience for adding an A or AAAA record for name.
 func (z *ZoneSet) AddA(name dnsmsg.Name, addr netip.Addr) error {
+	return z.Add(AddrRecord(name, addr))
+}
+
+// AddMX is a convenience for adding an MX record.
+func (z *ZoneSet) AddMX(name dnsmsg.Name, pref uint16, host dnsmsg.Name) error {
+	return z.Add(MXRecord(name, pref, host))
+}
+
+// AddTXT is a convenience for adding a TXT record, splitting long strings.
+func (z *ZoneSet) AddTXT(name dnsmsg.Name, text string) error {
+	return z.Add(TXTRecord(name, text))
+}
+
+// AddrRecord returns the record AddA adds: an IN-class A record for an
+// IPv4 address, else an AAAA record, with a TTL of 300 seconds.
+func AddrRecord(name dnsmsg.Name, addr netip.Addr) dnsmsg.Record {
 	var data dnsmsg.RData
 	if addr.Is4() {
 		data = dnsmsg.A{Addr: addr}
 	} else {
 		data = dnsmsg.AAAA{Addr: addr}
 	}
-	return z.Add(dnsmsg.Record{Name: name, Class: dnsmsg.ClassIN, TTL: 300, Data: data})
+	return dnsmsg.Record{Name: name, Class: dnsmsg.ClassIN, TTL: 300, Data: data}
 }
 
-// AddMX is a convenience for adding an MX record.
-func (z *ZoneSet) AddMX(name dnsmsg.Name, pref uint16, host dnsmsg.Name) error {
-	return z.Add(dnsmsg.Record{Name: name, Class: dnsmsg.ClassIN, TTL: 300,
-		Data: dnsmsg.MX{Preference: pref, Host: host}})
+// MXRecord returns the record AddMX adds.
+func MXRecord(name dnsmsg.Name, pref uint16, host dnsmsg.Name) dnsmsg.Record {
+	return dnsmsg.Record{Name: name, Class: dnsmsg.ClassIN, TTL: 300,
+		Data: dnsmsg.MX{Preference: pref, Host: host}}
 }
 
-// AddTXT is a convenience for adding a TXT record, splitting long strings.
-func (z *ZoneSet) AddTXT(name dnsmsg.Name, text string) error {
-	return z.Add(dnsmsg.Record{Name: name, Class: dnsmsg.ClassIN, TTL: 300,
-		Data: dnsmsg.SplitTXT(text)})
+// TXTRecord returns the record AddTXT adds, text split into strings of
+// at most 255 bytes.
+func TXTRecord(name dnsmsg.Name, text string) dnsmsg.Record {
+	return dnsmsg.Record{Name: name, Class: dnsmsg.ClassIN, TTL: 300,
+		Data: dnsmsg.SplitTXT(text)}
 }
 
 // ServeWire implements WireHandler. It answers every plain IN- or

@@ -15,12 +15,15 @@ import (
 // fabric: dial a UDP endpoint, write a query, let the server read it and
 // reply, read the reply under a deadline, close. An endpoint that
 // preallocates for traffic it never receives, or a read that makes a timer
-// of its own, shows here. An exchange measured 576 B in 6 allocations:
+// of its own, shows here. An exchange measured 560 B in 5 allocations:
 // the endpoint, its address boxed once as a net.Addr, its connected
-// wrapper and inbox ring, and the copies of the query and the reply. The
-// server's ReadFrom returns the dialed endpoint's box, so this test, which
-// dials for every exchange, pays for the box at the dial. The gates leave
-// about 15% headroom. Skipped under -race, which instruments allocation.
+// wrapper and inbox ring, and the copy of the reply. The server's
+// endpoint copies each query into the buffer it read the last one from,
+// so only the new endpoint's first datagram is a fresh copy. The
+// server's ReadFrom returns the dialed endpoint's box, so this test,
+// which dials for every exchange, pays for the box at the dial. The gates
+// leave about 15% headroom on the bytes and one allocation. Skipped under
+// -race, which instruments allocation.
 func TestUDPExchangeAllocBytes(t *testing.T) {
 	f := NewFabric()
 	srv, err := f.Host("192.0.2.53").ListenPacket("udp", ":53")
@@ -69,16 +72,17 @@ func TestUDPExchangeAllocBytes(t *testing.T) {
 	if per >= 640 {
 		t.Errorf("one UDP dial+write+read+close allocates %d B, want < 640 B", per)
 	}
-	if allocs > 7 {
-		t.Errorf("one UDP dial+write+read+close makes %.1f allocations, want at most 7", allocs)
+	if allocs > 6 {
+		t.Errorf("one UDP dial+write+read+close makes %.1f allocations, want at most 6", allocs)
 	}
 }
 
 // TestKeptEndpointsExchangeAllocs: an exchange between two endpoints that
 // stay bound, as a DNS client's kept socket and a server's endpoint do,
-// allocates only the copies of the query and the reply. The server's
-// ReadFrom returns the sender's box and WriteTo takes it back unboxed, so
-// no datagram boxes an address. Skipped under -race, which instruments
+// allocates nothing. Each endpoint copies a datagram into the buffer it
+// read the last one from, the server's ReadFrom returns the sender's box
+// and WriteTo takes it back unboxed, so no datagram is copied into fresh
+// memory or boxes an address. Skipped under -race, which instruments
 // allocation.
 func TestKeptEndpointsExchangeAllocs(t *testing.T) {
 	f := NewFabric()
@@ -111,17 +115,18 @@ func TestKeptEndpointsExchangeAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	exchange() // grow both inbox rings once
-	if allocs := testing.AllocsPerRun(1000, exchange); allocs != 2 {
-		t.Errorf("an exchange between kept endpoints makes %.1f allocations, want 2: the query and reply copies", allocs)
+	exchange() // grow both inbox rings and make both spare buffers once
+	if allocs := testing.AllocsPerRun(1000, exchange); allocs != 0 {
+		t.Errorf("an exchange between kept endpoints makes %.1f allocations, want 0", allocs)
 	}
 }
 
 // TestRespondedExchangeAllocs: an exchange with an endpoint that has a
 // responder, as a kept DNS client socket has with the DNS server,
-// allocates only the reply's copy. The responder reads the query in the
-// sender's own buffer, and nothing waits in between. Skipped under -race,
-// which instruments allocation.
+// allocates nothing. The responder reads the query in the sender's own
+// buffer, nothing waits in between, and the client copies the reply into
+// the buffer it read the last one from. Skipped under -race, which
+// instruments allocation.
 func TestRespondedExchangeAllocs(t *testing.T) {
 	f := NewFabric()
 	srv, err := f.Host("192.0.2.53").ListenPacket("udp", ":53")
@@ -146,9 +151,9 @@ func TestRespondedExchangeAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	exchange() // grow the client's inbox ring once
-	if allocs := testing.AllocsPerRun(1000, exchange); allocs != 1 {
-		t.Errorf("an exchange with a responder makes %.1f allocations, want 1: the reply's copy", allocs)
+	exchange() // grow the client's inbox ring and make its spare buffer once
+	if allocs := testing.AllocsPerRun(1000, exchange); allocs != 0 {
+		t.Errorf("an exchange with a responder makes %.1f allocations, want 0", allocs)
 	}
 }
 

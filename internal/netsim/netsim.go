@@ -556,6 +556,11 @@ type fabricPacketConn struct {
 	inbox  []datagram // guarded by mu
 	head   int        // guarded by mu
 	queued int        // guarded by mu
+	// spare is a buffer a read has copied a datagram out of, which the
+	// next receive copies a datagram into, so an endpoint that reads each
+	// datagram before the next arrives, as a DNS client's kept socket
+	// does, copies into one buffer over and over.
+	spare []byte // guarded by mu
 	// respond, when set (Respond), answers each datagram in place of the
 	// inbox. calls counts its calls in flight; one is added only while
 	// the endpoint is open, so Close can wait them out.
@@ -564,8 +569,9 @@ type fabricPacketConn struct {
 }
 
 // receive hands d to the endpoint's responder, or appends a copy of it to
-// the inbox. It drops d when the endpoint is closed or its inbox already
-// holds inboxLimit datagrams. A queued datagram wakes one waiting reader:
+// the inbox, made in the endpoint's spare buffer when it has one. It drops
+// d when the endpoint is closed or its inbox already holds inboxLimit
+// datagrams. A queued datagram wakes one waiting reader:
 // a woken reader takes a queued datagram before it looks at its deadline,
 // so the datagram is never left behind while a reader waits.
 func (p *fabricPacketConn) receive(d datagram) {
@@ -584,7 +590,8 @@ func (p *fabricPacketConn) receive(d datagram) {
 	if p.queued == len(p.inbox) {
 		p.grow()
 	}
-	d.data = append([]byte(nil), d.data...)
+	d.data = append(p.spare[:0], d.data...)
+	p.spare = nil
 	p.inbox[(p.head+p.queued)&(len(p.inbox)-1)] = d
 	p.queued++
 	p.mu.Unlock()
@@ -624,8 +631,9 @@ func (p *fabricPacketConn) ReadFrom(b []byte) (int, net.Addr, error) {
 	return n, d.sender, nil
 }
 
-// read copies the oldest queued datagram into b and returns it, waiting
-// for one while the inbox is empty. The deadline is interpreted on the
+// read copies the oldest queued datagram into b and returns it without
+// its bytes, which become the endpoint's spare buffer, waiting for one
+// while the inbox is empty. The deadline is interpreted on the
 // fabric clock's timeline: the remaining budget is measured against the
 // fabric clock once, when the read starts, then waited out in wall time on
 // the endpoint's deadline timer. Fabric datagrams are delivered in real
@@ -649,7 +657,9 @@ func (p *fabricPacketConn) read(b []byte) (int, datagram, error) {
 			return 0, datagram{}, &net.OpError{Op: "read", Net: "udp", Addr: p.addr, Err: ErrClosed}
 		case p.queued > 0:
 			d := p.pop()
-			return copy(b, d.data), d, nil
+			n := copy(b, d.data)
+			p.spare, d.data = d.data, nil
+			return n, d, nil
 		case passed(at):
 			return 0, datagram{}, timeoutError{}
 		}
@@ -702,7 +712,7 @@ func (p *fabricPacketConn) Close() error {
 	p.mu.Lock()
 	if !p.closed {
 		p.closed = true
-		p.inbox, p.head, p.queued = nil, 0, 0
+		p.inbox, p.head, p.queued, p.spare = nil, 0, 0, nil
 		p.timer.stop()
 		p.f.mu.Lock()
 		delete(p.f.packet, p.addr)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -296,42 +297,67 @@ func (w *World) DomainsOn(addr netip.Addr) []*Domain {
 // domains), A records for the mail hosts themselves, an SOA per domain
 // for clean negative answers, and — for scenario domains — the apex SPF
 // TXT records, the _dmarc TXT record, and any extra pack-published
-// records. ZoneSet.Add refuses only a record that does not encode, and
-// every record here is built from parsed names, valid addresses and split
-// TXT strings, so the Add errors are dropped.
+// records.
+//
+// Each domain's records go to the zone in one ZoneSet.Add, grouped by
+// owner: the apex (SOA, then MX or address records, then SPF TXT), each
+// MX host's address, _dmarc, then the extra records in order. Every
+// owner gets its records in the order one Add per record gave it. The
+// owner map is sized once, for an upper bound on the owners. Add refuses
+// a whole batch when one record does not encode, and that cannot happen
+// here, so its errors are dropped: every name is the parsed apex, a child
+// of it (Name.Child checks the length) or a parsed extra owner, every
+// address is valid, and every TXT payload, split into 255-byte strings,
+// is far below the 65,535 bytes of RDATA a record can carry.
 func (w *World) BuildZones() *dnsserver.ZoneSet {
 	z := dnsserver.NewZoneSet()
+	owners := 0
 	for _, d := range w.Domains {
-		name, err := dnsmsg.ParseName(d.Name)
+		owners += 1 + len(d.Extra)
+		if d.HasMX {
+			owners += len(d.Hosts)
+		}
+		if d.DMARC != "" {
+			owners++
+		}
+	}
+	z.Grow(owners)
+	var rrs, hosts []dnsmsg.Record
+	for _, d := range w.Domains {
+		apex, err := dnsmsg.ParseName(d.Name)
 		if err != nil {
 			continue
 		}
-		z.Add(dnsmsg.Record{Name: name, Class: dnsmsg.ClassIN, TTL: 3600,
-			Data: dnsmsg.SOA{
-				MName:  dnsmsg.MustParseName("ns1." + d.Name),
-				RName:  dnsmsg.MustParseName("hostmaster." + d.Name),
-				Serial: 2021101100,
-			}})
-		if d.HasMX {
-			for i, a := range d.Hosts {
-				mx, err := dnsmsg.ParseName(fmt.Sprintf("mx%d.%s", i+1, d.Name))
-				if err != nil {
-					continue
-				}
-				z.AddMX(name, uint16(10*(i+1)), mx)
-				z.AddA(mx, a)
+		ns1, err := apex.Child("ns1")
+		if err != nil {
+			continue
+		}
+		hostmaster, err := apex.Child("hostmaster")
+		if err != nil {
+			continue
+		}
+		rrs = append(rrs[:0], dnsmsg.Record{Name: apex, Class: dnsmsg.ClassIN, TTL: 3600,
+			Data: dnsmsg.SOA{MName: ns1, RName: hostmaster, Serial: 2021101100}})
+		hosts = hosts[:0]
+		for i, a := range d.Hosts {
+			if !d.HasMX {
+				rrs = append(rrs, dnsserver.AddrRecord(apex, a))
+				continue
 			}
-		} else {
-			for _, a := range d.Hosts {
-				z.AddA(name, a)
+			mx, err := apex.Child(mxLabel(i))
+			if err != nil {
+				continue
 			}
+			rrs = append(rrs, dnsserver.MXRecord(apex, uint16(10*(i+1)), mx))
+			hosts = append(hosts, dnsserver.AddrRecord(mx, a))
 		}
 		for _, txt := range d.SPF {
-			z.AddTXT(name, txt)
+			rrs = append(rrs, dnsserver.TXTRecord(apex, txt))
 		}
+		rrs = append(rrs, hosts...)
 		if d.DMARC != "" {
-			if owner, err := dnsmsg.ParseName("_dmarc." + d.Name); err == nil {
-				z.AddTXT(owner, d.DMARC)
+			if owner, err := apex.Child("_dmarc"); err == nil {
+				rrs = append(rrs, dnsserver.TXTRecord(owner, d.DMARC))
 			}
 		}
 		for _, rr := range d.Extra {
@@ -340,14 +366,27 @@ func (w *World) BuildZones() *dnsserver.ZoneSet {
 				continue
 			}
 			if rr.TXT != "" {
-				z.AddTXT(owner, rr.TXT)
+				rrs = append(rrs, dnsserver.TXTRecord(owner, rr.TXT))
 			}
 			if rr.Addr.IsValid() {
-				z.AddA(owner, rr.Addr)
+				rrs = append(rrs, dnsserver.AddrRecord(owner, rr.Addr))
 			}
 		}
+		z.Add(rrs...)
 	}
 	return z
+}
+
+// mxLabels are the labels of a domain's first MX hosts.
+var mxLabels = [...]string{"mx1", "mx2", "mx3", "mx4", "mx5", "mx6", "mx7", "mx8"}
+
+// mxLabel returns the label of a domain's MX host i, counted from 0:
+// mx1, mx2, and so on.
+func mxLabel(i int) string {
+	if i < len(mxLabels) {
+		return mxLabels[i]
+	}
+	return "mx" + strconv.Itoa(i+1)
 }
 
 // HostManager instantiates mta.Hosts from HostSpecs on demand, applying
