@@ -166,8 +166,13 @@ func (o *Observation) DominantClass() BehaviorClass {
 	return best
 }
 
-// Classify analyses the queries recorded for a probe id.
+// Classify analyses the queries recorded for a probe id. A transaction
+// that logged no query, as every one that ends at a 421 banner, observed
+// nothing, and costs nothing to classify.
 func (c *Classifier) Classify(id, suite string, events []dnsserver.QueryEvent) Observation {
+	if len(events) == 0 {
+		return Observation{}
+	}
 	md, err := c.zone.MailDomain(id, suite)
 	if err != nil {
 		return Observation{}

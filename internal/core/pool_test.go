@@ -119,3 +119,20 @@ func TestLabelStreamResetMatchesFreshStream(t *testing.T) {
 		}
 	}
 }
+
+// TestClassifyWithoutQueriesAllocatesNothing: a transaction that logged no
+// query, as every one ending at a 421 banner, is classified without
+// building its mail domain, and observes nothing.
+func TestClassifyWithoutQueriesAllocatesNothing(t *testing.T) {
+	c := NewClassifier(&dnsserver.SPFTestZone{Base: dnsmsg.MustParseName("spf-test.dns-lab.org")})
+	var obs Observation
+	allocs := testing.AllocsPerRun(200, func() {
+		obs = c.Classify("x7k2", "s01", nil)
+	})
+	if allocs != 0 {
+		t.Errorf("Classify with no queries makes %.1f allocations, want 0", allocs)
+	}
+	if obs.PolicyFetched || obs.LivenessSeen || obs.Patterns != nil || obs.Classes != nil {
+		t.Errorf("Classify with no queries = %+v, want the zero Observation", obs)
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"net/netip"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"spfail/internal/clock"
@@ -80,6 +81,10 @@ type Client struct {
 	nextID uint16      // guarded by mu
 	idle   []udpSocket // sockets no exchange holds; guarded by mu
 	closed bool        // set by Close; guarded by mu
+
+	// lookups is the dns.client.lookups counter, looked up in Metrics by
+	// the first query and kept, so a query takes no registry lock.
+	lookups atomic.Pointer[telemetry.Counter]
 }
 
 // udpSocket is a UDP socket a Client keeps between exchanges, with the
@@ -196,7 +201,14 @@ func (c *Client) Query(ctx context.Context, name dnsmsg.Name, typ dnsmsg.Type) (
 // returns, its authority and additional sections are empty, and the
 // socket goes back to the idle list only after read returns.
 func (c *Client) query(ctx context.Context, name dnsmsg.Name, typ dnsmsg.Type, read func(*dnsmsg.Message)) (*dnsmsg.Message, error) {
-	c.Metrics.Counter("dns.client.lookups").Inc()
+	if c.Metrics != nil {
+		n := c.lookups.Load()
+		if n == nil {
+			n = c.Metrics.Counter("dns.client.lookups")
+			c.lookups.Store(n)
+		}
+		n.Inc()
+	}
 	start := c.clock().Now()
 	ctx, qsp := trace.StartSpan(ctx, "dns.query")
 	if qsp != nil {

@@ -233,6 +233,8 @@ type loseFirstQuery struct{ dropped atomic.Bool }
 
 func (*loseFirstQuery) DialTCP(src, dst netsim.Addr) netsim.DialFault { return netsim.DialFault{} }
 
+func (*loseFirstQuery) DropsDatagrams() bool { return true }
+
 func (l *loseFirstQuery) Datagram(from, to netsim.Addr, payload []byte) ([]byte, netsim.DatagramVerdict) {
 	if to.Port == 53 && l.dropped.CompareAndSwap(false, true) {
 		return nil, netsim.VerdictDrop

@@ -87,3 +87,17 @@ func TestChildAllocatesOnce(t *testing.T) {
 		t.Errorf("Child makes %.1f allocations, want 1", allocs)
 	}
 }
+
+// TestPrependAllocatesOnce: Prepend builds the label slice once, whatever
+// the number of labels it puts in front.
+func TestPrependAllocatesOnce(t *testing.T) {
+	base := MustParseName("spf-test.dns-lab.org")
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := base.Prepend("x7k2", "s01"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("Prepend makes %.1f allocations, want 1", allocs)
+	}
+}

@@ -184,12 +184,15 @@ func (n Name) Parent() Name {
 	return Name{labels: n.labels[1:]}
 }
 
-// Child returns label + "." + n, validating limits. The new label slice
-// is the child's own, so it is validated in place rather than copied.
-func (n Name) Child(label string) (Name, error) {
-	c := Name{labels: make([]string, 1+len(n.labels))}
-	c.labels[0] = label
-	copy(c.labels[1:], n.labels)
+// Child returns label + "." + n, validating limits.
+func (n Name) Child(label string) (Name, error) { return n.Prepend(label) }
+
+// Prepend returns the name whose labels are labels followed by n's,
+// validating limits. The new label slice is the name's own, so it is
+// validated in place rather than copied: one allocation in all.
+func (n Name) Prepend(labels ...string) (Name, error) {
+	c := Name{labels: make([]string, len(labels)+len(n.labels))}
+	copy(c.labels[copy(c.labels, labels):], n.labels)
 	if err := c.validate(); err != nil {
 		return Name{}, err
 	}

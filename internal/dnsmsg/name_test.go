@@ -151,6 +151,15 @@ func TestNameParentChildTLD(t *testing.T) {
 			t.Errorf("Child(%d-byte label) = %v, %v; want the root and %v", len(tc.label), c, err, tc.want)
 		}
 	}
+	if c, err := MustParseName("example.com").Prepend("a", "mail"); err != nil || c.String() != "a.mail.example.com." {
+		t.Errorf("Prepend = %v, %v", c, err)
+	}
+	if c, err := (Name{}).Prepend("example", "com"); err != nil || c.String() != "example.com." {
+		t.Errorf("Prepend onto the root = %v, %v", c, err)
+	}
+	if c, err := n.Prepend("ok", ""); err != ErrEmptyLabel || !c.IsRoot() {
+		t.Errorf("Prepend of an empty label = %v, %v; want the root and %v", c, err, ErrEmptyLabel)
+	}
 	if !(Name{}).Parent().IsRoot() {
 		t.Error("parent of root should be root")
 	}

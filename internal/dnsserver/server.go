@@ -14,6 +14,7 @@ import (
 	"net"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"spfail/internal/dnsmsg"
@@ -80,6 +81,11 @@ type Server struct {
 	wg      sync.WaitGroup
 	run     bool
 	unwatch func() bool // guarded by mu; deregisters Start's context.AfterFunc
+
+	// queries and qtypes are the per-query counters (countQuery), looked
+	// up in Metrics on first use and kept.
+	queries atomic.Pointer[telemetry.Counter]
+	qtypes  [len(countedQtypes)]atomic.Pointer[telemetry.Counter]
 }
 
 // Start begins serving on both transports. It returns once listeners are
@@ -255,9 +261,7 @@ func (s *Server) ServeQuery(dst []byte, pkt []byte, from net.Addr) ([]byte, bool
 	if !ok {
 		return dst, false
 	}
-	s.Metrics.Counter("dns.server.queries").Inc()
-	//spfail:allow metricnames qtypeCounterName mints only constants from the documented dns.server.qtype.<TYPE> family
-	s.Metrics.Counter(qtypeCounterName(wq.Type)).Inc()
+	s.countQuery(wq.Type)
 	rcode := dnsmsg.RCode(out[len(dst)+3] & 0xF)
 	if rcode == dnsmsg.RCodeServFail {
 		s.Metrics.Counter("dns.server.servfail").Inc()
@@ -280,31 +284,51 @@ func (s *Server) ServeQuery(dst []byte, pkt []byte, from net.Addr) ([]byte, bool
 	return out, true
 }
 
-// qtypeCounterName returns the per-qtype counter name without allocating
-// for the types the probing stack actually queries.
-func qtypeCounterName(t dnsmsg.Type) string {
-	switch t {
-	case dnsmsg.TypeA:
-		return "dns.server.qtype.A"
-	case dnsmsg.TypeAAAA:
-		return "dns.server.qtype.AAAA"
-	case dnsmsg.TypeMX:
-		return "dns.server.qtype.MX"
-	case dnsmsg.TypeTXT:
-		return "dns.server.qtype.TXT"
-	case dnsmsg.TypeNS:
-		return "dns.server.qtype.NS"
-	case dnsmsg.TypeSOA:
-		return "dns.server.qtype.SOA"
-	case dnsmsg.TypePTR:
-		return "dns.server.qtype.PTR"
-	case dnsmsg.TypeCNAME:
-		return "dns.server.qtype.CNAME"
-	case dnsmsg.TypeANY:
-		return "dns.server.qtype.ANY"
-	default:
-		return "dns.server.qtype." + t.String()
+// countedQtypes are the query types the probing stack asks, with their
+// dns.server.qtype.<TYPE> counter names; each has a slot in Server.qtypes.
+var countedQtypes = [...]struct {
+	t    dnsmsg.Type
+	name string
+}{
+	{dnsmsg.TypeA, "dns.server.qtype.A"},
+	{dnsmsg.TypeAAAA, "dns.server.qtype.AAAA"},
+	{dnsmsg.TypeMX, "dns.server.qtype.MX"},
+	{dnsmsg.TypeTXT, "dns.server.qtype.TXT"},
+	{dnsmsg.TypeNS, "dns.server.qtype.NS"},
+	{dnsmsg.TypeSOA, "dns.server.qtype.SOA"},
+	{dnsmsg.TypePTR, "dns.server.qtype.PTR"},
+	{dnsmsg.TypeCNAME, "dns.server.qtype.CNAME"},
+	{dnsmsg.TypeANY, "dns.server.qtype.ANY"},
+}
+
+// countQuery counts one query of type t in dns.server.queries and its
+// qtype counter. Each counter is looked up in Metrics on first use and
+// kept, so a query takes no registry lock; a type outside countedQtypes
+// has its counter looked up by name each time.
+func (s *Server) countQuery(t dnsmsg.Type) {
+	if s.Metrics == nil {
+		return
 	}
+	q := s.queries.Load()
+	if q == nil {
+		q = s.Metrics.Counter("dns.server.queries")
+		s.queries.Store(q)
+	}
+	q.Inc()
+	for i := range countedQtypes {
+		if countedQtypes[i].t != t {
+			continue
+		}
+		c := s.qtypes[i].Load()
+		if c == nil {
+			//spfail:allow metricnames countedQtypes holds only constants from the documented dns.server.qtype.<TYPE> family
+			c = s.Metrics.Counter(countedQtypes[i].name)
+			s.qtypes[i].Store(c)
+		}
+		c.Inc()
+		return
+	}
+	s.Metrics.Counter("dns.server.qtype." + t.String()).Inc()
 }
 
 // serveTCP serves each connection on its own goroutine, which answers on
@@ -373,9 +397,7 @@ func (s *Server) respond(d *dnsmsg.Decoder, pkt []byte, from net.Addr) *dnsmsg.M
 		r.Header.RCode = dnsmsg.RCodeNotImp
 		return r
 	}
-	s.Metrics.Counter("dns.server.queries").Inc()
-	//spfail:allow metricnames qtypeCounterName mints only constants from the documented dns.server.qtype.<TYPE> family
-	s.Metrics.Counter(qtypeCounterName(q.Questions[0].Type)).Inc()
+	s.countQuery(q.Questions[0].Type)
 	resp := s.Handler.ServeDNS(q, from)
 	if resp == nil {
 		resp = q.Reply()

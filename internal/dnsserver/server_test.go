@@ -495,6 +495,20 @@ func TestLoggedQnameOutlivesTheNextDecode(t *testing.T) {
 	}
 }
 
+// TestMailDomainAllocatesOnce: a probe's mail domain is one label slice,
+// built once.
+func TestMailDomainAllocatesOnce(t *testing.T) {
+	z := &SPFTestZone{Base: name("spf-test.dns-lab.org")}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := z.MailDomain("x7k2", "s01"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("MailDomain makes %.1f allocations, want 1", allocs)
+	}
+}
+
 func TestSPFTestZonePolicy(t *testing.T) {
 	z := &SPFTestZone{
 		Base:  name("spf-test.dns-lab.org"),

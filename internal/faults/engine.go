@@ -196,6 +196,18 @@ func (e *Engine) DialTCP(src, dst netsim.Addr) netsim.DialFault {
 	return f
 }
 
+// DropsDatagrams implements netsim.FaultInjector: a plan with a drop-udp
+// or dns-timeout rule can drop a datagram, whatever its selectors, rate
+// or burst.
+func (e *Engine) DropsDatagrams() bool {
+	for _, r := range e.plan.Rules {
+		if r.Kind == KindDropUDP || r.Kind == KindDNSTimeout {
+			return true
+		}
+	}
+	return false
+}
+
 // Datagram implements netsim.FaultInjector. The subject host is the
 // non-DNS endpoint (the MTA or probe doing the lookup), whose traffic is
 // sequential and therefore safe to count; keying on the shared DNS server

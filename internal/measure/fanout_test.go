@@ -30,6 +30,8 @@ type queryRecorder struct {
 
 func (q *queryRecorder) DialTCP(src, dst netsim.Addr) netsim.DialFault { return netsim.DialFault{} }
 
+func (q *queryRecorder) DropsDatagrams() bool { return false }
+
 // take returns the names recorded so far and starts a new list.
 func (q *queryRecorder) take() []string {
 	q.mu.Lock()

@@ -357,16 +357,31 @@ type ResolverAdapter struct {
 	R *dnsclient.Resolver
 }
 
+// mapErr maps a dnsclient error onto the SPF engine's taxonomy: not
+// found, or temporary.
 func mapErr(err error) error {
 	switch {
 	case err == nil:
 		return nil
 	case errors.Is(err, dnsclient.ErrNotFound):
-		return fmt.Errorf("%w: %v", spf.ErrNotFound, err)
+		return &lookupError{kind: spf.ErrNotFound, err: err}
 	default:
-		return fmt.Errorf("%w: %v", spf.ErrTemporary, err)
+		return &lookupError{kind: spf.ErrTemporary, err: err}
 	}
 }
+
+// lookupError is a lookup failure in the SPF engine's taxonomy. It reads
+// and matches as fmt.Errorf("%w: %v", kind, err) would, and builds its
+// text only when asked: errors.Is sees kind and nothing under it, and
+// Error returns kind's text, ": " and err's.
+type lookupError struct {
+	kind error // spf.ErrNotFound or spf.ErrTemporary
+	err  error
+}
+
+func (e *lookupError) Error() string { return e.kind.Error() + ": " + e.err.Error() }
+
+func (e *lookupError) Unwrap() error { return e.kind }
 
 // LookupTXT implements spf.Resolver.
 func (a ResolverAdapter) LookupTXT(ctx context.Context, name string) ([]string, error) {

@@ -1,6 +1,10 @@
 package netsim
 
-import "time"
+import (
+	"time"
+
+	"spfail/internal/clock"
+)
 
 // deadlineTimer is the one wall-clock deadline timer of a fabric TCP
 // connection or UDP endpoint. Its owner's operations wait on condition
@@ -55,4 +59,17 @@ func (d *deadlineTimer) stop() {
 func passed(at time.Time) bool {
 	//spfail:allow wallclock deadlines run on the wall clock; see toWall
 	return !at.IsZero() && !time.Now().Before(at)
+}
+
+// toWall converts a deadline on clk, the fabric clock, to the wall clock
+// the deadline timers run on. The remaining budget (t minus clk's now) is
+// preserved; a virtual clock that later jumps forward cannot
+// retroactively shorten it, which is acceptable for the simulator's
+// politeness bounds.
+func toWall(clk clock.Clock, t time.Time) time.Time {
+	if t.IsZero() {
+		return t
+	}
+	//spfail:allow wallclock translating a virtual deadline onto the wall-clock timeline the deadline timers run on
+	return time.Now().Add(t.Sub(clk.Now()))
 }

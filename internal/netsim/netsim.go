@@ -18,7 +18,15 @@
 // endpoint with a responder (Respond) queues nothing: each datagram is
 // answered on the goroutine that sent it.
 //
-// A fabric TCP connection is one struct: both stream ends and the one lock
+// A fabric TCP connection to a listener that Serve attached a session
+// factory to runs its server side on the dialer's goroutine: the dial
+// opens the Session and buffers its greeting, each Write hands its bytes
+// to the session's Input and buffers the replies, and Read returns them.
+// There is no accept queue, no goroutine and no stream per connection,
+// and the conn's error values are a stream's. Serve declines on a fabric
+// whose fault injector drops datagrams, where a session keeps a goroutine
+// of its own so that its client can give up on it. Any other fabric TCP
+// connection is a stream, one struct: both stream ends and the one lock
 // they share. It keeps net.Pipe's synchronous semantics and error values,
 // so a Write lends its slice and returns once the peer has read all of it.
 // Each end waits on its own condition variable over that lock.
@@ -130,6 +138,10 @@ type FaultInjector interface {
 	// payload may be the sender's own buffer: read it during the call, and
 	// return new bytes rather than change it.
 	Datagram(from, to Addr, payload []byte) ([]byte, DatagramVerdict)
+	// DropsDatagrams reports whether Datagram can ever drop a datagram.
+	// On a fabric whose injector can, Serve declines: a server session
+	// there can wait out a lost DNS answer in wall time.
+	DropsDatagrams() bool
 }
 
 // Addr is a fabric address.
@@ -277,23 +289,17 @@ func (f *Fabric) dialTCP(ctx context.Context, srcIP, address string) (net.Conn, 
 	if l == nil {
 		return nil, &net.OpError{Op: "dial", Net: "tcp", Addr: raddr, Err: ErrRefused}
 	}
-	cli, srv := newStream(f.clock(), laddr, raddr)
-	var clientConn net.Conn = cli
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	conn, err := l.connect(ctx, laddr)
+	if err != nil {
+		return nil, err
+	}
 	if fault.ResetAfter > 0 {
-		clientConn = &resetConn{Conn: cli, remaining: fault.ResetAfter, raddr: raddr}
+		conn = &resetConn{Conn: conn, remaining: fault.ResetAfter, raddr: raddr}
 	}
-	select {
-	case l.ch <- srv:
-		return clientConn, nil
-	case <-l.done:
-		_ = cli.Close()
-		_ = srv.Close()
-		return nil, &net.OpError{Op: "dial", Net: "tcp", Addr: raddr, Err: ErrRefused}
-	case <-ctx.Done():
-		_ = cli.Close()
-		_ = srv.Close()
-		return nil, ctx.Err()
-	}
+	return conn, nil
 }
 
 // resetConn simulates a peer reset: after the dialer has read its byte
@@ -378,12 +384,7 @@ func (f *Fabric) listen(network, address string) (net.Listener, error) {
 	if _, ok := f.listeners[key]; ok {
 		return nil, &net.OpError{Op: "listen", Net: "tcp", Addr: addr, Err: ErrAddrInUse}
 	}
-	l := &fabricListener{
-		f:    f,
-		addr: addr,
-		ch:   make(chan net.Conn, 16),
-		done: make(chan struct{}),
-	}
+	l := &fabricListener{f: f, addr: addr}
 	f.listeners[key] = l
 	return l, nil
 }
@@ -479,38 +480,115 @@ func Respond(pc net.PacketConn, fn func(b []byte, from net.Addr)) bool {
 	return true
 }
 
-// fabricListener implements net.Listener on the fabric.
+// fabricListener implements net.Listener on the fabric. A listener that
+// Serve attached a session factory to serves each dial itself (servedConn);
+// any other hands each dial a stream through an accept queue, made by the
+// first Accept or dial that needs it.
 type fabricListener struct {
-	f       *Fabric
-	addr    Addr
-	ch      chan net.Conn
-	done    chan struct{}
-	closeMu sync.Mutex
-	closed  bool
+	f    *Fabric
+	addr Addr
+
+	mu     sync.Mutex
+	closed bool                   // guarded by mu
+	open   func(net.Addr) Session // set by Serve; guarded by mu
+	ch     chan net.Conn          // the accept queue; guarded by mu
+	done   chan struct{}          // made with ch, closed by Close; guarded by mu
+	calls  sync.WaitGroup         // Input and Abort calls in flight on served conns
+}
+
+// queue returns the accept queue and the channel Close closes, making
+// both on first use.
+//
+//spfail:locked l.mu
+func (l *fabricListener) queue() (chan net.Conn, chan struct{}) {
+	if l.ch == nil {
+		l.ch = make(chan net.Conn, 16)
+		l.done = make(chan struct{})
+		if l.closed {
+			close(l.done)
+		}
+	}
+	return l.ch, l.done
+}
+
+// enter counts one call into a served session, unless the listener has
+// closed, so Close can wait the calls out.
+func (l *fabricListener) enter() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return false
+	}
+	l.calls.Add(1)
+	return true
+}
+
+// connect connects a dial from laddr to the listener: to a session of its
+// own when the listener serves, else to a stream queued for Accept.
+func (l *fabricListener) connect(ctx context.Context, laddr Addr) (net.Conn, error) {
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return nil, l.refused()
+	}
+	if open := l.open; open != nil {
+		l.calls.Add(1)
+		l.mu.Unlock()
+		defer l.calls.Done()
+		return l.serve(open, laddr), nil
+	}
+	ch, done := l.queue()
+	l.mu.Unlock()
+	cli, srv := newStream(l.f.clock(), laddr, l.addr)
+	select {
+	case ch <- srv:
+		return cli, nil
+	case <-done:
+		_ = cli.Close()
+		_ = srv.Close()
+		return nil, l.refused()
+	case <-ctx.Done():
+		_ = cli.Close()
+		_ = srv.Close()
+		return nil, ctx.Err()
+	}
+}
+
+// refused is the error of a dial the listener refuses.
+func (l *fabricListener) refused() error {
+	return &net.OpError{Op: "dial", Net: "tcp", Addr: l.addr, Err: ErrRefused}
 }
 
 // Accept implements net.Listener.
 func (l *fabricListener) Accept() (net.Conn, error) {
+	l.mu.Lock()
+	ch, done := l.queue()
+	l.mu.Unlock()
 	select {
-	case c := <-l.ch:
+	case c := <-ch:
 		return c, nil
-	case <-l.done:
+	case <-done:
 		return nil, &net.OpError{Op: "accept", Net: "tcp", Addr: l.addr, Err: ErrClosed}
 	}
 }
 
-// Close implements net.Listener.
+// Close implements net.Listener. It refuses later dials, and Writes to the
+// conns it served, and returns once no Input or Abort call runs.
 func (l *fabricListener) Close() error {
-	l.closeMu.Lock()
-	defer l.closeMu.Unlock()
+	l.mu.Lock()
 	if l.closed {
+		l.mu.Unlock()
 		return nil
 	}
 	l.closed = true
 	l.f.mu.Lock()
 	delete(l.f.listeners, l.addr.String())
 	l.f.mu.Unlock()
-	close(l.done)
+	if l.done != nil {
+		close(l.done)
+	}
+	l.mu.Unlock()
+	l.calls.Wait()
 	return nil
 }
 

@@ -232,6 +232,8 @@ type dropDatagrams func(from, to Addr) bool
 
 func (dropDatagrams) DialTCP(src, dst Addr) DialFault { return DialFault{} }
 
+func (dropDatagrams) DropsDatagrams() bool { return true }
+
 func (d dropDatagrams) Datagram(from, to Addr, payload []byte) ([]byte, DatagramVerdict) {
 	if d(from, to) {
 		return nil, VerdictDrop
@@ -243,6 +245,8 @@ func (d dropDatagrams) Datagram(from, to Addr, payload []byte) ([]byte, Datagram
 type tarpitDials time.Duration
 
 func (d tarpitDials) DialTCP(src, dst Addr) DialFault { return DialFault{Delay: time.Duration(d)} }
+
+func (tarpitDials) DropsDatagrams() bool { return false }
 
 func (tarpitDials) Datagram(from, to Addr, payload []byte) ([]byte, DatagramVerdict) {
 	return nil, VerdictPass

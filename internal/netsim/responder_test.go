@@ -103,6 +103,8 @@ type scriptedVerdicts struct{}
 
 func (scriptedVerdicts) DialTCP(src, dst Addr) DialFault { return DialFault{} }
 
+func (scriptedVerdicts) DropsDatagrams() bool { return true }
+
 func (scriptedVerdicts) Datagram(from, to Addr, payload []byte) ([]byte, DatagramVerdict) {
 	if to.Port != 53 {
 		return nil, VerdictPass

@@ -206,7 +206,7 @@ func (c *streamConn) SetWriteDeadline(t time.Time) error { return c.setDeadlines
 // operations waiting on c, which check the new deadline and, when it moved
 // earlier than the armed timer, move the timer with it.
 func (c *streamConn) setDeadlines(t time.Time, read, write bool) error {
-	at := c.toWall(t)
+	at := toWall(c.s.clk, t)
 	s := c.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -221,18 +221,6 @@ func (c *streamConn) setDeadlines(t time.Time, read, write bool) error {
 	}
 	c.cond.Broadcast()
 	return nil
-}
-
-// toWall converts a deadline on the fabric clock to the wall clock the
-// deadline timers run on. The remaining budget (t minus virtual now) is
-// preserved; a virtual clock that later jumps forward cannot retroactively
-// shorten it, which is acceptable for the simulator's politeness bounds.
-func (c *streamConn) toWall(t time.Time) time.Time {
-	if t.IsZero() {
-		return t
-	}
-	//spfail:allow wallclock translating a virtual deadline onto the wall-clock timeline the deadline timers run on
-	return time.Now().Add(t.Sub(c.s.clk.Now()))
 }
 
 var _ net.Conn = (*streamConn)(nil)

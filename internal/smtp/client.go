@@ -9,6 +9,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"spfail/internal/clock"
@@ -29,7 +30,27 @@ type Client struct {
 	Metrics *telemetry.Registry
 	// Clk supplies time for I/O deadlines. Defaults to the real clock.
 	Clk clock.Clock
+
+	// failures holds each step's cmd_failures counter, looked up in
+	// Metrics on the step's first failure and kept.
+	failures [numSteps]atomic.Pointer[telemetry.Counter]
 }
+
+// step is a client step whose failures smtp.client.cmd_failures.<verb>
+// counts, the verb being its stepVerbs entry.
+type step uint8
+
+const (
+	stepBanner step = iota
+	stepHelo
+	stepMail
+	stepRcpt
+	stepData
+	stepMessage
+	numSteps
+)
+
+var stepVerbs = [numSteps]string{"banner", "helo", "mail", "rcpt", "data", "message"}
 
 func (c *Client) clock() clock.Clock {
 	if c.Clk != nil {
@@ -38,9 +59,19 @@ func (c *Client) clock() clock.Clock {
 	return clock.Real{}
 }
 
-// fail counts one failed client command.
-func (c *Client) fail(verb string) {
-	c.Metrics.Counter("smtp.client.cmd_failures." + verb).Inc()
+// fail counts one failed client command. Only a step's first failure
+// looks its counter up, so the others take no registry lock and build no
+// name.
+func (c *Client) fail(s step) {
+	if c.Metrics == nil {
+		return
+	}
+	ctr := c.failures[s].Load()
+	if ctr == nil {
+		ctr = c.Metrics.Counter("smtp.client.cmd_failures." + stepVerbs[s])
+		c.failures[s].Store(ctr)
+	}
+	ctr.Inc()
 }
 
 func (c *Client) ioTimeout() time.Duration {
@@ -51,13 +82,13 @@ func (c *Client) ioTimeout() time.Duration {
 }
 
 // Session buffer pools: probe campaigns open and tear down one short SMTP
-// session per transaction on each side, so the 4 KiB bufio buffers are
-// recycled instead of reallocated per session. Client and server sessions
-// share the pools: both take their buffers through getBuffers and return
-// them through putBuffers when the session ends (Close/Quit or a failed
-// Dial on the client, the end of serveConn on the server). putBuffers
-// resets them against nil first so a pooled buffer can never reach a
-// connection it no longer owns.
+// session per transaction, so the client's 4 KiB bufio buffers are
+// recycled instead of reallocated per session. A session takes its
+// buffers through getBuffers and returns them through putBuffers when it
+// ends (Close/Quit or a failed Dial). putBuffers resets them against nil
+// first so a pooled buffer can never reach a connection it no longer
+// owns. Server sessions buffer nothing of their own: the client's writes
+// hand them whole chunks of input (Input).
 var (
 	brPool = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
 	bwPool = sync.Pool{New: func() any { return bufio.NewWriter(nil) }}
@@ -135,14 +166,14 @@ func (c *Client) Dial(ctx context.Context, addr string) (*Conn, error) {
 	if err != nil {
 		_ = nc.Close()
 		conn.release()
-		c.fail("banner")
+		c.fail(stepBanner)
 		return nil, err
 	}
 	conn.Greet = *r
 	if !r.Positive() {
 		_ = nc.Close()
 		conn.release()
-		c.fail("banner")
+		c.fail(stepBanner)
 		return nil, &ReplyError{Reply: *r}
 	}
 	return conn, nil
@@ -184,17 +215,17 @@ func (co *Conn) Hello() error {
 	}
 	if err != nil {
 		if _, ok := err.(*ReplyError); !ok {
-			co.c.fail("helo")
+			co.c.fail(stepHelo)
 			return err
 		}
 	}
 	r, err = co.cmd("HELO %s", co.c.HELO)
 	if err != nil {
-		co.c.fail("helo")
+		co.c.fail(stepHelo)
 		return err
 	}
 	if !r.Positive() {
-		co.c.fail("helo")
+		co.c.fail(stepHelo)
 		return &ReplyError{Reply: *r}
 	}
 	return nil
@@ -202,32 +233,32 @@ func (co *Conn) Hello() error {
 
 // Mail sends MAIL FROM.
 func (co *Conn) Mail(from string) error {
-	return co.countFail("mail", co.expectPositive("MAIL FROM:<%s>", from))
+	return co.countFail(stepMail, co.expectPositive("MAIL FROM:<%s>", from))
 }
 
 // Rcpt sends RCPT TO.
 func (co *Conn) Rcpt(to string) error {
-	return co.countFail("rcpt", co.expectPositive("RCPT TO:<%s>", to))
+	return co.countFail(stepRcpt, co.expectPositive("RCPT TO:<%s>", to))
 }
 
 // Data sends the DATA command, expecting 354.
 func (co *Conn) Data() error {
 	r, err := co.cmd("DATA")
 	if err != nil {
-		co.c.fail("data")
+		co.c.fail(stepData)
 		return err
 	}
 	if r.Code != 354 {
-		co.c.fail("data")
+		co.c.fail(stepData)
 		return &ReplyError{Reply: *r}
 	}
 	return nil
 }
 
 // countFail records a command failure and passes the error through.
-func (co *Conn) countFail(verb string, err error) error {
+func (co *Conn) countFail(s step, err error) error {
 	if err != nil {
-		co.c.fail(verb)
+		co.c.fail(s)
 	}
 	return err
 }
@@ -253,17 +284,17 @@ func (co *Conn) SendMessage(msg []byte) (*Reply, error) {
 		}
 	}
 	if _, err := co.bw.WriteString(".\r\n"); err != nil {
-		co.c.fail("message")
+		co.c.fail(stepMessage)
 		return nil, err
 	}
 	if err := co.bw.Flush(); err != nil {
-		co.c.fail("message")
+		co.c.fail(stepMessage)
 		return nil, err
 	}
 	r, err := co.readReply()
 	co.event("message", r, err)
 	if err != nil || !r.Positive() {
-		co.c.fail("message")
+		co.c.fail(stepMessage)
 	}
 	return r, err
 }

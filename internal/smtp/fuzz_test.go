@@ -25,11 +25,13 @@ const fuzzIOTimeout = 5 * time.Second
 // hangs up.
 const sessionEnd = "\r\n.\r\nQUIT\r\n"
 
-// FuzzServerSession feeds arbitrary bytes over a fabric stream into a
-// Server and drains its replies. The session must not panic, must end on
-// its own rather than at its I/O deadline, must hand the hooks only paths
-// that ParsePath accepts, and must hand them no line over RFC 5321's
-// bounds.
+// FuzzServerSession feeds arbitrary bytes into a Server on a fabric and
+// drains its replies, once with the session served on the writer's
+// goroutine and once driven from an accept loop over a stream. In each
+// drive the session must not panic, must end on its own rather than at
+// its I/O deadline, must hand the hooks only paths that ParsePath
+// accepts, and must hand them no line over RFC 5321's bounds; and the
+// two drives must send the same replies and make the same hook calls.
 func FuzzServerSession(f *testing.F) {
 	for _, seed := range []string{
 		"EHLO probe.example\r\nMAIL FROM:<a@b.example>\r\nRCPT TO:<c@d.example>\r\nDATA\r\nhi\r\n..dot\r\n.\r\nQUIT\r\n",
@@ -41,74 +43,98 @@ func FuzzServerSession(f *testing.F) {
 		"EHLO a\r\nMAIL FROM:<a@b>\r\nRCPT TO:<c@d>\r\nDATA\r\nno terminator",
 		"HELO " + strings.Repeat("h", maxCommandLine) + "\r\nHELO x\r\n",
 		"EHLO a\r\nMAIL FROM:<a@b>\r\nRCPT TO:<c@d>\r\nDATA\r\n.." + strings.Repeat("t", maxTextLine) + "\r\n",
+		"NOOP " + strings.Repeat("n", lineBuffer) + "\r\n",
 	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, input []byte) {
-		fabric := netsim.NewFabric()
-		h := &recordingHandler{}
-		srv := &Server{
-			Hostname:        "mx.example.com",
-			Net:             fabric.Host("192.0.2.25"),
-			Addr:            ":25",
-			Handler:         h,
-			MaxMessageBytes: 1 << 16,
-			IOTimeout:       fuzzIOTimeout,
+		served, servedHooks := fuzzSession(t, input, false)
+		looped, loopedHooks := fuzzSession(t, input, true)
+		if !bytes.Equal(served, looped) {
+			t.Fatalf("served session replied %q, accept-loop session %q", served, looped)
 		}
-		if err := srv.Start(nil); err != nil {
-			t.Fatal(err)
-		}
-		c, err := fabric.Host("198.51.100.9").DialContext(context.Background(), "tcp", "192.0.2.25:25")
-		if err != nil {
-			srv.Stop()
-			t.Fatal(err)
-		}
-		drained := make(chan struct{})
-		go func() {
-			io.Copy(io.Discard, c)
-			close(drained)
-		}()
-		start := time.Now()
-		c.SetWriteDeadline(start.Add(fuzzIOTimeout))
-		msg := make([]byte, 0, len(input)+len(sessionEnd))
-		msg = append(append(msg, input...), sessionEnd...)
-		c.Write(msg) // returns once the server has read it all or hung up
-		<-drained    // the server hung up
-		c.Close()
-		stopped := make(chan struct{})
-		go func() {
-			srv.Stop()
-			close(stopped)
-		}()
-		select {
-		case <-stopped:
-		case <-time.After(fuzzIOTimeout):
-			t.Fatalf("session still running %v after the client hung up", fuzzIOTimeout)
-		}
-		if waited := time.Since(start); waited >= fuzzIOTimeout {
-			t.Fatalf("session took %v, ending only at its I/O deadline", waited)
-		}
-		// OnData is handed the same paths MAIL and RCPT recorded.
-		got := h.snapshot()
-		for _, p := range append(got.mails, got.rcpts...) {
-			if _, err := ParsePath(p); err != nil {
-				t.Fatalf("a hook received %q, which ParsePath rejects: %v", p, err)
-			}
-		}
-		for _, arg := range append(append(got.helos, got.mails...), got.rcpts...) {
-			if len(arg)+len("\r\n") > maxCommandLine {
-				t.Fatalf("a hook received a %d-octet argument from a command line", len(arg))
-			}
-		}
-		for _, msg := range got.datas {
-			for _, l := range strings.Split(msg, "\r\n") {
-				if len(l)+len("\r\n") > maxTextLine {
-					t.Fatalf("OnData received a %d-octet text line", len(l)+len("\r\n"))
-				}
-			}
+		if !reflect.DeepEqual(servedHooks, loopedHooks) {
+			t.Fatalf("served session made hook calls %+v, accept-loop session %+v", servedHooks, loopedHooks)
 		}
 	})
 }
+
+// fuzzSession runs one FuzzServerSession input through a fresh server,
+// driven from an accept loop when loop is set, checks the session, and
+// returns the bytes the server sent and the hook calls it made.
+func fuzzSession(t *testing.T, input []byte, loop bool) ([]byte, hookCalls) {
+	fabric := netsim.NewFabric()
+	h := &recordingHandler{}
+	var network netsim.Network = fabric.Host("192.0.2.25")
+	if loop {
+		network = acceptLoopNet{network}
+	}
+	srv := &Server{
+		Hostname:        "mx.example.com",
+		Net:             network,
+		Addr:            ":25",
+		Handler:         h,
+		MaxMessageBytes: 1 << 16,
+		IOTimeout:       fuzzIOTimeout,
+	}
+	if err := srv.Start(nil); err != nil {
+		t.Fatal(err)
+	}
+	c, err := fabric.Host("198.51.100.9").DialContext(context.Background(), "tcp", "192.0.2.25:25")
+	if err != nil {
+		srv.Stop()
+		t.Fatal(err)
+	}
+	var replies bytes.Buffer
+	drained := make(chan struct{})
+	go func() {
+		io.Copy(&replies, c)
+		close(drained)
+	}()
+	start := time.Now()
+	c.SetWriteDeadline(start.Add(fuzzIOTimeout))
+	msg := make([]byte, 0, len(input)+len(sessionEnd))
+	msg = append(append(msg, input...), sessionEnd...)
+	c.Write(msg) // returns once the server has taken it all or hung up
+	<-drained    // the server hung up
+	c.Close()
+	stopped := make(chan struct{})
+	go func() {
+		srv.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(fuzzIOTimeout):
+		t.Fatalf("session still running %v after the client hung up", fuzzIOTimeout)
+	}
+	if waited := time.Since(start); waited >= fuzzIOTimeout {
+		t.Fatalf("session took %v, ending only at its I/O deadline", waited)
+	}
+	// OnData is handed the same paths MAIL and RCPT recorded.
+	got := h.snapshot()
+	for _, p := range append(got.mails, got.rcpts...) {
+		if _, err := ParsePath(p); err != nil {
+			t.Fatalf("a hook received %q, which ParsePath rejects: %v", p, err)
+		}
+	}
+	for _, arg := range append(append(got.helos, got.mails...), got.rcpts...) {
+		if len(arg)+len("\r\n") > maxCommandLine {
+			t.Fatalf("a hook received a %d-octet argument from a command line", len(arg))
+		}
+	}
+	for _, msg := range got.datas {
+		for _, l := range strings.Split(msg, "\r\n") {
+			if len(l)+len("\r\n") > maxTextLine {
+				t.Fatalf("OnData received a %d-octet text line", len(l)+len("\r\n"))
+			}
+		}
+	}
+	return replies.Bytes(), hookCalls{got.helos, got.mails, got.rcpts, got.datas, got.aborts}
+}
+
+// hookCalls is what a recordingHandler recorded, in a comparable form.
+type hookCalls struct{ helos, mails, rcpts, datas, aborts []string }
 
 // inputConn is a net.Conn whose reads come from a fixed input and whose
 // read deadline is a no-op: all readReply needs. Its other methods are
@@ -164,15 +190,10 @@ func FuzzReadReply(f *testing.F) {
 				t.Fatalf("accepted a %d-octet reply line", len(l)+len("250 \r\n"))
 			}
 		}
-		var wire bytes.Buffer
-		bw := bufio.NewWriter(&wire)
-		if err := writeReply(bw, r); err != nil {
-			t.Fatal(err)
-		}
-		bw.Flush()
-		again, err := readReplyFrom(&wire)
+		wire := appendReply(nil, r)
+		again, err := readReplyFrom(bytes.NewReader(wire))
 		if err != nil {
-			t.Fatalf("re-sent reply %q rejected: %v", wire.Bytes(), err)
+			t.Fatalf("re-sent reply %q rejected: %v", wire, err)
 		}
 		if !reflect.DeepEqual(again, r) {
 			t.Fatalf("re-sent reply parsed as %+v, want %+v", again, r)

@@ -14,11 +14,13 @@ import (
 	"spfail/internal/netsim"
 )
 
-// Poison-then-reuse hygiene for the session buffer pools that client and
-// server sessions share: a reader left holding unread bytes and a writer
-// left holding unflushed bytes (and a write error) go back to the pools at
-// the end of one session. No later session, client or server, may see
-// those bytes or touch the connection they came from.
+// Poison-then-reuse hygiene for the client's session buffer pools: a
+// reader left holding unread bytes and a writer left holding unflushed
+// bytes (and a write error) go back to the pools at the end of one
+// session. No later session, client or server, may see those bytes or
+// touch the connection they came from. A server session ended the same
+// way, with pipelined input left unserved and its last reply unwritten,
+// must not reach its connection again either.
 
 // tripConn serves a fixed script of inbound bytes, fails every write after
 // the first okWrites, and counts any use after release.
@@ -118,9 +120,9 @@ func poisonClient(t *testing.T) *tripConn {
 	return trip
 }
 
-// poisonServer ends a server session whose reader holds a pipelined MAIL
-// FROM read behind QUIT and whose writer holds the unflushed 221 reply and
-// a write error.
+// poisonServer ends a server session, driven over a connection by
+// serveConn, that read a pipelined MAIL FROM behind QUIT and whose write
+// of the 221 reply failed.
 func poisonServer(t *testing.T) *tripConn {
 	trip := &tripConn{in: []byte("QUIT\r\nMAIL FROM:<poison@evil.example>\r\n"), okWrites: 1}
 	h := &recordingHandler{}
@@ -134,7 +136,7 @@ func poisonServer(t *testing.T) *tripConn {
 // cleanSession runs one full transaction over a fresh fabric and checks
 // both ends saw exactly that transaction. The server session runs on the
 // calling goroutine when serverHere is set, the client session otherwise,
-// so that end draws from the pool slot the poisoned buffers went back to.
+// where it draws from the pool slot the poisoned buffers went back to.
 func cleanSession(t *testing.T, serverHere bool) {
 	fabric := netsim.NewFabric()
 	h := &recordingHandler{}

@@ -1,7 +1,6 @@
 package smtp
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -110,15 +109,23 @@ func (s *Server) clock() clock.Clock {
 	return clock.Real{}
 }
 
-// Start binds the listener and serves until Stop or ctx cancellation.
+// Start binds the listener and serves until Stop or ctx cancellation. On
+// a fabric, each session runs on the goroutine of the client that dials
+// it (netsim.Serve): the client's writes drive the session's state
+// machine. Elsewhere, on OS sockets and on a fabric that can drop
+// datagrams, an accept loop drives each session from a goroutine of its
+// own (serveConn).
 func (s *Server) Start(ctx context.Context) error {
 	l, err := s.Net.Listen("tcp", s.Addr)
 	if err != nil {
 		return err
 	}
+	loop := !netsim.Serve(l, s.open)
 	// Add before the lock: a Stop fired by an already-cancelled ctx waits
 	// only after Start releases mu.
-	s.wg.Add(1)
+	if loop {
+		s.wg.Add(1)
+	}
 	s.mu.Lock()
 	s.l = l
 	s.run = true
@@ -126,13 +133,17 @@ func (s *Server) Start(ctx context.Context) error {
 		s.unwatch = context.AfterFunc(ctx, s.Stop)
 	}
 	s.mu.Unlock()
-	go s.acceptLoop(l)
+	if loop {
+		go s.acceptLoop(l)
+	}
 	return nil
 }
 
-// Stop closes the listener and waits for sessions to finish. It also
-// deregisters Start's ctx watcher, so a stopped server holds no goroutine
-// and ctx keeps no reference to it.
+// Stop closes the listener and waits for the sessions: for the session
+// goroutines of an accept loop to end, and on a fabric for the calls
+// that clients' writes and closes make into their sessions to return. It
+// also deregisters Start's ctx watcher, so a stopped server holds no
+// goroutine and ctx keeps no reference to it.
 func (s *Server) Stop() {
 	s.mu.Lock()
 	if !s.run {
@@ -174,58 +185,187 @@ const (
 	StateData     = "data"
 )
 
-func (s *Server) serveConn(c net.Conn) {
-	defer c.Close()
+// open starts a session for a client at remote: the session factory
+// Start hands netsim.Serve.
+func (s *Server) open(remote net.Addr) netsim.Session { return s.newSession(remote) }
+
+func (s *Server) newSession(remote net.Addr) *serverSession {
 	s.Metrics.Counter("smtp.server.sessions").Inc()
-	br, bw := getBuffers(c)
-	sess := &serverSession{
-		srv:    s,
-		conn:   c,
-		br:     br,
-		bw:     bw,
-		remote: c.RemoteAddr(),
-		state:  StateGreeting,
-	}
-	sess.run()
-	putBuffers(br, bw)
+	return &serverSession{srv: s, remote: remote}
 }
 
+// serveConn drives a session over c from the calling goroutine: it writes
+// what each Input returns and reads the client's next bytes, each under
+// IOTimeout, until the session or the client ends it.
+func (s *Server) serveConn(c net.Conn) {
+	defer c.Close()
+	ss := s.newSession(c.RemoteAddr())
+	in := make([]byte, lineBuffer)
+	out, done := ss.Input(nil, nil)
+	var rerr error
+	for {
+		if len(out) > 0 {
+			err := c.SetWriteDeadline(s.clock().Now().Add(s.ioTimeout()))
+			if err == nil {
+				_, err = c.Write(out)
+			}
+			if err != nil && ss.quiet {
+				return // the banner or the 354 reply never reached the client
+			}
+		}
+		if done {
+			return
+		}
+		if rerr == nil {
+			rerr = c.SetReadDeadline(s.clock().Now().Add(s.ioTimeout()))
+		}
+		if rerr != nil {
+			ss.readFailed(rerr)
+			return
+		}
+		var n int
+		n, rerr = c.Read(in)
+		out, done = ss.Input(in[:n], out[:0])
+	}
+}
+
+// serverSession is one SMTP session, a state machine that Input feeds the
+// client's bytes: on a fabric from the client's own writes (netsim.Serve),
+// elsewhere from serveConn's reads. Either way it gives the same replies
+// in the same order.
 type serverSession struct {
 	srv    *Server
-	conn   net.Conn
-	br     *bufio.Reader
-	bw     *bufio.Writer
 	remote net.Addr
 
+	// state is "" until Input has sent the banner.
 	state string
 	verb  string // command being served, for failure attribution
 	helo  string
 	from  string
 	haveF bool // MAIL FROM accepted (distinguishes empty reverse-path)
 	rcpts []string
+	msg   []byte // message text received so far in the data state
+
+	// partial is the start of a line whose LF has not arrived yet.
+	partial []byte
+	// out collects the replies of the Input call in progress.
+	out []byte
+	// quiet is set while the last reply sent is the banner or the 354
+	// reply to DATA. A client that hangs up without reading either ends
+	// the session without an abort, as a failed write of either ends it
+	// in serveConn.
+	quiet bool
 }
 
-func (ss *serverSession) send(r *Reply) error {
-	if !r.Positive() && ss.verb != "" {
-		ss.srv.Metrics.Counter("smtp.server.cmd_failures." + strings.ToLower(ss.verb)).Inc()
+// Line bounds, CRLF included: RFC 5321 §4.5.3.1.4 caps a command line at
+// 512 octets and §4.5.3.1.6 a line of message text at 1000. lineBuffer
+// is the size of the read buffer every bound fits in: a line that
+// reaches it without an LF is over every bound.
+const (
+	maxCommandLine = 512
+	maxTextLine    = 1000
+	lineBuffer     = 4096
+)
+
+// Replies the session sends without building them per session.
+var (
+	replyLineTooLong = NewReply(500, "Line too long")
+	replyQueued      = NewReply(250, "OK: queued")
+	replyCannotVRFY  = NewReply(252, "Cannot VRFY user, but will accept message")
+)
+
+// Input implements netsim.Session. The first call sends the banner; each
+// later one serves, in order, every line that in completes, and keeps the
+// start of an unfinished line for the next call. done reports that the
+// session has ended: after QUIT, a refused connection, an over-long line
+// or an oversized message.
+func (ss *serverSession) Input(in, out []byte) (reply []byte, done bool) {
+	ss.out = out
+	if ss.state == "" {
+		done = ss.greet()
+	} else {
+		done = ss.input(in)
 	}
-	if err := ss.conn.SetWriteDeadline(ss.srv.clock().Now().Add(ss.srv.ioTimeout())); err != nil {
-		return err
-	}
-	if err := writeReply(ss.bw, r); err != nil {
-		return err
-	}
-	return ss.bw.Flush()
+	reply, ss.out = ss.out, nil
+	return reply, done
 }
 
-// writeReply writes r's wire form, r.String() plus the final CRLF, into w.
-// The reply is assembled in w's free space, so it costs no allocation
-// unless it is longer than that space.
-func writeReply(w *bufio.Writer, r *Reply) error {
-	b := w.AvailableBuffer()
+// input serves the lines in completes, appending the replies to ss.out.
+func (ss *serverSession) input(in []byte) bool {
+	for len(in) > 0 {
+		i := bytes.IndexByte(in, '\n')
+		if i < 0 {
+			if len(ss.partial)+len(in) >= lineBuffer {
+				return ss.lineTooLong()
+			}
+			ss.partial = append(ss.partial, in...)
+			return false
+		}
+		if len(ss.partial)+i >= lineBuffer {
+			return ss.lineTooLong()
+		}
+		line := in[:i+1]
+		in = in[i+1:]
+		if len(ss.partial) > 0 {
+			line = append(ss.partial, line...)
+			ss.partial = line[:0]
+		}
+		if ss.serveLine(bytes.TrimRight(line, "\r\n")) {
+			return true
+		}
+	}
+	return false
+}
+
+// Abort implements netsim.Session.
+func (ss *serverSession) Abort(unread bool) {
+	if unread && ss.quiet {
+		return
+	}
+	ss.abort()
+}
+
+// abort reports a client that hung up mid-session, with the state the
+// session was in, so MTA simulations can distinguish NoMsg-style
+// terminations.
+func (ss *serverSession) abort() {
+	if m := ss.srv.Metrics; m != nil {
+		m.Counter("smtp.server.aborts." + ss.state).Inc()
+	}
+	ss.srv.Handler.OnAbort(ss.state)
+}
+
+// readFailed ends a session whose read failed: EOF or a closed connection
+// aborts it; a passed deadline or another error just ends it.
+func (ss *serverSession) readFailed(err error) {
+	if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) || errors.Is(err, io.ErrClosedPipe) {
+		ss.abort()
+	}
+}
+
+func (ss *serverSession) send(r *Reply) {
+	if m := ss.srv.Metrics; m != nil && !r.Positive() && ss.verb != "" {
+		m.Counter("smtp.server.cmd_failures." + strings.ToLower(ss.verb)).Inc()
+	}
+	ss.out = appendReply(ss.out, r)
+	ss.quiet = false
+}
+
+// sendText sends a positive reply given as the parts of its wire form,
+// without building a Reply.
+func (ss *serverSession) sendText(code string, parts ...string) {
+	ss.out = append(ss.out, code...)
+	for _, p := range parts {
+		ss.out = append(ss.out, p...)
+	}
+	ss.quiet = false
+}
+
+// appendReply appends r's wire form, r.String() plus the final CRLF, to b.
+func appendReply(b []byte, r *Reply) []byte {
 	if len(r.Lines) == 0 {
 		b = strconv.AppendInt(b, int64(r.Code), 10)
-		b = append(b, "\r\n"...)
+		return append(b, "\r\n"...)
 	}
 	for i, line := range r.Lines {
 		b = strconv.AppendInt(b, int64(r.Code), 10)
@@ -237,100 +377,67 @@ func writeReply(w *bufio.Writer, r *Reply) error {
 		b = append(b, line...)
 		b = append(b, "\r\n"...)
 	}
-	_, err := w.Write(b)
-	return err
+	return b
 }
 
-// Line bounds, CRLF included: RFC 5321 §4.5.3.1.4 caps a command line at
-// 512 octets and §4.5.3.1.6 a line of message text at 1000.
-const (
-	maxCommandLine = 512
-	maxTextLine    = 1000
-)
-
-// errLineTooLong is readLine's verdict on a line over its bound.
-var errLineTooLong = errors.New("smtp: line too long")
-
-// readLine reads one line of at most limit octets and returns it without
-// its line ending. A bare-LF line is measured as if CRLF-terminated. A
-// line that fills the read buffer is over every bound, since the pooled
-// buffers are larger than maxTextLine.
-func (ss *serverSession) readLine(limit int) (string, error) {
-	if err := ss.conn.SetReadDeadline(ss.srv.clock().Now().Add(ss.srv.ioTimeout())); err != nil {
-		return "", err
-	}
-	line, err := ss.br.ReadSlice('\n')
-	if err != nil && !errors.Is(err, bufio.ErrBufferFull) {
-		return "", err
-	}
-	line = bytes.TrimRight(line, "\r\n")
-	if err != nil || len(line)+len("\r\n") > limit {
-		return "", errLineTooLong
-	}
-	return string(line), nil
-}
-
-// readFailed ends the session after a failed read. An over-long line
-// earns "500 Line too long" (RFC 5321 §4.5.3.1.9) before the server
-// closes the session.
-func (ss *serverSession) readFailed(err error) {
-	if errors.Is(err, errLineTooLong) {
-		ss.send(NewReply(500, "Line too long"))
-		return
-	}
-	// EOF or reset mid-session: report the state we were in so MTA
-	// simulations can distinguish NoMsg-style terminations.
-	if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) || errors.Is(err, io.ErrClosedPipe) {
-		ss.srv.Metrics.Counter("smtp.server.aborts." + ss.state).Inc()
-		ss.srv.Handler.OnAbort(ss.state)
-	}
-}
-
-func (ss *serverSession) run() {
-	h := ss.srv.Handler
-	if r := h.OnConnect(ss.remote); r != nil && !r.Positive() {
+// greet sends the banner, or the negative reply OnConnect returned, which
+// ends the session.
+func (ss *serverSession) greet() bool {
+	ss.state = StateGreeting
+	if r := ss.srv.Handler.OnConnect(ss.remote); r != nil && !r.Positive() {
 		ss.send(r)
-		return
+		return true
 	}
-	if err := ss.send(Replyf(220, "%s ESMTP ready", ss.srv.Hostname)); err != nil {
-		return
+	ss.sendText("220 ", ss.srv.Hostname, " ESMTP ready\r\n")
+	ss.quiet = true
+	return false
+}
+
+// lineTooLong ends the session with "500 Line too long" (RFC 5321
+// §4.5.3.1.9). The reply is charged to DATA when it ends the message
+// text; a command line that was never read has no verb to charge.
+func (ss *serverSession) lineTooLong() bool {
+	if ss.state != StateData {
+		ss.verb = ""
 	}
-	for {
-		line, err := ss.readLine(maxCommandLine)
-		if err != nil {
-			ss.verb = "" // a command never read has no verb to charge
-			ss.readFailed(err)
-			return
-		}
-		verb, arg := splitCommand(line)
-		ss.verb = verb
-		switch verb {
-		case "HELO", "EHLO":
-			ss.cmdHelo(verb == "EHLO", arg)
-		case "MAIL":
-			ss.cmdMail(arg)
-		case "RCPT":
-			ss.cmdRcpt(arg)
-		case "DATA":
-			if done := ss.cmdData(); done {
-				return
-			}
-		case "RSET":
-			ss.reset()
-			ss.send(ReplyOK)
-		case "NOOP":
-			ss.send(ReplyOK)
-		case "VRFY":
-			ss.send(NewReply(252, "Cannot VRFY user, but will accept message"))
-		case "QUIT":
-			ss.send(ReplyBye)
-			return
-		case "":
-			ss.send(ReplySyntaxError)
-		default:
-			ss.send(ReplySyntaxError)
-		}
+	ss.send(replyLineTooLong)
+	return true
+}
+
+// serveLine serves one line, without its line ending, and reports whether
+// the session has ended.
+func (ss *serverSession) serveLine(line []byte) bool {
+	if ss.state == StateData {
+		return ss.dataLine(line)
 	}
+	if len(line)+len("\r\n") > maxCommandLine {
+		return ss.lineTooLong()
+	}
+	verb, arg := splitCommand(string(line))
+	ss.verb = verb
+	switch verb {
+	case "HELO", "EHLO":
+		ss.cmdHelo(verb == "EHLO", arg)
+	case "MAIL":
+		ss.cmdMail(arg)
+	case "RCPT":
+		ss.cmdRcpt(arg)
+	case "DATA":
+		ss.cmdData()
+	case "RSET":
+		ss.reset()
+		ss.send(ReplyOK)
+	case "NOOP":
+		ss.send(ReplyOK)
+	case "VRFY":
+		ss.send(replyCannotVRFY)
+	case "QUIT":
+		ss.send(ReplyBye)
+		return true
+	default:
+		ss.send(ReplySyntaxError)
+	}
+	return false
 }
 
 func splitCommand(line string) (verb, arg string) {
@@ -340,10 +447,19 @@ func splitCommand(line string) (verb, arg string) {
 	return strings.ToUpper(line), ""
 }
 
+// hasPrefixFold reports whether s starts with prefix, an upper-case ASCII
+// keyword, in any case: as strings.HasPrefix(strings.ToUpper(s), prefix)
+// does, since no rune but its own two cases upper-cases to a letter of
+// FROM or TO, but without building the upper-cased copy.
+func hasPrefixFold(s, prefix string) bool {
+	return len(s) >= len(prefix) && strings.EqualFold(s[:len(prefix)], prefix)
+}
+
 func (ss *serverSession) reset() {
 	ss.from = ""
 	ss.haveF = false
 	ss.rcpts = nil
+	ss.msg = nil
 	if ss.helo != "" {
 		ss.state = StateHelo
 	} else {
@@ -364,15 +480,14 @@ func (ss *serverSession) cmdHelo(ehlo bool, arg string) {
 	ss.reset()
 	ss.state = StateHelo
 	if ehlo {
-		ss.send(&Reply{Code: 250, Lines: []string{ss.srv.Hostname, "8BITMIME", "SIZE 10485760", "PIPELINING"}})
+		ss.sendText("250-", ss.srv.Hostname, "\r\n250-8BITMIME\r\n250-SIZE 10485760\r\n250 PIPELINING\r\n")
 	} else {
-		ss.send(Replyf(250, "%s", ss.srv.Hostname))
+		ss.sendText("250 ", ss.srv.Hostname, "\r\n")
 	}
 }
 
 func (ss *serverSession) cmdMail(arg string) {
-	upper := strings.ToUpper(arg)
-	if !strings.HasPrefix(upper, "FROM:") {
+	if !hasPrefixFold(arg, "FROM:") {
 		ss.send(ReplyParamError)
 		return
 	}
@@ -396,8 +511,7 @@ func (ss *serverSession) cmdMail(arg string) {
 }
 
 func (ss *serverSession) cmdRcpt(arg string) {
-	upper := strings.ToUpper(arg)
-	if !strings.HasPrefix(upper, "TO:") {
+	if !hasPrefixFold(arg, "TO:") {
 		ss.send(ReplyParamError)
 		return
 	}
@@ -419,53 +533,42 @@ func (ss *serverSession) cmdRcpt(arg string) {
 	ss.send(ReplyOK)
 }
 
-// cmdData runs the DATA phase. It returns true when the session must end
-// (client vanished mid-data).
-func (ss *serverSession) cmdData() bool {
+// cmdData starts the DATA phase: later lines are message text, up to the
+// lone-dot terminator.
+func (ss *serverSession) cmdData() {
 	if !ss.haveF || len(ss.rcpts) == 0 {
 		ss.send(ReplyBadSequence)
-		return false
+		return
 	}
-	if err := ss.send(ReplyStartMail); err != nil {
-		return true
-	}
+	ss.send(ReplyStartMail)
+	ss.quiet = true
 	ss.state = StateData
-	msg, err := ss.readData()
-	if err != nil {
-		ss.readFailed(err)
-		return true
-	}
-	r := ss.srv.Handler.OnData(ss.from, ss.rcpts, msg, ss.remote, ss.helo)
-	if r == nil {
-		r = NewReply(250, "OK: queued")
-	}
-	ss.send(r)
-	ss.reset()
-	return false
 }
 
-// readData consumes dot-stuffed message content up to the lone-dot
-// terminator.
-func (ss *serverSession) readData() ([]byte, error) {
-	var buf []byte
-	for {
-		line, err := ss.readLine(maxTextLine + len("."))
-		if err != nil {
-			return nil, err
-		}
-		if line == "." {
-			return buf, nil
-		}
-		if strings.HasPrefix(line, "..") {
-			line = line[1:] // un-stuff
-		}
-		if len(line)+len("\r\n") > maxTextLine {
-			return nil, errLineTooLong
-		}
-		buf = append(buf, line...)
-		buf = append(buf, '\r', '\n')
-		if len(buf) > ss.srv.maxMsg() {
-			return nil, errors.New("smtp: message too large")
-		}
+// dataLine takes one line of dot-stuffed message text and reports whether
+// the session has ended: an over-long line ends it with a reply, a
+// message over MaxMessageBytes without one. The lone-dot terminator hands
+// the message to OnData.
+func (ss *serverSession) dataLine(line []byte) bool {
+	if len(line)+len("\r\n") > maxTextLine+len(".") {
+		return ss.lineTooLong()
 	}
+	if string(line) == "." {
+		r := ss.srv.Handler.OnData(ss.from, ss.rcpts, ss.msg, ss.remote, ss.helo)
+		if r == nil {
+			r = replyQueued
+		}
+		ss.send(r)
+		ss.reset()
+		return false
+	}
+	if bytes.HasPrefix(line, []byte("..")) {
+		line = line[1:] // un-stuff
+	}
+	if len(line)+len("\r\n") > maxTextLine {
+		return ss.lineTooLong()
+	}
+	ss.msg = append(ss.msg, line...)
+	ss.msg = append(ss.msg, '\r', '\n')
+	return len(ss.msg) > ss.srv.maxMsg()
 }

@@ -94,7 +94,7 @@ func TestMessageTooLargeAborts(t *testing.T) {
 	fabric := netsim.NewFabric()
 	srv := &Server{
 		Hostname:        "mx.example.com",
-		Net:             fabric.Host("192.0.2.26"),
+		Net:             serverNet(fabric, "192.0.2.26"),
 		Addr:            ":25",
 		Handler:         h,
 		MaxMessageBytes: 64,
@@ -345,7 +345,7 @@ func TestClientRejectsEndlessReply(t *testing.T) {
 func TestServerStopsWithItsContext(t *testing.T) {
 	fabric := netsim.NewFabric()
 	ctx, cancel := context.WithCancel(context.Background())
-	srv := &Server{Hostname: "mx.example.com", Net: fabric.Host("192.0.2.32"), Addr: ":25", Handler: NopHandler{}}
+	srv := &Server{Hostname: "mx.example.com", Net: serverNet(fabric, "192.0.2.32"), Addr: ":25", Handler: NopHandler{}}
 	if err := srv.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestServerStopRacesContextCancel(t *testing.T) {
 	fabric := netsim.NewFabric()
 	for i := 0; i < 50; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		srv := &Server{Hostname: "mx.example.com", Net: fabric.Host(fmt.Sprintf("192.0.2.%d", 100+i)), Addr: ":25", Handler: NopHandler{}}
+		srv := &Server{Hostname: "mx.example.com", Net: serverNet(fabric, fmt.Sprintf("192.0.2.%d", 100+i)), Addr: ":25", Handler: NopHandler{}}
 		if err := srv.Start(ctx); err != nil {
 			t.Fatal(err)
 		}
