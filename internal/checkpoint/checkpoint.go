@@ -43,8 +43,10 @@ import (
 // the directory; nothing in this package ever repairs silently.
 var ErrResumeImpossible = errors.New("resume impossible")
 
-// manifestVersion is bumped on any incompatible layout change.
-const manifestVersion = 1
+// manifestVersion is the store format version, written in the manifest
+// and after every segment's magic. It is bumped on any incompatible
+// layout change; version 1 stores held JSON segments.
+const manifestVersion = 2
 
 // manifestName is the store's root file; segments live in segmentsDir.
 const (

@@ -2,88 +2,15 @@ package checkpoint
 
 import (
 	"errors"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"spfail/internal/core"
-	"spfail/internal/faults"
-	"spfail/internal/retry"
 	"spfail/internal/telemetry"
 )
-
-// goldenStage is a fixed fully-populated payload; the encoding tests pin
-// its byte form so accidental schema drift (renamed field, changed
-// omitempty) fails loudly instead of silently invalidating old stores.
-func goldenStage(t *testing.T) *Stage {
-	t.Helper()
-	return &Stage{
-		Clock:    time.Date(2022, 3, 1, 0, 0, 0, 0, time.UTC),
-		ProbeSeq: 42,
-		Breakers: []retry.BreakerSnapshot{
-			{Key: "203.0.113.5", State: retry.BreakerOpen, Failures: 3,
-				OpenUntil: time.Date(2022, 3, 1, 0, 30, 0, 0, time.UTC)},
-		},
-		Faults: []faults.SeqEntry{{Key: "dns-timeout|0|mx1.example.org", Seq: 7}},
-		Targets: []TargetRow{
-			{Domain: "example.org", Addrs: []string{"203.0.113.5", "2001:db8::5"}, HasMX: true},
-			{Domain: "no-mx.example", Addrs: []string{"203.0.113.9"}},
-		},
-		Outcomes: []OutcomeRow{
-			{Addr: "203.0.113.5", Status: core.StatusSPFMeasured, Method: core.MethodNoMsg,
-				NoMsgRan: true, Observation: core.Observation{PolicyFetched: true, LivenessSeen: true},
-				IDs: []string{"k7f2q"}, Username: "mmj7yzdm0tbk", Attempts: 1},
-			{Addr: "203.0.113.9", Status: core.StatusSMTPFailure, FailStage: core.StageHello,
-				Err: "rig: banner timeout", Attempts: 2, FailReason: "attempts exhausted"},
-		},
-		Extra: []byte(`{"note":"spoof"}`),
-		Trace: []byte(`{"probe":"k7f2q"}` + "\n"),
-	}
-}
-
-const goldenStageJSON = `{"clock":"2022-03-01T00:00:00Z","probe_seq":42,` +
-	`"breakers":[{"key":"203.0.113.5","state":"open","failures":3,"open_until":"2022-03-01T00:30:00Z"}],` +
-	`"faults":[{"key":"dns-timeout|0|mx1.example.org","seq":7}],` +
-	`"targets":[{"domain":"example.org","addrs":["203.0.113.5","2001:db8::5"],"has_mx":true},` +
-	`{"domain":"no-mx.example","addrs":["203.0.113.9"]}],` +
-	`"outcomes":[{"addr":"203.0.113.5","status":"spf-measured","method":"NoMsg","no_msg_ran":true,` +
-	`"observation":{"PolicyFetched":true,"LivenessSeen":true,"Patterns":null,"Classes":null},` +
-	`"ids":["k7f2q"],"username":"mmj7yzdm0tbk","attempts":1},` +
-	`{"addr":"203.0.113.9","status":"smtp-failure",` +
-	`"observation":{"PolicyFetched":false,"LivenessSeen":false,"Patterns":null,"Classes":null},` +
-	`"fail_stage":"hello","err":"rig: banner timeout","attempts":2,"fail_reason":"attempts exhausted"}],` +
-	`"extra":{"note":"spoof"},` +
-	`"trace":"eyJwcm9iZSI6Ims3ZjJxIn0K"}`
-
-func TestStageEncodingGolden(t *testing.T) {
-	b, err := EncodeStage(goldenStage(t))
-	if err != nil {
-		t.Fatalf("EncodeStage: %v", err)
-	}
-	if string(b) != goldenStageJSON {
-		t.Errorf("stage encoding drifted:\n got %s\nwant %s", b, goldenStageJSON)
-	}
-	st, err := DecodeStage(b)
-	if err != nil {
-		t.Fatalf("DecodeStage: %v", err)
-	}
-	round, err := EncodeStage(st)
-	if err != nil {
-		t.Fatalf("re-encode: %v", err)
-	}
-	if string(round) != string(b) {
-		t.Errorf("encode/decode/encode not stable:\n got %s\nwant %s", round, b)
-	}
-}
-
-func TestDecodeStageRejectsUnknownFields(t *testing.T) {
-	_, err := DecodeStage([]byte(`{"clock":"2022-03-01T00:00:00Z","mystery":1}`))
-	if !errors.Is(err, ErrResumeImpossible) {
-		t.Fatalf("unknown field: got %v, want ErrResumeImpossible", err)
-	}
-}
 
 func TestOutcomeRowRoundTrip(t *testing.T) {
 	in := []core.Outcome{
@@ -92,6 +19,8 @@ func TestOutcomeRowRoundTrip(t *testing.T) {
 			Observation: core.Observation{PolicyFetched: true, Patterns: []string{"p"}, Classes: []core.BehaviorClass{core.ClassVulnerable}},
 			IDs:         []string{"a", "b"}, Username: "abuse", Attempts: 2},
 		{Addr: "203.0.113.9", Status: core.StatusConnectionRefused, FailStage: core.StageDial,
+			Err: errors.New("connection refused"), Attempts: 1},
+		{Addr: "203.0.113.10", Status: core.StatusConnectionRefused, FailStage: core.StageDial,
 			Err: errors.New("connection refused"), Attempts: 1},
 	}
 	out := RestoreOutcomes(OutcomeRows(in))
@@ -112,6 +41,33 @@ func TestOutcomeRowRoundTrip(t *testing.T) {
 		case want.Err != nil && (got.Err == nil || got.Err.Error() != want.Err.Error()):
 			t.Errorf("outcome %d: restored error %v, want %v", i, got.Err, want.Err)
 		}
+	}
+	if out[1].Err != out[2].Err {
+		t.Errorf("rows with one error text restored two error values")
+	}
+}
+
+func TestRestoreOutcomesInto(t *testing.T) {
+	rows := OutcomeRows([]core.Outcome{
+		{Addr: "203.0.113.5:25", Status: core.StatusSPFMeasured, IDs: []string{"a"}},
+		{Addr: "[2001:db8::5]:25", Status: core.StatusSMTPFailure, Err: errors.New("421")},
+		{Addr: "203.0.113.9", Status: core.StatusSMTPFailure, Err: errors.New("421")},
+	})
+	into := make(map[netip.Addr]core.Outcome)
+	if err := RestoreOutcomesInto(rows, into); err != nil {
+		t.Fatalf("RestoreOutcomesInto: %v", err)
+	}
+	for _, key := range []string{"203.0.113.5", "2001:db8::5", "203.0.113.9"} {
+		if _, ok := into[netip.MustParseAddr(key)]; !ok {
+			t.Errorf("no outcome under %s: %v", key, into)
+		}
+	}
+	if a, b := into[netip.MustParseAddr("2001:db8::5")].Err, into[netip.MustParseAddr("203.0.113.9")].Err; a == nil || a != b {
+		t.Errorf("rows with one error text restored errors %v and %v, want one shared value", a, b)
+	}
+	bad := []OutcomeRow{{Addr: "mx.example:25"}}
+	if err := RestoreOutcomesInto(bad, into); !errors.Is(err, ErrResumeImpossible) {
+		t.Errorf("unparsable address: got %v, want ErrResumeImpossible", err)
 	}
 }
 
@@ -315,7 +271,7 @@ func TestGoldenManifestBytes(t *testing.T) {
 		t.Fatalf("ReadFile: %v", err)
 	}
 	want := `{
-  "version": 1,
+  "version": 2,
   "fingerprint": "0011223344556677",
   "segments": [
     {

@@ -468,7 +468,9 @@ func (m *HostManager) StartHost(ctx context.Context, a netip.Addr, asOf time.Tim
 		// staying reproducible.
 		FlakySeed: spec.FlakySeed ^ asOf.UnixNano(),
 	})
-	if err := h.Start(ctx); err != nil {
+	// The caller stops the host (StopHost, or StopAll when the rig
+	// closes), so the host need not watch ctx for its end.
+	if err := h.Start(context.WithoutCancel(ctx)); err != nil {
 		return false, fmt.Errorf("population: starting host %s: %w", a, err)
 	}
 	m.mu.Lock()

@@ -129,7 +129,8 @@ func (s *Server) Start(ctx context.Context) error {
 	s.mu.Lock()
 	s.l = l
 	s.run = true
-	if ctx != nil {
+	// A context that can never end needs no watcher.
+	if ctx != nil && ctx.Done() != nil {
 		s.unwatch = context.AfterFunc(ctx, s.Stop)
 	}
 	s.mu.Unlock()

@@ -4,12 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net/netip"
 	"sync"
 
 	"spfail/internal/checkpoint"
 	"spfail/internal/clock"
-	"spfail/internal/core"
 	"spfail/internal/measure"
 	"spfail/internal/obs"
 )
@@ -220,24 +218,6 @@ func restoreTargets(rows []checkpoint.TargetRow) ([]measure.Target, error) {
 		ts[i] = measure.Target{Domain: row.Domain, Addrs: addrs, HasMX: row.HasMX}
 	}
 	return ts, nil
-}
-
-// restoreOutcomesInto rebuilds an address-keyed outcome map from
-// serialized stage rows. Outcome.Addr is the probe's dial string
-// ("ip:25"), so the port is stripped to recover the campaign's map key.
-func restoreOutcomesInto(rows []checkpoint.OutcomeRow, into map[netip.Addr]core.Outcome) error {
-	for _, o := range checkpoint.RestoreOutcomes(rows) {
-		a, err := netip.ParseAddr(o.Addr)
-		if err != nil {
-			ap, err2 := netip.ParseAddrPort(o.Addr)
-			if err2 != nil {
-				return fmt.Errorf("study: %w: outcome address %q: %v", checkpoint.ErrResumeImpossible, o.Addr, err)
-			}
-			a = ap.Addr()
-		}
-		into[a] = o
-	}
-	return nil
 }
 
 // decodeExtra parses a stage's Extra payload, mapping failures to the

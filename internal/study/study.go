@@ -500,7 +500,7 @@ func (r *runner) run(ctx context.Context) error {
 			return r.measureInto(ctx, "snapshot", "s02", snapCampaign, snapAddrs, snapRep, res.Snapshot, st)
 		},
 		func(st *checkpoint.Stage) error {
-			return restoreOutcomesInto(st.Outcomes, res.Snapshot)
+			return checkpoint.RestoreOutcomesInto(st.Outcomes, res.Snapshot)
 		}); err != nil {
 		return err
 	}
@@ -521,7 +521,7 @@ func (r *runner) measureStage(ctx context.Context, name, suite string, c *measur
 			return r.measureInto(ctx, name, suite, c, addrs, rep, into, st)
 		},
 		func(st *checkpoint.Stage) error {
-			return restoreOutcomesInto(st.Outcomes, into)
+			return checkpoint.RestoreOutcomesInto(st.Outcomes, into)
 		})
 }
 
@@ -531,12 +531,12 @@ func (r *runner) measureStage(ctx context.Context, name, suite string, c *measur
 func (r *runner) measureInto(ctx context.Context, name, suite string, c *measure.Campaign, addrs []netip.Addr, rep map[netip.Addr]string, into map[netip.Addr]core.Outcome, st *checkpoint.Stage) error {
 	sink := &probeSink{r: r, name: name, suite: suite, into: into}
 	if r.store != nil {
-		sink.outs = make([]core.Outcome, 0, len(addrs))
+		sink.rows = make([]checkpoint.OutcomeRow, 0, len(addrs))
 	}
 	if err := c.MeasureAddrsFunc(ctx, addrs, rep, sink.observe); err != nil {
 		return err
 	}
-	st.Outcomes = checkpoint.OutcomeRows(sink.outs)
+	st.Outcomes = sink.rows
 	return nil
 }
 
@@ -549,7 +549,7 @@ type probeSink struct {
 	name  string
 	suite string
 	into  map[netip.Addr]core.Outcome
-	outs  []core.Outcome
+	rows  []checkpoint.OutcomeRow
 	n     int
 }
 
@@ -562,7 +562,7 @@ type probeSink struct {
 func (s *probeSink) observe(a netip.Addr, o core.Outcome) {
 	s.into[a] = o
 	if s.r.store != nil {
-		s.outs = append(s.outs, o)
+		s.rows = append(s.rows, checkpoint.NewOutcomeRow(&o))
 	}
 	if s.r.cfg.Observe != nil {
 		s.r.cfg.Observe(s.suite, a, o)
